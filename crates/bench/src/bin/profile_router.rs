@@ -24,13 +24,11 @@
 //! full runs write `results/BENCH_router.json`.
 
 use hhc_core::{
-    disjoint, disjoint_paths_avoiding, disjoint_paths_avoiding_into, CacheConfig, CrossingOrder,
-    Hhc, L2Config, NodeId, PathBuilder, PathSet, QueryResult, Router, RouterConfig,
-    SharedFamilyCache,
+    disjoint, disjoint_paths_avoiding, CrossingOrder, Hhc, L2Config, NodeId, QueryResult, Router,
+    RouterConfig,
 };
 use obs::json;
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
+use std::collections::HashSet;
 use std::time::Instant;
 
 fn min_time<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
@@ -187,172 +185,6 @@ fn run_pass(
     std::hint::black_box(&sink);
 }
 
-/// The PR 9-shaped shared-tier baseline for the hit-path
-/// microbenchmark: lock-striped `RwLock<HashMap>` shards (std SipHash,
-/// as shipped); a probe takes the shard read lock and clones the entry
-/// out to release the lock before replaying. Paired below with the
-/// per-query `Vec<Path>` materialisation the PR 9 worker loop
-/// performed, this reproduces that pipeline's per-hit work; the current
-/// tier answers the same probe from an immutable published snapshot
-/// with no lock and no per-query allocation.
-struct StripedL2 {
-    shards: Vec<RwLock<HashMap<u128, StripedEntry>>>,
-    shard_mask: usize,
-}
-
-struct StripedEntry {
-    nodes: Box<[u128]>,
-    offsets: Box<[u32]>,
-}
-
-impl StripedL2 {
-    fn new(shards: usize) -> Self {
-        let n = shards.next_power_of_two();
-        StripedL2 {
-            shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect(),
-            shard_mask: n - 1,
-        }
-    }
-
-    fn shard_of(&self, key: u128) -> usize {
-        let h = ((key ^ (key >> 64)) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 32) as usize & self.shard_mask
-    }
-
-    fn store(&self, key: u128, set: &PathSet) {
-        let mut nodes = Vec::with_capacity(set.total_nodes());
-        let mut offsets = Vec::with_capacity(set.len() + 1);
-        offsets.push(0u32);
-        for p in set.iter() {
-            nodes.extend(p.iter().map(|v| v.raw()));
-            offsets.push(nodes.len() as u32);
-        }
-        self.shards[self.shard_of(key)].write().unwrap().insert(
-            key,
-            StripedEntry {
-                nodes: nodes.into_boxed_slice(),
-                offsets: offsets.into_boxed_slice(),
-            },
-        );
-    }
-
-    fn replay(&self, key: u128, out: &mut PathSet) -> bool {
-        // Clone under the read lock, replay after releasing it — the
-        // shortest-lock-hold discipline the striped design forces.
-        let e = {
-            let shard = self.shards[self.shard_of(key)].read().unwrap();
-            let Some(e) = shard.get(&key) else {
-                return false;
-            };
-            StripedEntry {
-                nodes: e.nodes.clone(),
-                offsets: e.offsets.clone(),
-            }
-        };
-        for w in e.offsets.windows(2) {
-            for &raw in &e.nodes[w[0] as usize..w[1] as usize] {
-                out.push_node(NodeId::from_raw(raw));
-            }
-            out.finish_path();
-        }
-        true
-    }
-}
-
-/// Hit-path microbenchmark: every query replays a cached family
-/// (hit-heavy: the pool fits every tier), comparing the current
-/// lock-free snapshot tier against the PR 9 striped-RwLock pipeline.
-///
-/// The lock-free side runs the *full* public serving path
-/// ([`disjoint_paths_avoiding_into`] on a builder whose L1 is disabled,
-/// so every query is an L2 snapshot probe plus the avoiding layer's
-/// validation) into a reused `PathSet`. The striped side replays the
-/// identical families from the [`StripedL2`] baseline and materialises
-/// per-query `Vec<Path>`s, as the PR 9 worker did — it skips the
-/// validation/metrics work the real path pays, so the reported speedup
-/// is conservative.
-fn hit_path_bench(h: &Hhc, repeats: usize, pool_sz: usize, iters: usize) -> String {
-    let m = h.m();
-    let pairs = workloads::sampling::random_pairs(h, pool_sz, 0x417_0000 + m as u64);
-    let empty: HashSet<NodeId> = HashSet::new();
-
-    // Lock-free side: shared snapshot tier, no L1 in front.
-    let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
-    let no_l1 = CacheConfig {
-        fan_capacity: 0,
-        family_capacity: 0,
-    };
-    let mut builder = PathBuilder::with_caches(no_l1);
-    builder.attach_shared_cache(Arc::clone(&l2));
-    let mut out = PathSet::new();
-
-    // Striped baseline, fed the *same* families (byte-identical slabs).
-    let striped = StripedL2::new(16);
-    for (i, &(u, v)) in pairs.iter().enumerate() {
-        disjoint_paths_avoiding_into(h, u, v, CrossingOrder::Gray, &empty, &mut out, &mut builder)
-            .unwrap();
-        striped.store(i as u128, &out);
-        // Sanity: the baseline replays exactly what the tier serves.
-        let mut back = PathSet::new();
-        assert!(striped.replay(i as u128, &mut back));
-        assert_eq!(back, out, "striped baseline diverged from the tier");
-    }
-
-    let secs_lockfree = min_time(repeats, || {
-        for _ in 0..iters {
-            for &(u, v) in &pairs {
-                disjoint_paths_avoiding_into(
-                    h,
-                    u,
-                    v,
-                    CrossingOrder::Gray,
-                    &empty,
-                    &mut out,
-                    &mut builder,
-                )
-                .unwrap();
-                std::hint::black_box(&out);
-            }
-        }
-    });
-    let c = builder.metrics().construction;
-    assert_eq!(c.family_hits, 0, "L1 is disabled in the hit bench");
-    assert_eq!(
-        c.l2_misses as usize,
-        pairs.len(),
-        "only the warm-up pass constructs"
-    );
-
-    let secs_striped = min_time(repeats, || {
-        for _ in 0..iters {
-            for i in 0..pairs.len() {
-                out.clear();
-                assert!(striped.replay(i as u128, &mut out));
-                // The PR 9 pipeline handed every answer back as an owned
-                // Vec<Path>; that allocation is part of its hit path.
-                std::hint::black_box(out.to_paths());
-            }
-        }
-    });
-
-    let queries = (pairs.len() * iters) as f64;
-    let lockfree_qps = queries / secs_lockfree;
-    let striped_qps = queries / secs_striped;
-    let hit_speedup = lockfree_qps / striped_qps;
-    println!(
-        "hit path m={m}  lockfree {:9.0} qps  striped+clone {:9.0} qps  speedup {:4.2}x",
-        lockfree_qps, striped_qps, hit_speedup
-    );
-    let mut ro = json::Obj::new();
-    ro.str("case", &format!("hit_m{m}"));
-    ro.u64("pool", pairs.len() as u64);
-    ro.u64("iters", iters as u64);
-    ro.f64("lockfree_qps", lockfree_qps);
-    ro.f64("striped_qps", striped_qps);
-    ro.f64("hit_speedup", hit_speedup);
-    ro.finish()
-}
-
 /// The three router modes per cell.
 const MODES: [&str; 3] = ["tiered", "l1_only", "rebuild"];
 
@@ -455,15 +287,6 @@ fn main() {
         }
     }
 
-    // Hit-path microbenchmark: lock-free snapshot tier vs the PR 9
-    // striped-RwLock pipeline on a replay-only workload, at two network
-    // sizes (family length scales with m).
-    let (hit_pool, hit_iters) = if quick { (32, 50) } else { (64, 400) };
-    let hit_rows: Vec<String> = [3u32, 5]
-        .iter()
-        .map(|&m| hit_path_bench(&Hhc::new(m).unwrap(), repeats, hit_pool, hit_iters))
-        .collect();
-
     let mut o = json::Obj::new();
     o.str("bench", "profile_router");
     o.u64("quick", quick as u64);
@@ -482,7 +305,6 @@ fn main() {
         &json::u64_array(&threads.iter().map(|&t| t as u64).collect::<Vec<_>>()),
     );
     o.raw("cells", &json::array(&rows));
-    o.raw("hit_path", &json::array(&hit_rows));
     let payload = o.finish();
     // Quick runs feed the perf_gate regression check and must never
     // overwrite the committed full-run results.

@@ -20,9 +20,14 @@
 //! Entries also carry the rotation/detour plan counts of the cached
 //! family so metric conservation laws (`rotation_plans + detour_plans =
 //! degree × cross_cube + same_cube`) survive cache replays.
+//!
+//! This module owns the entry format for both cache tiers: the shared L2
+//! ([`SharedFamilyCache`](crate::SharedFamilyCache)) keeps the same
+//! `FamilyEntry` values in the same two-generation `FamilyMap`, one
+//! map per lock stripe, and replays them the same way. The L2 does not
+//! promote on a cold hit, so a probe needs only its stripe's read lock.
 
 use super::CrossingOrder;
-use crate::node::NodeId;
 use crate::pathset::PathSet;
 use std::collections::HashMap;
 
@@ -96,13 +101,110 @@ pub(crate) fn family_key(m: u32, dx: u128, yu: u32, yv: u32, order: CrossingOrde
 }
 
 /// One cached canonical family: the CSR path set for `Xu = 0`, plus the
-/// plan counts it was built from.
-#[derive(Debug, Clone)]
-struct FamilyEntry {
+/// plan counts it was built from. The one entry format of both cache
+/// tiers: the per-builder [`FamilyCache`] and the shared L2
+/// ([`SharedFamilyCache`](crate::SharedFamilyCache)).
+#[derive(Debug)]
+pub(crate) struct FamilyEntry {
     nodes: Box<[u128]>,
     offsets: Box<[u32]>,
     rotations: u64,
     detours: u64,
+}
+
+impl FamilyEntry {
+    /// Canonicalises `set` (a fresh construction for some pair with
+    /// translation mask `mask`) to `Xu = 0` by XOR-ing `mask` back out.
+    pub(crate) fn canonical(mask: u128, set: &PathSet, rotations: u64, detours: u64) -> Self {
+        let mut nodes = Vec::with_capacity(set.total_nodes());
+        let mut offsets = Vec::with_capacity(set.len() + 1);
+        offsets.push(0u32);
+        for path in set.iter() {
+            nodes.extend(path.iter().map(|v| v.raw() ^ mask));
+            offsets.push(nodes.len() as u32);
+        }
+        FamilyEntry {
+            nodes: nodes.into_boxed_slice(),
+            offsets: offsets.into_boxed_slice(),
+            rotations,
+            detours,
+        }
+    }
+
+    /// Appends the family translated by `mask` to `out` and returns its
+    /// `(rotations, detours)` plan counts — byte-identical to what the
+    /// construction that stored it produced, by the equivariance
+    /// argument of the module docs.
+    #[inline]
+    pub(crate) fn replay(&self, mask: u128, out: &mut PathSet) -> (u64, u64) {
+        out.extend_csr_xor(&self.nodes, &self.offsets, mask);
+        (self.rotations, self.detours)
+    }
+}
+
+/// The bounded two-generation map both cache tiers keep their entries
+/// in (see the module docs): at most `2 × capacity` entries; capacity 0
+/// holds nothing.
+#[derive(Debug)]
+pub(crate) struct FamilyMap {
+    capacity: usize,
+    hot: HashMap<u128, FamilyEntry>,
+    cold: HashMap<u128, FamilyEntry>,
+    sweeps: u64,
+}
+
+impl FamilyMap {
+    pub(crate) fn new(capacity: usize) -> Self {
+        FamilyMap {
+            capacity,
+            hot: HashMap::new(),
+            cold: HashMap::new(),
+            sweeps: 0,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.hot.len() + self.cold.len()
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.hot.clear();
+        self.cold.clear();
+    }
+
+    fn make_room(&mut self) {
+        if self.hot.len() >= self.capacity {
+            self.cold = std::mem::take(&mut self.hot);
+            self.sweeps += 1;
+        }
+    }
+
+    /// Probes hot then cold, without promotion.
+    pub(crate) fn get(&self, key: u128) -> Option<&FamilyEntry> {
+        self.hot.get(&key).or_else(|| self.cold.get(&key))
+    }
+
+    /// Probes hot then cold, moving a cold hit into the hot generation.
+    fn get_promote(&mut self, key: u128) -> Option<&FamilyEntry> {
+        if self.hot.contains_key(&key) {
+            return self.hot.get(&key);
+        }
+        let e = self.cold.remove(&key)?;
+        self.make_room();
+        Some(self.hot.entry(key).or_insert(e))
+    }
+
+    /// Inserts `entry` into the hot generation, sweeping first if it is
+    /// full. A key already present in either generation keeps its
+    /// entry: constructions are deterministic, so a second store of a
+    /// key carries identical bytes.
+    pub(crate) fn insert(&mut self, key: u128, entry: FamilyEntry) {
+        if self.capacity == 0 || self.get(key).is_some() {
+            return;
+        }
+        self.make_room();
+        self.hot.insert(key, entry);
+    }
 }
 
 /// Bounded, generation-swept cache of canonical disjoint-path families;
@@ -110,10 +212,7 @@ struct FamilyEntry {
 /// so batch workers never contend on it.
 #[derive(Debug)]
 pub struct FamilyCache {
-    capacity: usize,
-    hot: HashMap<u128, FamilyEntry>,
-    cold: HashMap<u128, FamilyEntry>,
-    sweeps: u64,
+    map: FamilyMap,
     // Adaptive bypass: lifetime probe/hit accounting. When the hit rate
     // stays under `BYPASS_HIT_FLOOR` after `BYPASS_MIN_PROBES` probes
     // and the cache has just missed `BYPASS_CONSEC_MISSES` times in a
@@ -132,10 +231,7 @@ pub struct FamilyCache {
 impl FamilyCache {
     pub fn new(capacity: usize) -> Self {
         FamilyCache {
-            capacity,
-            hot: HashMap::new(),
-            cold: HashMap::new(),
-            sweeps: 0,
+            map: FamilyMap::new(capacity),
             probes: 0,
             hits: 0,
             consec_misses: 0,
@@ -146,22 +242,22 @@ impl FamilyCache {
 
     /// Hot-generation capacity this cache was built with.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.map.capacity
     }
 
     /// Entries currently retained (both generations).
     pub fn len(&self) -> usize {
-        self.hot.len() + self.cold.len()
+        self.map.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.cold.is_empty()
+        self.map.len() == 0
     }
 
     /// Generation sweeps performed so far.
     pub fn sweeps(&self) -> u64 {
-        self.sweeps
+        self.map.sweeps
     }
 
     /// Lifetime replay probes (capacity-0 caches never account).
@@ -188,58 +284,25 @@ impl FamilyCache {
 
     /// Drops all entries, keeping the capacity.
     pub fn clear(&mut self) {
-        self.hot.clear();
-        self.cold.clear();
+        self.map.clear();
     }
 
-    fn make_room(&mut self) {
-        if self.hot.len() >= self.capacity {
-            self.cold = std::mem::take(&mut self.hot);
-            self.sweeps += 1;
-        }
-    }
-
-    fn get(&mut self, key: u128) -> Option<&FamilyEntry> {
-        if self.capacity == 0 {
-            return None;
-        }
-        if self.hot.contains_key(&key) {
-            return self.hot.get(&key);
-        }
-        if let Some(e) = self.cold.remove(&key) {
-            self.make_room();
-            return Some(self.hot.entry(key).or_insert(e));
-        }
-        None
-    }
-
-    /// On a hit, writes the cached family translated by `mask` into
-    /// `out` (which must be cleared) and returns its
-    /// `(rotations, detours)` plan counts. Every call on an enabled
-    /// cache counts as one probe for the adaptive bypass; a sustained
-    /// miss streak at a near-zero hit rate latches [`Self::probe_only`].
+    /// On a hit, appends the cached family translated by `mask` to `out`
+    /// (which must be cleared) and returns its `(rotations, detours)`
+    /// plan counts. Every call on an enabled cache counts as one probe
+    /// for the adaptive bypass; a sustained miss streak at a near-zero
+    /// hit rate latches [`Self::probe_only`].
     pub(crate) fn replay(
         &mut self,
         key: u128,
         mask: u128,
         out: &mut PathSet,
     ) -> Option<(u64, u64)> {
-        if self.capacity == 0 {
+        if self.map.capacity == 0 {
             return None;
         }
         self.probes += 1;
-        let replayed = match self.get(key) {
-            Some(e) => {
-                for w in e.offsets.windows(2) {
-                    for &raw in &e.nodes[w[0] as usize..w[1] as usize] {
-                        out.push_node(NodeId::from_raw(raw ^ mask));
-                    }
-                    out.finish_path();
-                }
-                Some((e.rotations, e.detours))
-            }
-            None => None,
-        };
+        let replayed = self.map.get_promote(key).map(|e| e.replay(mask, out));
         if replayed.is_some() {
             self.hits += 1;
             self.consec_misses = 0;
@@ -259,7 +322,7 @@ impl FamilyCache {
 
     /// Stores the family in `set` (a fresh construction for some pair
     /// with translation mask `mask`) under `key`, canonicalised to
-    /// `Xu = 0` by XOR-ing `mask` back out.
+    /// `Xu = 0`.
     pub(crate) fn store(
         &mut self,
         key: u128,
@@ -268,26 +331,11 @@ impl FamilyCache {
         rotations: u64,
         detours: u64,
     ) {
-        if self.capacity == 0 || self.probe_only {
+        if self.map.capacity == 0 || self.probe_only {
             return;
         }
-        let mut nodes = Vec::with_capacity(set.total_nodes());
-        let mut offsets = Vec::with_capacity(set.len() + 1);
-        offsets.push(0u32);
-        for path in set.iter() {
-            nodes.extend(path.iter().map(|v| v.raw() ^ mask));
-            offsets.push(nodes.len() as u32);
-        }
-        self.make_room();
-        self.hot.insert(
-            key,
-            FamilyEntry {
-                nodes: nodes.into_boxed_slice(),
-                offsets: offsets.into_boxed_slice(),
-                rotations,
-                detours,
-            },
-        );
+        self.map
+            .insert(key, FamilyEntry::canonical(mask, set, rotations, detours));
     }
 }
 
@@ -300,6 +348,7 @@ impl Default for FamilyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeId;
 
     #[test]
     fn keys_separate_every_component() {

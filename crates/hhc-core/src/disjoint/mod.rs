@@ -131,10 +131,9 @@ pub struct PathBuilder {
     fan_cache: FanCache,
     family_cache: FamilyCache,
     // Optional shared L2 family tier (see `crate::service`), probed
-    // between an L1 miss and a fresh construction, through a per-builder
-    // snapshot reader (lock-free probes). `None` (the default) keeps the
-    // builder fully self-contained.
-    shared_cache: Option<crate::service::L2Reader>,
+    // between an L1 miss and a fresh construction under one stripe read
+    // lock. `None` (the default) keeps the builder fully self-contained.
+    shared_cache: Option<std::sync::Arc<crate::service::SharedFamilyCache>>,
     // Observability: monotone counters plus opt-in per-query timing.
     metrics: ConstructionMetrics,
     timing_enabled: bool,
@@ -168,14 +167,15 @@ impl PathBuilder {
     }
 
     /// Attaches a shared L2 family tier: after the per-builder L1
-    /// misses, queries probe `l2` through a per-builder snapshot reader
-    /// (one atomic load, no lock — see `crate::service::shared`) before
-    /// constructing, and fresh constructions are promoted into both
-    /// tiers. Caching stays exact — replays are byte-identical to fresh
-    /// constructions — so results are unaffected. `l2_hits`/`l2_misses`
-    /// in [`ConstructionMetrics`] account the new tier.
+    /// misses, queries probe `l2` (under the read lock of one of its
+    /// stripes — see [`SharedFamilyCache`](crate::SharedFamilyCache))
+    /// before constructing, and fresh constructions are promoted into
+    /// both tiers. Caching stays exact — replays are byte-identical to
+    /// fresh constructions — so results are unaffected.
+    /// `l2_hits`/`l2_misses` in [`ConstructionMetrics`] account the new
+    /// tier.
     pub fn attach_shared_cache(&mut self, l2: std::sync::Arc<crate::service::SharedFamilyCache>) {
-        self.shared_cache = Some(crate::service::L2Reader::new(l2));
+        self.shared_cache = Some(l2);
     }
 
     /// Detaches the shared L2 tier (the builder keeps its L1).
@@ -185,7 +185,7 @@ impl PathBuilder {
 
     /// The attached shared L2 tier, if any.
     pub fn shared_cache(&self) -> Option<&std::sync::Arc<crate::service::SharedFamilyCache>> {
-        self.shared_cache.as_ref().map(|r| r.cache())
+        self.shared_cache.as_ref()
     }
 
     /// The shared canonical fan cache, for capacity/occupancy
@@ -383,9 +383,8 @@ fn construct_into(
         // a hit into the L1 so the next repeat stays local. Entries are
         // canonical families stored by some worker's exact construction,
         // so the replay is byte-identical to constructing here.
-        if let Some(reader) = scratch.shared_cache.as_mut() {
-            let replayed = reader.replay(key, mask, out);
-            if let Some((nr, nd)) = replayed {
+        if let Some(l2) = &scratch.shared_cache {
+            if let Some((nr, nd)) = l2.replay(key, mask, out) {
                 scratch.family_cache.store(key, mask, out, nr, nd);
                 let m = &mut scratch.metrics;
                 m.queries += 1;

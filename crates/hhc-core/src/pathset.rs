@@ -110,8 +110,9 @@ impl PathSet {
     /// Appends a whole CSR block (raw node words plus a full offsets
     /// table with its leading `0`), XOR-translating every node by
     /// `mask`. One capacity check per buffer instead of one per node —
-    /// this is the L2 snapshot replay path, where the block is a cached
-    /// canonical family and `mask` is the cube-field translation.
+    /// this is the family-cache replay path of both tiers, where the
+    /// block is a cached canonical family and `mask` is the cube-field
+    /// translation.
     pub(crate) fn extend_csr_xor(&mut self, nodes: &[u128], offsets: &[u32], mask: u128) {
         let base = self.nodes.len() as u32;
         self.nodes

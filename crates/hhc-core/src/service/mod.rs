@@ -7,17 +7,18 @@
 //! module turns the library into a serving system: a pool of worker
 //! threads, each owning a [`PathBuilder`] (the per-worker **L1** — the
 //! existing caches, semantics unchanged), layered over one process-wide
-//! [`SharedFamilyCache`] (**L2** — atomically-published immutable shard
-//! snapshots, keyed by the same canonical `(m, Xu⊕Xv, Yu, Yv, order)`
-//! signature; see [`shared`](self) module docs for the lock-free read
-//! path). A query is answered L1 → L2 → construct; misses are promoted
-//! into both tiers, so one worker's solve warms every other worker.
+//! [`SharedFamilyCache`] (**L2** — `RwLock` stripes over the L1's own
+//! bounded two-generation map and entry type, keyed by the same
+//! canonical `(m, Xu⊕Xv, Yu, Yv, order)` signature; see the
+//! [`SharedFamilyCache`] docs). A query is answered L1 → L2 → construct;
+//! misses are promoted into both tiers, so one worker's solve warms
+//! every other worker.
 //!
 //! ## Steady-state allocation discipline
 //!
 //! The serving hot path performs **no per-query heap allocation** once
-//! warm: an L2 hit is one atomic load plus a probe of a reader-local
-//! snapshot, copying nodes straight into reused scratch. The batch
+//! warm: an L2 hit takes one stripe's read lock and copies the entry's
+//! nodes straight into reused scratch while holding it. The batch
 //! plumbing is pooled to match — `Batch` buffers (pairs in, results
 //! out) cycle `Router` → worker → `Router` through the existing
 //! channels and are recycled from a free list, and a whole batch's
@@ -62,7 +63,6 @@
 mod metrics;
 mod shared;
 
-pub(crate) use shared::L2Reader;
 pub use shared::{L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY};
 
 use self::metrics::AtomicReport;

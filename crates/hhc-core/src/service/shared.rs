@@ -1,5 +1,5 @@
-//! The shared L2 tier: an atomically-published, read-lock-free family
-//! cache plus the live fault set and its generation counter.
+//! The shared L2 tier: a lock-striped family cache plus the live fault
+//! set and its generation counter.
 //!
 //! Entries are the same translation-canonical families the per-builder
 //! [`FamilyCache`](crate::FamilyCache) stores (CSR node list for
@@ -7,42 +7,27 @@
 //! `(m, Xu⊕Xv, Yu, Yv, order)` key — so one stored solve serves every
 //! worker and every cube-field translation.
 //!
-//! ## Snapshot-swap read path
+//! ## Striped generation maps
 //!
-//! Earlier versions striped the map across `RwLock` shards; even
-//! uncontended, every probe paid a read-lock acquire/release (an atomic
-//! RMW on a shared cache line) and readers serialised against writers.
-//! The tier is read-mostly to an extreme degree — after warm-up, stores
-//! happen only on cold keys — so it now publishes **immutable
-//! snapshots** instead:
+//! The key space is split across [`L2Config::shards`] stripes, each an
+//! `RwLock` over the L1's own bounded two-generation map (the entry
+//! type, its canonicalisation and its replay live in
+//! `disjoint::family_cache`):
 //!
-//! * Each shard owns an [`Arc<ShardSnapshot>`]: an open-addressing
-//!   probe table (`slots` → entry index) over immutable entries, each a
-//!   contiguous node/offset slab. Snapshots are never mutated after
-//!   publication.
-//! * Writers (cache-miss promotions) take a small per-shard mutex,
-//!   rebuild the table with the new entry (`Arc`-sharing every existing
-//!   entry's slab — no path data is copied), publish the new `Arc` and
-//!   bump the shard's version counter with a single release store.
-//! * Readers hold a per-worker [`L2Reader`] that caches one snapshot
-//!   `Arc` per shard. A probe is: one `Acquire` load of the shard
-//!   version, and — in the overwhelmingly common unchanged case — a
-//!   direct probe of the locally held snapshot. **No lock, no reference
-//!   count traffic, no clone**; a hit copies nodes straight from the
-//!   shared slab into the caller's [`PathSet`] scratch. Only when the
-//!   version moved (a writer published) does the reader briefly take
-//!   the shard mutex to re-clone the new snapshot `Arc`.
+//! * A probe takes its stripe's read lock and, on a hit, copies the
+//!   entry's node slab straight into the caller's [`PathSet`] while the
+//!   lock is held — no clone, no allocation. Readers never block each
+//!   other.
+//! * A store canonicalises its entry outside the lock, then takes the
+//!   write lock for one insert, which sweeps the stripe's generations
+//!   when the hot map is full. A key that is already present keeps its
+//!   entry: racing writers of one key carry identical bytes, because
+//!   construction is deterministic.
+//! * There is no cold→hot promotion on a hit. Promotion would put a
+//!   write lock on the read path, and the L1 in front of this tier
+//!   already keeps the genuinely hot keys local.
 //!
-//! Staleness is harmless by construction: entries are plain
-//! (fault-blind) canonical families — immutable facts about the
-//! topology — so a reader probing a one-publish-old snapshot can only
-//! miss a key some other worker *just* added (it reconstructs and the
-//! store is idempotent: racing writers of the same key insert identical
-//! bytes) or replay an entry that was *just* evicted (still a correct
-//! family). Memory reclamation is the `Arc` drop chain: an old snapshot
-//! is freed when the last reader holding it refreshes, and an entry's
-//! slab is freed when the last snapshot referencing it goes — no epochs,
-//! no hazard pointers, no unsafe.
+//! Each stripe holds at most `2 × shard_capacity` entries.
 //!
 //! ## Fault feed
 //!
@@ -57,18 +42,13 @@
 //! entries whose translated families actually intersect a fault pay a
 //! repair, and they become servable again the moment the fault clears —
 //! no eager scan, no cache discard.
-//!
-//! Eviction mirrors the L1: two generations per shard ("hot"/"cold"),
-//! a full hot map becomes the cold map, bounding each shard at
-//! `2 × shard_capacity` entries. There is no cold→hot promotion on a
-//! hit — promotion would force a publish on the read path, and the L1
-//! in front of this tier already keeps the genuinely hot keys local.
 
+use crate::disjoint::family_cache::{FamilyEntry, FamilyMap};
 use crate::node::NodeId;
 use crate::pathset::PathSet;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default shard count (rounded up to a power of two internally).
 pub const DEFAULT_L2_SHARDS: usize = 16;
@@ -83,8 +63,9 @@ pub const DEFAULT_L2_SHARD_CAPACITY: usize = 1024;
 /// [`CacheConfig`](crate::CacheConfig) capacity-0 semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct L2Config {
-    /// Write-side mutex stripes; rounded up to a power of two, at
-    /// least 1. (Readers never lock regardless of the count.)
+    /// `RwLock` stripes; rounded up to a power of two, at least 1.
+    /// Readers of one stripe share its read lock; a store holds the
+    /// write lock of its key's stripe only.
     pub shards: usize,
     /// Hot-generation capacity of each stripe.
     pub shard_capacity: usize,
@@ -115,136 +96,8 @@ impl Default for L2Config {
     }
 }
 
-/// One cached canonical family: a contiguous CSR node/offset slab plus
-/// the plan counts of the construction that produced it. Immutable once
-/// built; shared by every snapshot generation that contains it.
-#[derive(Debug)]
-struct SharedEntry {
-    nodes: Box<[u128]>,
-    offsets: Box<[u32]>,
-    rotations: u64,
-    detours: u64,
-}
-
-/// An immutable probe table over a shard's entries. `slots[i]` holds
-/// `entry index + 1` (0 = vacant); `keys`/`entries` are parallel.
-/// `slots.len()` is a power of two at least `2 × entries.len()`, so
-/// linear probing always terminates at a vacant slot.
-#[derive(Debug)]
-struct ShardSnapshot {
-    slots: Box<[u32]>,
-    keys: Box<[u128]>,
-    entries: Box<[Arc<SharedEntry>]>,
-}
-
-impl ShardSnapshot {
-    fn empty() -> Arc<ShardSnapshot> {
-        Arc::new(ShardSnapshot {
-            slots: vec![0u32; 4].into_boxed_slice(),
-            keys: Box::new([]),
-            entries: Box::new([]),
-        })
-    }
-
-    /// Builds a snapshot over the given entries (any iteration order).
-    fn build<'a>(
-        entries: impl Iterator<Item = (&'a u128, &'a Arc<SharedEntry>)>,
-        n: usize,
-    ) -> Self {
-        let cap = (2 * n).next_power_of_two().max(4);
-        let mut slots = vec![0u32; cap].into_boxed_slice();
-        let mut keys = Vec::with_capacity(n);
-        let mut ents = Vec::with_capacity(n);
-        let mask = cap - 1;
-        for (&key, entry) in entries {
-            let mut i = fold_mix(key) as usize & mask;
-            while slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            slots[i] = keys.len() as u32 + 1;
-            keys.push(key);
-            ents.push(Arc::clone(entry));
-        }
-        ShardSnapshot {
-            slots,
-            keys: keys.into_boxed_slice(),
-            entries: ents.into_boxed_slice(),
-        }
-    }
-
-    /// Linear-probe lookup. `h` must be `fold_mix(key)`.
-    #[inline]
-    fn get(&self, h: u64, key: u128) -> Option<&SharedEntry> {
-        let mask = self.slots.len() - 1;
-        let mut i = h as usize & mask;
-        loop {
-            let s = self.slots[i];
-            if s == 0 {
-                return None;
-            }
-            let idx = (s - 1) as usize;
-            if self.keys[idx] == key {
-                return Some(&self.entries[idx]);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-}
-
-/// Write-side state of one shard: the bounded two-generation entry maps
-/// plus the currently published snapshot. Everything here is guarded by
-/// the shard mutex; readers touch it only to re-clone `published` after
-/// a version bump.
-#[derive(Debug)]
-struct ShardWriter {
-    hot: HashMap<u128, Arc<SharedEntry>>,
-    cold: HashMap<u128, Arc<SharedEntry>>,
-    sweeps: u64,
-    published: Arc<ShardSnapshot>,
-}
-
-#[derive(Debug)]
-struct ShardState {
-    /// Bumped (release, under the mutex) once per publish; readers pair
-    /// one acquire load with their locally cached snapshot.
-    version: AtomicU64,
-    inner: Mutex<ShardWriter>,
-}
-
-impl ShardState {
-    fn new() -> Self {
-        ShardState {
-            version: AtomicU64::new(0),
-            inner: Mutex::new(ShardWriter {
-                hot: HashMap::new(),
-                cold: HashMap::new(),
-                sweeps: 0,
-                published: ShardSnapshot::empty(),
-            }),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ShardWriter> {
-        // A writer that panicked mid-store left `hot`/`cold` consistent
-        // (the snapshot is built before anything is published), so
-        // poison carries no information here.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Rebuilds and publishes the snapshot from the current generations.
-    /// Must be called with the lock held (`w` is the guard's target).
-    fn publish(&self, w: &mut ShardWriter) {
-        let n = w.hot.len() + w.cold.len();
-        // Hot entries first so a key present in both generations (never
-        // happens today, but harmless) resolves to the hot copy.
-        w.published = Arc::new(ShardSnapshot::build(w.hot.iter().chain(w.cold.iter()), n));
-        self.version.fetch_add(1, Ordering::Release);
-    }
-}
-
-/// Splitmix64 finalizer over the folded 128-bit key: the low bits index
-/// a shard's probe table, the high bits pick the shard, so dense key
-/// families spread across both levels independently.
+/// Splitmix64 finalizer over the folded 128-bit key; its high bits pick
+/// the stripe, so dense key families spread across stripes.
 #[inline]
 fn fold_mix(key: u128) -> u64 {
     let mut z = ((key ^ (key >> 64)) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -257,14 +110,13 @@ fn fold_mix(key: u128) -> u64 {
 /// invalidated against. See the module docs.
 ///
 /// All methods take `&self`; the type is `Sync` and meant to live in an
-/// [`Arc`] shared by every worker's
+/// [`Arc`](std::sync::Arc) shared by every worker's
 /// [`PathBuilder`](crate::PathBuilder) (attached via
-/// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache),
-/// which wraps it in a per-worker `L2Reader`).
+/// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache)).
 #[derive(Debug)]
 pub struct SharedFamilyCache {
-    shards: Box<[ShardState]>,
-    shard_mask: usize,
+    stripes: Box<[RwLock<FamilyMap>]>,
+    stripe_mask: usize,
     shard_capacity: usize,
     /// Bumped once per fault-set mutation, while the fault write lock is
     /// held; readers pair it with the set via [`Self::faults_snapshot`].
@@ -276,8 +128,10 @@ impl SharedFamilyCache {
     pub fn new(cfg: L2Config) -> Self {
         let n = cfg.shards.max(1).next_power_of_two();
         SharedFamilyCache {
-            shards: (0..n).map(|_| ShardState::new()).collect(),
-            shard_mask: n - 1,
+            stripes: (0..n)
+                .map(|_| RwLock::new(FamilyMap::new(cfg.shard_capacity)))
+                .collect(),
+            stripe_mask: n - 1,
             shard_capacity: cfg.shard_capacity,
             generation: AtomicU64::new(0),
             faults: RwLock::new(HashSet::new()),
@@ -286,7 +140,7 @@ impl SharedFamilyCache {
 
     /// Number of shards (power of two).
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.stripes.len()
     }
 
     /// Hot-generation capacity per shard (0 = inert tier).
@@ -296,13 +150,7 @@ impl SharedFamilyCache {
 
     /// Entries currently retained across all shards and generations.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let w = s.lock();
-                w.hot.len() + w.cold.len()
-            })
-            .sum()
+        (0..self.stripes.len()).map(|i| self.read(i).len()).sum()
     }
 
     /// Whether no shard holds an entry.
@@ -369,52 +217,57 @@ impl SharedFamilyCache {
     /// generation untouched). Exists for the full-rebuild-on-fault
     /// baseline ablation; the serving path never needs it.
     pub fn flush(&self) {
-        for s in self.shards.iter() {
-            let mut w = s.lock();
-            w.hot.clear();
-            w.cold.clear();
-            s.publish(&mut w);
+        for i in 0..self.stripes.len() {
+            self.write(i).clear();
         }
     }
 
     #[inline]
-    fn shard_of(&self, h: u64) -> &ShardState {
-        &self.shards[(h >> 32) as usize & self.shard_mask]
+    fn stripe_of(&self, key: u128) -> usize {
+        (fold_mix(key) >> 32) as usize & self.stripe_mask
+    }
+
+    // A writer that panicked mid-insert left its map consistent (a
+    // sweep or an insert either happened or did not), so poison carries
+    // no information here.
+    fn read(&self, stripe: usize) -> RwLockReadGuard<'_, FamilyMap> {
+        self.stripes[stripe]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self, stripe: usize) -> RwLockWriteGuard<'_, FamilyMap> {
+        self.stripes[stripe]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// On a hit, appends the cached family translated by `mask` to
+    /// `out` and returns its `(rotations, detours)` plan counts —
+    /// byte-identical to what the construction that stored it produced,
+    /// by the same equivariance argument as the L1 replay. Holds the
+    /// stripe's read lock for the copy; allocates nothing once `out`
+    /// has grown to the family's size.
+    #[inline]
+    pub(crate) fn replay(&self, key: u128, mask: u128, out: &mut PathSet) -> Option<(u64, u64)> {
+        if self.shard_capacity == 0 {
+            return None;
+        }
+        self.read(self.stripe_of(key))
+            .get(key)
+            .map(|e| e.replay(mask, out))
     }
 
     /// Stores the family in `set` (a fresh construction under
-    /// translation `mask`) canonicalised to `Xu = 0`, and publishes a
-    /// new shard snapshot. Racing writers of the same key insert
-    /// identical bytes (construction is deterministic), so
-    /// first-writer-wins is harmless.
+    /// translation `mask`) canonicalised to `Xu = 0`. The entry is built
+    /// before the stripe's write lock is taken; under the lock the store
+    /// is one insert, with a generation sweep when the hot map is full.
     pub(crate) fn store(&self, key: u128, mask: u128, set: &PathSet, rotations: u64, detours: u64) {
         if self.shard_capacity == 0 {
             return;
         }
-        let mut nodes = Vec::with_capacity(set.total_nodes());
-        let mut offsets = Vec::with_capacity(set.len() + 1);
-        offsets.push(0u32);
-        for path in set.iter() {
-            nodes.extend(path.iter().map(|v| v.raw() ^ mask));
-            offsets.push(nodes.len() as u32);
-        }
-        let entry = Arc::new(SharedEntry {
-            nodes: nodes.into_boxed_slice(),
-            offsets: offsets.into_boxed_slice(),
-            rotations,
-            detours,
-        });
-        let shard = self.shard_of(fold_mix(key));
-        let mut w = shard.lock();
-        if w.hot.contains_key(&key) || w.cold.contains_key(&key) {
-            return;
-        }
-        if w.hot.len() >= self.shard_capacity {
-            w.cold = std::mem::take(&mut w.hot);
-            w.sweeps += 1;
-        }
-        w.hot.insert(key, entry);
-        shard.publish(&mut w);
+        let entry = FamilyEntry::canonical(mask, set, rotations, detours);
+        self.write(self.stripe_of(key)).insert(key, entry);
     }
 }
 
@@ -424,95 +277,10 @@ impl Default for SharedFamilyCache {
     }
 }
 
-/// Cached per-reader view of one shard: the snapshot `Arc` the reader
-/// last saw and the shard version it was published at.
-#[derive(Debug)]
-struct LocalShard {
-    version: u64,
-    snap: Arc<ShardSnapshot>,
-}
-
-/// A per-worker read handle over a [`SharedFamilyCache`].
-///
-/// The reader caches one published snapshot `Arc` per shard; a probe is
-/// one acquire load of the shard version plus a table probe of the
-/// local snapshot — no lock and no reference-count traffic on the
-/// steady-state path. When the version moved (a writer published), the
-/// reader takes the shard mutex once to re-clone the new `Arc`; the
-/// snapshot it let go of is freed when its last holder refreshes
-/// (plain `Arc` reclamation — see the module docs).
-///
-/// Created by
-/// [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache);
-/// one reader per builder/worker.
-#[derive(Debug)]
-pub(crate) struct L2Reader {
-    cache: Arc<SharedFamilyCache>,
-    local: Box<[LocalShard]>,
-}
-
-impl L2Reader {
-    pub(crate) fn new(cache: Arc<SharedFamilyCache>) -> Self {
-        // Version 0 with an empty local snapshot matches a shard that
-        // has never published; shards that already have entries carry a
-        // version > 0 and refresh on first probe.
-        let local = (0..cache.shards.len())
-            .map(|_| LocalShard {
-                version: 0,
-                snap: ShardSnapshot::empty(),
-            })
-            .collect();
-        L2Reader { cache, local }
-    }
-
-    /// The shared tier this reader probes.
-    pub(crate) fn cache(&self) -> &Arc<SharedFamilyCache> {
-        &self.cache
-    }
-
-    /// On a hit, appends the cached family translated by `mask` to
-    /// `out` and returns its `(rotations, detours)` plan counts —
-    /// byte-identical to what the construction that stored it produced,
-    /// by the same equivariance argument as the L1 replay. Lock-free
-    /// and allocation-free unless the shard published since the last
-    /// probe (then one brief mutex hold to re-clone the snapshot).
-    #[inline]
-    pub(crate) fn replay(
-        &mut self,
-        key: u128,
-        mask: u128,
-        out: &mut PathSet,
-    ) -> Option<(u64, u64)> {
-        if self.cache.shard_capacity == 0 {
-            return None;
-        }
-        let h = fold_mix(key);
-        let idx = (h >> 32) as usize & self.cache.shard_mask;
-        let shard = &self.cache.shards[idx];
-        let local = &mut self.local[idx];
-        let v = shard.version.load(Ordering::Acquire);
-        if v != local.version {
-            let w = shard.lock();
-            local.snap = Arc::clone(&w.published);
-            // Re-read under the lock: no writer can be mid-publish, so
-            // the pair is consistent.
-            local.version = shard.version.load(Ordering::Relaxed);
-        }
-        let e = local.snap.get(h, key)?;
-        out.extend_csr_xor(&e.nodes, &e.offsets, mask);
-        Some((e.rotations, e.detours))
-    }
-
-    /// Promotes a fresh construction into the shared tier (write side —
-    /// takes the shard mutex; see [`SharedFamilyCache::store`]).
-    pub(crate) fn store(&self, key: u128, mask: u128, set: &PathSet, rotations: u64, detours: u64) {
-        self.cache.store(key, mask, set, rotations, detours);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn two_path_set() -> PathSet {
         let mut set = PathSet::new();
@@ -525,43 +293,39 @@ mod tests {
         set
     }
 
-    fn reader(l2: &Arc<SharedFamilyCache>) -> L2Reader {
-        L2Reader::new(Arc::clone(l2))
-    }
-
     #[test]
     fn store_replay_round_trips_translation() {
-        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+        let l2 = SharedFamilyCache::new(L2Config {
             shards: 4,
             shard_capacity: 8,
-        }));
+        });
         l2.store(1, 4, &two_path_set(), 2, 1);
-        let mut r = reader(&l2);
         let mut out = PathSet::new();
-        let (nr, nd) = r.replay(1, 8, &mut out).unwrap();
+        let (nr, nd) = l2.replay(1, 8, &mut out).unwrap();
         assert_eq!((nr, nd), (2, 1));
         let expect: Vec<u128> = [5u128, 7, 9, 5, 6, 9].iter().map(|r| r ^ 4 ^ 8).collect();
         let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(got, expect);
-        assert!(r.replay(2, 0, &mut PathSet::new()).is_none());
+        assert!(l2.replay(2, 0, &mut PathSet::new()).is_none());
     }
 
     #[test]
     fn reader_sees_stores_published_after_creation() {
-        // The version check must pull in snapshots published both before
-        // and after the reader's first probe of a shard.
-        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+        // Every store must be visible to the next replay, whichever
+        // stripe it lands in and however many stores that stripe has
+        // taken before (32 keys over 2 stripes of capacity 8 also run
+        // the generation sweep).
+        let l2 = SharedFamilyCache::new(L2Config {
             shards: 2,
             shard_capacity: 8,
-        }));
-        let mut r = reader(&l2);
+        });
         let mut out = PathSet::new();
         for key in 0..32u128 {
-            assert!(r.replay(key, 0, &mut out).is_none(), "cold tier misses");
+            assert!(l2.replay(key, 0, &mut out).is_none(), "cold tier misses");
             l2.store(key, 0, &two_path_set(), key as u64, 0);
             out.clear();
             assert_eq!(
-                r.replay(key, 0, &mut out).expect("store is visible"),
+                l2.replay(key, 0, &mut out).expect("store is visible"),
                 (key as u64, 0)
             );
             out.clear();
@@ -570,25 +334,27 @@ mod tests {
 
     #[test]
     fn stale_snapshot_is_refreshed_not_resurrected() {
-        // After a flush, readers must stop replaying dropped entries.
-        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+        // After a flush, replays must stop returning dropped entries,
+        // and a later store of the same key must be served again.
+        let l2 = SharedFamilyCache::new(L2Config {
             shards: 1,
             shard_capacity: 8,
-        }));
-        let mut r = reader(&l2);
+        });
         l2.store(7, 0, &two_path_set(), 1, 0);
         let mut out = PathSet::new();
-        assert!(r.replay(7, 0, &mut out).is_some());
+        assert!(l2.replay(7, 0, &mut out).is_some());
         l2.flush();
         out.clear();
-        assert!(r.replay(7, 0, &mut out).is_none(), "flush is visible");
+        assert!(l2.replay(7, 0, &mut out).is_none(), "flush is visible");
+        l2.store(7, 0, &two_path_set(), 2, 0);
+        assert_eq!(l2.replay(7, 0, &mut out), Some((2, 0)));
     }
 
     #[test]
     fn disabled_tier_is_inert() {
-        let l2 = Arc::new(SharedFamilyCache::new(L2Config::disabled()));
+        let l2 = SharedFamilyCache::new(L2Config::disabled());
         l2.store(1, 0, &two_path_set(), 0, 1);
-        assert!(reader(&l2).replay(1, 0, &mut PathSet::new()).is_none());
+        assert!(l2.replay(1, 0, &mut PathSet::new()).is_none());
         assert!(l2.is_empty());
     }
 
@@ -612,26 +378,62 @@ mod tests {
     #[test]
     fn cold_generation_still_replays() {
         let cap = 2;
-        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+        let l2 = SharedFamilyCache::new(L2Config {
             shards: 1,
             shard_capacity: cap,
-        }));
+        });
         let set = two_path_set();
         for key in 0..cap as u128 + 1 {
             l2.store(key, 0, &set, key as u64, 0);
         }
-        // Key 0 or 1 was swept to the cold generation by the third
-        // store; both must still replay from the published snapshot.
-        let mut r = reader(&l2);
+        // Keys 0 and 1 were swept to the cold generation by the third
+        // store; every key must still replay.
         let mut out = PathSet::new();
         for key in 0..cap as u128 + 1 {
             out.clear();
             assert_eq!(
-                r.replay(key, 0, &mut out),
+                l2.replay(key, 0, &mut out),
                 Some((key as u64, 0)),
                 "key {key} must survive the generation sweep"
             );
         }
+    }
+
+    #[test]
+    fn cold_hits_are_not_promoted() {
+        // Replaying a cold entry leaves it cold: the next sweep drops it
+        // even though it was just hit.
+        let l2 = SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: 1,
+        });
+        let set = two_path_set();
+        l2.store(0, 0, &set, 0, 0);
+        l2.store(1, 0, &set, 1, 0);
+        let mut out = PathSet::new();
+        assert!(
+            l2.replay(0, 0, &mut out).is_some(),
+            "0 is cold, still served"
+        );
+        l2.store(2, 0, &set, 2, 0);
+        assert!(
+            l2.replay(0, 0, &mut out).is_none(),
+            "0 was swept, not promoted"
+        );
+        assert!(l2.replay(1, 0, &mut out).is_some());
+        assert_eq!(l2.len(), 2);
+    }
+
+    #[test]
+    fn second_store_of_a_key_keeps_the_first() {
+        let l2 = SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: 4,
+        });
+        l2.store(3, 0, &two_path_set(), 1, 0);
+        l2.store(3, 0, &two_path_set(), 9, 9);
+        assert_eq!(l2.replay(3, 0, &mut PathSet::new()), Some((1, 0)));
+        assert_eq!(l2.len(), 1);
     }
 
     #[test]
@@ -695,13 +497,12 @@ mod tests {
             .map(|_| {
                 let l2 = Arc::clone(&l2);
                 std::thread::spawn(move || {
-                    let mut r = L2Reader::new(l2);
                     let mut out = PathSet::new();
                     let mut hits = 0u64;
                     for round in 0..200u128 {
                         let key = round % 24;
                         out.clear();
-                        if let Some((nr, _)) = r.replay(key, 0, &mut out) {
+                        if let Some((nr, _)) = l2.replay(key, 0, &mut out) {
                             assert_eq!(nr, key as u64, "payload matches key");
                             assert_eq!(out.len(), 2, "stored family has two paths");
                             hits += 1;
@@ -717,12 +518,11 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        // After the dust settles a fresh reader sees every key.
-        let mut r = L2Reader::new(Arc::clone(&l2));
+        // After the dust settles every key is served.
         let mut out = PathSet::new();
         for key in 0..24u128 {
             out.clear();
-            assert!(r.replay(key, 0, &mut out).is_some());
+            assert!(l2.replay(key, 0, &mut out).is_some());
         }
     }
 }

@@ -15,9 +15,11 @@
 //! "the same fault set" means for the oracle. The loom/shuttle crates
 //! are not vendored in-tree, so interleavings are exercised by seeded
 //! schedules and thread-count sweeps rather than exhaustive model
-//! checking; the shard tier publishes immutable snapshots (readers
-//! probe a locally held `Arc`, writers serialise on a per-shard mutex —
-//! no lock-free retry loops), which keeps the schedule space benign.
+//! checking; the shared tier is plain `RwLock` stripes (a replay copies
+//! under a read lock, a store inserts under the write lock — no
+//! lock-free retry loops), which keeps the schedule space benign. One
+//! configuration runs with the L1 disabled, so every replay goes
+//! through the stripes and their generation sweep.
 
 use hhc_core::{
     disjoint_paths_avoiding, CacheConfig, CrossingOrder, Hhc, HhcError, L2Config, NodeId, PathSet,
@@ -166,6 +168,11 @@ proptest! {
                            l1: CacheConfig::enabled(), l2: L2Config::disabled() },
             RouterConfig { threads: 2, order: CrossingOrder::Gray,
                            l1: CacheConfig { fan_capacity: 2, family_capacity: 2 },
+                           l2: L2Config { shards: 2, shard_capacity: 2 } },
+            // L2 only: every hit is a stripe replay, and the tiny
+            // stripes sweep their generations constantly.
+            RouterConfig { threads: 3, order: CrossingOrder::Gray,
+                           l1: CacheConfig::disabled(),
                            l2: L2Config { shards: 2, shard_capacity: 2 } },
         ];
         for (i, cfg) in configs.into_iter().enumerate() {

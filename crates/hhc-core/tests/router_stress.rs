@@ -1,9 +1,10 @@
 //! Concurrency stress for the routing service: the full worker pool
 //! hammered with `query_many_into` batches while a dedicated fault-feed
 //! thread churns `add_fault`/`clear_fault` at high rate — exercising
-//! the lock-free L2 snapshot reads, concurrent shard publishes, the
-//! epoch-based fault re-snapshot, and the pooled batch recycling all at
-//! once, racing for the whole run.
+//! concurrent L2 stripe replays under read locks racing stores and
+//! generation sweeps under write locks, the epoch-based fault
+//! re-snapshot, and the pooled batch recycling all at once, racing for
+//! the whole run.
 //!
 //! During the churn the exact fault set a given query sees is a race by
 //! design, so answers are checked *structurally*: every family must be

@@ -2,14 +2,15 @@
 //! cache-hit query must touch the heap **zero** times.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; the
-//! test warms a builder (scratch buffers, cache entries, the published
-//! L2 snapshot) and then asserts that repeated hit-path queries perform
+//! test warms a builder (scratch buffers, cache entries, the shared L2
+//! stripes) and then asserts that repeated hit-path queries perform
 //! no `alloc`/`realloc` at all. Three tiers are pinned:
 //!
 //! * **L1 hit** — replay from the per-builder family cache;
 //! * **L2 hit** — the builder's L1 is configured away
-//!   (`family_capacity: 0`), so every query probes the shared tier's
-//!   lock-free snapshot and copies the slab into the caller's scratch;
+//!   (`family_capacity: 0`), so every query probes the shared tier and
+//!   copies the entry's slab into the caller's scratch under the
+//!   stripe's read lock;
 //! * **L2 hit under non-intersecting faults** — same, plus a live
 //!   fault set the replayed family doesn't touch, so the avoiding
 //!   layer's fault scan runs (and passes) on the hot path.
@@ -110,8 +111,8 @@ fn hit_paths_do_not_allocate() {
         assert_eq!(n, 0, "L1-hit path allocated {n} times for {u:?}→{v:?}");
     }
 
-    // --- L2 hit path: L1 disabled, every query probes the shared
-    // snapshot and copies straight out of the slab. ---
+    // --- L2 hit path: L1 disabled, every query probes a shared
+    // stripe and copies straight out of the slab. ---
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let mut warmer = PathBuilder::with_caches(CacheConfig::enabled());
     warmer.attach_shared_cache(Arc::clone(&l2));
@@ -126,7 +127,7 @@ fn hit_paths_do_not_allocate() {
     let mut reader = PathBuilder::with_caches(no_l1);
     reader.attach_shared_cache(Arc::clone(&l2));
     for &(u, v) in &queries {
-        // Warm the reader's snapshot handles and scratch capacity.
+        // Warm the reader's scratch capacity.
         for _ in 0..3 {
             disjoint_paths_avoiding_into(
                 &h,
