@@ -11,12 +11,13 @@
 //! Gated metrics (all ratios measured within one process, so they are
 //! comparable across machines — see `bench::gate`):
 //!
-//! * `sim` — per-workload `speedup` (default engine vs the reference
-//!   eager/full engine).
+//! * `sim` — per-workload `speedup` (default engine vs a reference
+//!   engine: eager/full on the small workloads, lazy/full on HHC(4)).
 //! * `batch` — per-cache-workload `speedup` (cache on vs off) and the
 //!   batch amortisation ratio `per_pair_us / batched_serial_us`.
-//! * `router` — per-workload `speedup` (tiered-cache router vs the
-//!   full-rebuild-on-fault baseline, under the live fault feed).
+//! * `router` — per-workload `speedup` (the default router, which
+//!   repairs shared-cache replays lazily, vs the flush-on-fault
+//!   baseline, under the live fault feed).
 //!
 //! Two tiers: the **geomean** of the workload speedups is gated
 //! strictly at `--max-drop` (default 15%) — it is stable to a few

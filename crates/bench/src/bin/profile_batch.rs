@@ -6,11 +6,11 @@
 //! protocol so a noisy host does not swamp the numbers; `cargo bench -p
 //! bench --bench batch_throughput` is the canonical measurement.
 //!
-//! The cache section compares the symmetry caches on vs off across three
+//! The cache section compares the family cache on vs off across three
 //! 10k-pair workloads with different reuse profiles — uniform (every pair
 //! distinct), permutation (a fixed pair pool cycled) and hotspot (many
 //! sources, one destination) — asserting byte-identical output in both
-//! modes and reporting ns/pair, speedup and hit rates. `--cache on` /
+//! modes and reporting ns/pair, speedup and hit rate. `--cache on` /
 //! `--cache off` restrict to one mode; the default runs both. A
 //! machine-readable summary is written to `results/BENCH_batch.json`.
 //!
@@ -56,7 +56,6 @@ struct CacheRow {
     on_ns: Option<f64>,
     off_ns: Option<f64>,
     family_hit_rate: f64,
-    fan_hit_rate: f64,
 }
 
 /// The three reuse profiles, all over HHC(5) with `total` pairs.
@@ -132,19 +131,17 @@ fn run_cache_section(
             on_ns: None,
             off_ns: None,
             family_hit_rate: f64::NAN,
-            fan_hit_rate: f64::NAN,
         };
         let on = (mode != CacheMode::Off).then(|| measure(CacheConfig::enabled(), repeats));
         let off = (mode != CacheMode::On).then(|| measure(CacheConfig::disabled(), repeats));
         if let Some((_, report, ns)) = &on {
             row.on_ns = Some(*ns);
             row.family_hit_rate = report.construction.family_hit_rate().unwrap_or(f64::NAN);
-            row.fan_hit_rate = report.fan_cache_hit_rate().unwrap_or(f64::NAN);
         }
         if let Some((_, _, ns)) = &off {
             row.off_ns = Some(*ns);
         }
-        // The caches memoise exact canonical solutions: byte-identical
+        // The cache memoises exact canonical families: byte-identical
         // families are a hard invariant, not a statistical one.
         if let (Some((a, _, _)), Some((b, _, _))) = (&on, &off) {
             assert_eq!(a, b, "cached output differs from uncached on {}", w.name);
@@ -272,7 +269,7 @@ fn main() {
         fan * 1e6 / queries.len() as f64
     );
 
-    // --- Symmetry-cache comparison -----------------------------------
+    // --- Family-cache comparison -------------------------------------
     println!();
     println!(
         "cache section: {} pairs per workload (serial metered batch)",
@@ -289,14 +286,13 @@ fn main() {
             _ => "    —".to_string(),
         };
         println!(
-            "{:11} ({:5} distinct)  on {}  off {}  speedup {}  family hits {:5.1}%  fan hits {:5.1}%",
+            "{:11} ({:5} distinct)  on {}  off {}  speedup {}  family hits {:5.1}%",
             r.name,
             r.distinct,
             fmt(r.on_ns),
             fmt(r.off_ns),
             speedup,
-            r.family_hit_rate * 100.0,
-            r.fan_hit_rate * 100.0
+            r.family_hit_rate * 100.0
         );
     }
 
@@ -328,7 +324,6 @@ fn main() {
                 },
             );
             ro.f64("family_hit_rate", r.family_hit_rate);
-            ro.f64("fan_hit_rate", r.fan_hit_rate);
             ro.finish()
         })
         .collect();

@@ -1,14 +1,16 @@
 //! Sustained-throughput profiler for the concurrent routing service:
 //! measures queries/sec of a [`Router`] worker pool under a live fault
 //! feed, across thread counts and the three reuse workloads the batch
-//! profiler uses (uniform / permutation / hotspot), against two ablation
+//! profiler uses (uniform / permutation / hotspot). The `tiered` mode is
+//! the default router — every worker consults the shared L2 alone and
+//! repairs replays lazily around faults — against two ablation
 //! baselines:
 //!
-//! * `l1_only` — the same pool with the shared L2 tier disabled
-//!   (per-worker caches only: what PR 4 already shipped);
-//! * `rebuild` — every fault event flushes both cache tiers
+//! * `l1_only` — the same pool with the shared L2 tier disabled, so
+//!   each worker serves from its own family cache;
+//! * `rebuild` — every fault event flushes the caches
 //!   ([`Router::flush_caches`]), the classic correct-but-crude answer to
-//!   "a fault arrived, the cache might be stale". The tiered router
+//!   "a fault arrived, the cache might be stale". The default router
 //!   instead keeps its fault-blind entries and repairs lazily, so the
 //!   gated `speedup` is tiered_qps / rebuild_qps.
 //!
@@ -24,8 +26,8 @@
 //! full runs write `results/BENCH_router.json`.
 
 use hhc_core::{
-    disjoint, disjoint_paths_avoiding, CrossingOrder, Hhc, L2Config, NodeId, QueryResult, Router,
-    RouterConfig,
+    disjoint, disjoint_paths_avoiding, CrossingOrder, Hhc, HhcError, L2Config, NodeId, Path,
+    QueryBatchResult, Router, RouterConfig,
 };
 use obs::json;
 use std::collections::HashSet;
@@ -40,6 +42,9 @@ fn min_time<F: FnMut()>(repeats: usize, mut f: F) -> f64 {
     }
     best
 }
+
+/// One answered query in owned form: the family, or the pair's error.
+type Answer = Result<Vec<Path>, HhcError>;
 
 /// One serving workload: a pair sequence plus its reuse label.
 struct Workload {
@@ -134,7 +139,7 @@ fn oracle_answers(
     h: &Hhc,
     batches: &[&[(NodeId, NodeId)]],
     schedule: &[Vec<(NodeId, bool)>],
-) -> Vec<QueryResult> {
+) -> Vec<Answer> {
     let mut faults: HashSet<NodeId> = HashSet::new();
     let mut out = Vec::new();
     for (b, batch) in batches.iter().enumerate() {
@@ -155,14 +160,18 @@ fn oracle_answers(
 }
 
 /// Feeds the whole schedule through a router: fault events before each
-/// batch (plus the trailing balance slot), queries via `query_many`.
-/// `rebuild` flushes both cache tiers after every event — the baseline.
+/// batch (plus the trailing balance slot), queries via
+/// `query_many_into` into the reused `out`, every answer copied into
+/// `sink` in owned form. The copy is timed too, as it always has been,
+/// so qps stays comparable with the committed baselines. `rebuild`
+/// flushes the caches after every event — the baseline.
 fn run_pass(
     router: &mut Router,
     batches: &[&[(NodeId, NodeId)]],
     schedule: &[Vec<(NodeId, bool)>],
     rebuild: bool,
-    sink: &mut Vec<QueryResult>,
+    out: &mut QueryBatchResult,
+    sink: &mut Vec<Answer>,
 ) {
     sink.clear();
     let apply = |router: &mut Router, events: &[(NodeId, bool)]| {
@@ -179,7 +188,11 @@ fn run_pass(
     };
     for (b, batch) in batches.iter().enumerate() {
         apply(router, &schedule[b]);
-        sink.extend(router.query_many(batch));
+        router.query_many_into(batch, out);
+        sink.extend(
+            out.iter()
+                .map(|r| r.map(|f| f.to_paths()).map_err(Clone::clone)),
+        );
     }
     apply(router, &schedule[batches.len()]);
     std::hint::black_box(&sink);
@@ -228,17 +241,32 @@ fn main() {
                 };
                 let mut router = Router::new(5, cfg).unwrap();
                 let rebuild = mode == "rebuild";
+                let mut out = QueryBatchResult::new();
                 let mut sink = Vec::new();
                 // Warmup pass doubles as the equivalence check: every
                 // mode must answer exactly like the cold-cache oracle.
-                run_pass(&mut router, &batches, &schedule, rebuild, &mut sink);
+                run_pass(
+                    &mut router,
+                    &batches,
+                    &schedule,
+                    rebuild,
+                    &mut out,
+                    &mut sink,
+                );
                 assert_eq!(
                     sink, want,
                     "{} mode diverged from the oracle on {}",
                     mode, w.name
                 );
                 let secs = min_time(repeats, || {
-                    run_pass(&mut router, &batches, &schedule, rebuild, &mut sink);
+                    run_pass(
+                        &mut router,
+                        &batches,
+                        &schedule,
+                        rebuild,
+                        &mut out,
+                        &mut sink,
+                    );
                 });
                 qps[mi] = w.pairs.len() as f64 / secs;
                 if mode == "tiered" {

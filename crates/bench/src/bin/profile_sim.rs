@@ -21,12 +21,10 @@
 
 use hhc_core::Hhc;
 use netsim::{
-    CubeNet, EngineConfig, Fidelity, LinkStoreMode, Network, SimConfig, SimStats, Simulator,
-    Strategy, Switching,
+    CubeNet, EngineConfig, Fidelity, LinkStoreMode, SimConfig, SimStats, Simulator, Strategy,
+    Switching,
 };
 use obs::json;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 use workloads::Pattern;
 
@@ -270,48 +268,6 @@ fn main() {
     println!("  1 worker   {:8.3} s", t1);
     println!("  4 workers  {:8.3} s  ({:.2}x scaling)", t4, t1 / t4);
 
-    // --- Warm shared route arena (run_many_warm) ----------------------
-    // Bit-complement traffic is deterministic per source, so the warm
-    // pre-pass predicts every route the replications will request: all
-    // of them then read one frozen arena through private overlays
-    // instead of each re-interning the same (m + 1) routes per pair.
-    // The equality assertion is the contract — warming must be
-    // observationally invisible in the merged statistics.
-    let wsim = Simulator::new(h3, Pattern::BitComplement, Strategy::MultipathRandom);
-    let mut wrng = StdRng::seed_from_u64(0);
-    let warm_pairs: Vec<_> = Network::all_nodes(h3)
-        .into_iter()
-        .filter_map(|u| {
-            Pattern::BitComplement
-                .destination(h3, u, &mut wrng)
-                .map(|v| (u, v))
-        })
-        .collect();
-    let warm = wsim.warm_routes(&warm_pairs);
-    assert_eq!(
-        wsim.run_many(cfg, n_runs),
-        wsim.run_many_warm(cfg, n_runs, &warm),
-        "warm route arena changed the statistics"
-    );
-    let cold_secs = min_time(repeats, || {
-        std::hint::black_box(wsim.run_many(cfg, n_runs));
-    });
-    let warm_secs = min_time(repeats, || {
-        std::hint::black_box(wsim.run_many_warm(cfg, n_runs, &warm));
-    });
-    println!();
-    println!(
-        "run_many_warm: {} pre-warmed routes shared across {n_runs} replications \
-         (hhc3_bitcomp_multipath)",
-        warm.len()
-    );
-    println!("  cold arenas {:8.3} s", cold_secs);
-    println!(
-        "  warm arena  {:8.3} s  ({:.2}x)",
-        warm_secs,
-        cold_secs / warm_secs
-    );
-
     // Machine-readable sidecar for CI and the experiment notes.
     let mut o = json::Obj::new();
     o.str("bench", "profile_sim");
@@ -350,13 +306,6 @@ fn main() {
     rep.f64("secs_1_worker", t1);
     rep.f64("secs_4_workers", t4);
     rep.f64("scaling", t1 / t4);
-    // Warm-arena delta (keyed `warm_speedup`, distinct from the gated
-    // per-workload `speedup` metrics): single measurements, informative
-    // rather than gated.
-    rep.u64("warm_routes", warm.len() as u64);
-    rep.f64("secs_cold_arena", cold_secs);
-    rep.f64("secs_warm_arena", warm_secs);
-    rep.f64("warm_speedup", cold_secs / warm_secs);
     o.raw("run_many", &rep.finish());
     let payload = o.finish();
     let path = if quick {

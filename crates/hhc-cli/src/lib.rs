@@ -136,7 +136,7 @@ pub const USAGE: &str = "usage:
   hhc serve <m> --queries <file|-> [--faults <file>] [--threads N]
                 [--window N] [--metrics]
                                        answer a query stream through the
-                                       concurrent tiered-cache router;
+                                       concurrent router (shared L2 cache);
                                        queries are `X:Y X:Y` lines, the
                                        fault schedule is `<at> <+|-> <X:Y>`
                                        lines applied at window boundaries;
@@ -920,9 +920,8 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             let l2_probes = c.l2_hits + c.l2_misses;
             let _ = writeln!(
                 out,
-                "  cache tiers   : {} L1 hits, {} L2 hits ({:.1}% of L2 probes), \
+                "  shared cache  : {} L2 hits ({:.1}% of L2 probes), \
                  {} invalidations, fault generation {}",
-                c.family_hits,
                 c.l2_hits,
                 if l2_probes > 0 {
                     100.0 * c.l2_hits as f64 / l2_probes as f64
@@ -1327,8 +1326,8 @@ mod tests {
         }
     }
 
-    /// End-to-end serve: a query file with repeats (so the cache tiers
-    /// engage), a fault schedule that blocks an interior node mid-stream,
+    /// End-to-end serve: a query file with repeats (so the shared cache
+    /// engages), a fault schedule that blocks an interior node mid-stream,
     /// windowed progress lines and the summary with quantiles.
     #[test]
     fn execute_serve_lifecycle() {

@@ -47,8 +47,8 @@ impl Workspace {
         Workspace::default()
     }
 
-    /// A workspace whose builder uses the given symmetry-cache
-    /// capacities; see [`PathBuilder::with_caches`].
+    /// A workspace whose builder uses the given family-cache capacity;
+    /// see [`PathBuilder::with_caches`].
     pub fn with_caches(cfg: CacheConfig) -> Self {
         Workspace {
             builder: PathBuilder::with_caches(cfg),
@@ -56,7 +56,7 @@ impl Workspace {
         }
     }
 
-    /// Replaces the builder's symmetry caches; see
+    /// Replaces the builder's family cache; see
     /// [`PathBuilder::set_cache_config`].
     pub fn set_cache_config(&mut self, cfg: CacheConfig) {
         self.builder.set_cache_config(cfg);
@@ -158,8 +158,8 @@ pub fn construct_many(
     construct_many_with(hhc, pairs, order, CacheConfig::default())
 }
 
-/// [`construct_many`] with explicit per-worker symmetry-cache capacities
-/// (each rayon worker owns its caches — no locks on the hot path).
+/// [`construct_many`] with an explicit per-worker family-cache capacity
+/// (each rayon worker owns its cache — no locks on the hot path).
 /// Results are byte-identical for every `cfg`, including
 /// [`CacheConfig::disabled`].
 pub fn construct_many_with(
@@ -241,9 +241,9 @@ pub fn construct_many_metered(
     construct_many_metered_with(hhc, pairs, order, timed, CacheConfig::default())
 }
 
-/// [`construct_many_metered`] with explicit per-worker symmetry-cache
-/// capacities; the merged report's `family_hits` / fan `cache_hits`
-/// counters expose the aggregate hit rates.
+/// [`construct_many_metered`] with an explicit per-worker family-cache
+/// capacity; the merged report's `family_hits` counter exposes the
+/// aggregate hit rate.
 pub fn construct_many_metered_with(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],
@@ -294,8 +294,8 @@ pub fn construct_many_serial_metered(
     construct_many_serial_metered_with(hhc, pairs, order, timed, CacheConfig::default())
 }
 
-/// [`construct_many_serial_metered`] with explicit symmetry-cache
-/// capacities.
+/// [`construct_many_serial_metered`] with an explicit family-cache
+/// capacity.
 pub fn construct_many_serial_metered_with(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],

@@ -15,10 +15,10 @@
 //!
 //! ## Algorithm
 //!
-//! 1. Build the plain family (all symmetry caches active — the plain
-//!    path is byte-identical with caches on or off, and the fault check
-//!    below is cache-independent, so cache-on ≡ cache-off holds for the
-//!    avoiding entry points trivially).
+//! 1. Build the plain family (through the builder's family tier — the
+//!    plain path is byte-identical with caches on or off, and the fault
+//!    check below is cache-independent, so cache-on ≡ cache-off holds
+//!    for the avoiding entry points trivially).
 //! 2. If no path touches a fault, return it unchanged (`rerouted =
 //!    false`): the fault-free hot path costs one `is_faulty` probe per
 //!    family node, nothing else.
@@ -37,10 +37,9 @@
 //!    surviving plain paths are returned instead. With `f ≥ m + 1`
 //!    faults the result may legitimately be empty.
 //!
-//! The rebuild never touches the `FanCache`/`FamilyCache` — cached
-//! entries are keyed on geometry only and would be unsound to replay
-//! against an arbitrary fault set; bypassing them keeps cache-on ≡
-//! cache-off exact.
+//! The rebuild never touches a family tier — cached entries are keyed
+//! on geometry only and would be unsound to replay against an arbitrary
+//! fault set; bypassing them keeps cache-on ≡ cache-off exact.
 
 use super::case_b::order_positions_into;
 use super::plan::assemble_into;

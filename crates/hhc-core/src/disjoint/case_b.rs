@@ -36,7 +36,7 @@ use crate::error::HhcError;
 use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
-use hypercube::fan::fan_paths_cached;
+use hypercube::fan::fan_paths_canonical;
 use hypercube::gray::gray_rank;
 
 /// Sentinel in the per-plan segment tables: the plan starts (resp. ends)
@@ -222,25 +222,14 @@ pub(super) fn cross_cube_into(
     debug_assert_eq!(sc.src_targets.len(), m as usize);
     debug_assert_eq!(sc.tgt_targets.len(), m as usize);
 
-    // Cached + canonicalised: both terminal engines share one canonical
-    // fan cache (the key is translation-invariant, so a source-side solve
-    // can serve a target-side query and vice versa).
-    fan_paths_cached(
-        &cube,
-        yu as u128,
-        &sc.src_targets,
-        &mut sc.src_fan,
-        &mut sc.fan_cache,
-    )
-    .expect("fan lemma: m distinct targets in Q_m");
-    fan_paths_cached(
-        &cube,
-        yv as u128,
-        &sc.tgt_targets,
-        &mut sc.tgt_fan,
-        &mut sc.fan_cache,
-    )
-    .expect("fan lemma: m distinct targets in Q_m");
+    // Both terminal fans are solved in canonical form (source translated
+    // to 0, targets sorted), which fixes the fans every constructed
+    // family uses; a direct solve would pick different, equally valid
+    // minimum-length fans.
+    fan_paths_canonical(&cube, yu as u128, &sc.src_targets, &mut sc.src_fan)
+        .expect("fan lemma: m distinct targets in Q_m");
+    fan_paths_canonical(&cube, yv as u128, &sc.tgt_targets, &mut sc.tgt_fan)
+        .expect("fan lemma: m distinct targets in Q_m");
 
     // --- Assembly ---------------------------------------------------------
     const EMPTY: &[u128] = &[];

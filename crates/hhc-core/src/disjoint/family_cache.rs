@@ -11,21 +11,26 @@
 //! translated by `Xu`, and one cached solve serves all `2^{2^m}`
 //! translated instances of its signature.
 //!
-//! Eviction mirrors [`hypercube::FanCache`]: two generations ("hot" and
-//! "cold"); lookups probe hot then cold (promoting on a cold hit); a full
-//! hot map becomes the new cold map and the previous cold generation is
+//! Eviction is generation-swept: two generations ("hot" and "cold");
+//! lookups probe hot then cold (promoting on a cold hit); a full hot map
+//! becomes the new cold map and the previous cold generation is
 //! dropped. Bounded memory (≤ 2 × capacity entries), amortised O(1),
-//! approximately LRU.
+//! approximately LRU, with no per-entry bookkeeping on the hot path.
 //!
 //! Entries also carry the rotation/detour plan counts of the cached
 //! family so metric conservation laws (`rotation_plans + detour_plans =
 //! degree × cross_cube + same_cube`) survive cache replays.
 //!
-//! This module owns the entry format for both cache tiers: the shared L2
-//! ([`SharedFamilyCache`](crate::SharedFamilyCache)) keeps the same
+//! This module owns the entry format for both family tiers: the shared
+//! L2 ([`SharedFamilyCache`](crate::SharedFamilyCache)) keeps the same
 //! `FamilyEntry` values in the same two-generation `FamilyMap`, one
 //! map per lock stripe, and replays them the same way. The L2 does not
 //! promote on a cold hit, so a probe needs only its stripe's read lock.
+//!
+//! A builder consults exactly one tier per query: its own
+//! [`FamilyCache`] when it has no L2 attached (the batch engine, the
+//! simulator's route scratch, an L2-disabled router), the L2 otherwise
+//! — then its own cache is never probed nor stored into.
 
 use super::CrossingOrder;
 use crate::pathset::PathSet;
@@ -51,34 +56,29 @@ pub const BYPASS_HIT_FLOOR: f64 = 0.05;
 /// and churn is not punished for one cold burst.
 pub const BYPASS_CONSEC_MISSES: u64 = 256;
 
-/// Capacities of the two construction caches carried by a
-/// [`PathBuilder`](crate::PathBuilder). Capacity 0 disables the
-/// corresponding cache (identical results, no memoisation).
+/// Capacity of the family cache carried by a
+/// [`PathBuilder`](crate::PathBuilder). Capacity 0 disables it
+/// (identical results, no memoisation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Hot-generation capacity of the canonical fan cache.
-    pub fan_capacity: usize,
     /// Hot-generation capacity of the canonical family cache.
     pub family_capacity: usize,
 }
 
 impl CacheConfig {
-    /// Both caches at their default capacities (the `PathBuilder`
+    /// The family cache at its default capacity (the `PathBuilder`
     /// default).
     pub fn enabled() -> Self {
         CacheConfig {
-            fan_capacity: hypercube::DEFAULT_FAN_CACHE_CAPACITY,
             family_capacity: DEFAULT_FAMILY_CACHE_CAPACITY,
         }
     }
 
-    /// Both caches disabled: every query is solved from scratch. The
-    /// reference mode for equivalence testing and ablation benchmarks.
+    /// The family cache disabled: every query is solved from scratch.
+    /// The reference mode for equivalence testing and ablation
+    /// benchmarks.
     pub fn disabled() -> Self {
-        CacheConfig {
-            fan_capacity: 0,
-            family_capacity: 0,
-        }
+        CacheConfig { family_capacity: 0 }
     }
 }
 
@@ -101,7 +101,7 @@ pub(crate) fn family_key(m: u32, dx: u128, yu: u32, yv: u32, order: CrossingOrde
 }
 
 /// One cached canonical family: the CSR path set for `Xu = 0`, plus the
-/// plan counts it was built from. The one entry format of both cache
+/// plan counts it was built from. The one entry format of both family
 /// tiers: the per-builder [`FamilyCache`] and the shared L2
 /// ([`SharedFamilyCache`](crate::SharedFamilyCache)).
 #[derive(Debug)]
@@ -142,7 +142,7 @@ impl FamilyEntry {
     }
 }
 
-/// The bounded two-generation map both cache tiers keep their entries
+/// The bounded two-generation map both family tiers keep their entries
 /// in (see the module docs): at most `2 × capacity` entries; capacity 0
 /// holds nothing.
 #[derive(Debug)]

@@ -36,7 +36,7 @@ use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::Path;
 use family_cache::{CacheConfig, FamilyCache};
-use hypercube::{FanCache, FanScratch};
+use hypercube::FanScratch;
 use plan::{assemble_into, CrossingPlan};
 
 /// The order in which a path crosses the differing cube-field positions.
@@ -125,14 +125,11 @@ pub struct PathBuilder {
     avoid_priority: Vec<u32>,
     avoid_state: Vec<u8>,
     avoid_sel: Vec<u32>,
-    // Symmetry caches (see `family_cache` and `hypercube::fancache`):
-    // canonical fan solutions shared by both terminal engines, and whole
-    // canonical families. Owned per builder — batch workers never lock.
-    fan_cache: FanCache,
+    // The family tier: whole canonical families (see `family_cache`),
+    // either owned by the builder — batch workers never lock — or, when
+    // `shared_cache` is attached, the shared L2 of `crate::service`, read
+    // under one stripe lock. A query consults exactly one of them.
     family_cache: FamilyCache,
-    // Optional shared L2 family tier (see `crate::service`), probed
-    // between an L1 miss and a fresh construction under one stripe read
-    // lock. `None` (the default) keeps the builder fully self-contained.
     shared_cache: Option<std::sync::Arc<crate::service::SharedFamilyCache>>,
     // Observability: monotone counters plus opt-in per-query timing.
     metrics: ConstructionMetrics,
@@ -144,7 +141,7 @@ impl PathBuilder {
         PathBuilder::default()
     }
 
-    /// A builder whose symmetry caches use the given capacities
+    /// A builder whose family cache uses the given capacity
     /// ([`CacheConfig::disabled`] reproduces pre-cache behaviour:
     /// byte-identical output, no memoisation).
     pub fn with_caches(cfg: CacheConfig) -> Self {
@@ -153,11 +150,10 @@ impl PathBuilder {
         b
     }
 
-    /// Replaces both symmetry caches with empty ones of the given
-    /// capacities. Results are unaffected (caching is exact); only
+    /// Replaces the family cache with an empty one of the given
+    /// capacity. Results are unaffected (caching is exact); only
     /// memoisation behaviour and memory use change.
     pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.fan_cache = FanCache::new(cfg.fan_capacity);
         self.family_cache = FamilyCache::new(cfg.family_capacity);
     }
 
@@ -166,32 +162,22 @@ impl PathBuilder {
         &self.family_cache
     }
 
-    /// Attaches a shared L2 family tier: after the per-builder L1
-    /// misses, queries probe `l2` (under the read lock of one of its
-    /// stripes — see [`SharedFamilyCache`](crate::SharedFamilyCache))
-    /// before constructing, and fresh constructions are promoted into
-    /// both tiers. Caching stays exact — replays are byte-identical to
-    /// fresh constructions — so results are unaffected.
-    /// `l2_hits`/`l2_misses` in [`ConstructionMetrics`] account the new
-    /// tier.
+    /// Attaches a shared L2 family tier in place of the builder's own
+    /// family cache: queries probe `l2` (under the read lock of one of
+    /// its stripes — see [`SharedFamilyCache`](crate::SharedFamilyCache))
+    /// before constructing, and fresh constructions are stored there
+    /// only. The builder's own cache is neither probed nor stored into
+    /// while `l2` is attached. Caching stays exact — replays are
+    /// byte-identical to fresh constructions — so results are
+    /// unaffected. `l2_hits`/`l2_misses` in [`ConstructionMetrics`]
+    /// account the tier.
     pub fn attach_shared_cache(&mut self, l2: std::sync::Arc<crate::service::SharedFamilyCache>) {
         self.shared_cache = Some(l2);
-    }
-
-    /// Detaches the shared L2 tier (the builder keeps its L1).
-    pub fn detach_shared_cache(&mut self) {
-        self.shared_cache = None;
     }
 
     /// The attached shared L2 tier, if any.
     pub fn shared_cache(&self) -> Option<&std::sync::Arc<crate::service::SharedFamilyCache>> {
         self.shared_cache.as_ref()
-    }
-
-    /// The shared canonical fan cache, for capacity/occupancy
-    /// introspection.
-    pub fn fan_cache(&self) -> &FanCache {
-        &self.fan_cache
     }
 
     /// Turns per-query wall-clock timing on or off (off by default).
@@ -353,19 +339,31 @@ fn construct_into(
     out.clear();
     let same = hhc.cube_field(u) == hhc.cube_field(v);
 
-    // Family cache: the construction is equivariant under cube-field
+    // Family tier: the construction is equivariant under cube-field
     // translation (plan selection reads only dx/Yu/Yv/m/order; assembly
     // threads cube fields through XORs), so families are cached for the
-    // canonical source cube X = 0 and replayed translated by Xu. Traced
-    // queries bypass the cache — a replay has no plan internals to report.
+    // canonical source cube X = 0 and replayed translated by Xu. With an
+    // L2 attached it is the only tier; otherwise the builder's own cache
+    // is. Entries are canonical families stored by some exact
+    // construction, so a replay is byte-identical to constructing here.
+    // Traced queries bypass the tier — a replay has no plan internals
+    // to report.
     let dx = hhc.cube_field(u) ^ hhc.cube_field(v);
     let key = family_cache::family_key(hhc.m(), dx, hhc.node_field(u), hhc.node_field(v), order);
     let mask = hhc.cube_field(u) << hhc.m();
     if !want_trace {
-        if let Some((nr, nd)) = scratch.family_cache.replay(key, mask, out) {
-            let m = &mut scratch.metrics;
+        let replayed = match &scratch.shared_cache {
+            Some(l2) => l2.replay(key, mask, out),
+            None => scratch.family_cache.replay(key, mask, out),
+        };
+        let m = &mut scratch.metrics;
+        if let Some((nr, nd)) = replayed {
             m.queries += 1;
-            m.family_hits += 1;
+            if scratch.shared_cache.is_some() {
+                m.l2_hits += 1;
+            } else {
+                m.family_hits += 1;
+            }
             if same {
                 m.same_cube += 1;
             } else {
@@ -379,30 +377,8 @@ fn construct_into(
             }
             return Ok(None);
         }
-        // L1 missed: probe the shared L2 tier (if attached) and promote
-        // a hit into the L1 so the next repeat stays local. Entries are
-        // canonical families stored by some worker's exact construction,
-        // so the replay is byte-identical to constructing here.
-        if let Some(l2) = &scratch.shared_cache {
-            if let Some((nr, nd)) = l2.replay(key, mask, out) {
-                scratch.family_cache.store(key, mask, out, nr, nd);
-                let m = &mut scratch.metrics;
-                m.queries += 1;
-                m.l2_hits += 1;
-                if same {
-                    m.same_cube += 1;
-                } else {
-                    m.cross_cube += 1;
-                    m.family_hits_cross += 1;
-                }
-                m.rotation_plans += nr;
-                m.detour_plans += nd;
-                if let Some(t0) = t0 {
-                    m.timing.record_ns(t0.elapsed().as_nanos() as u64);
-                }
-                return Ok(None);
-            }
-            scratch.metrics.l2_misses += 1;
+        if scratch.shared_cache.is_some() {
+            m.l2_misses += 1;
         }
     }
 
@@ -419,9 +395,9 @@ fn construct_into(
         } else {
             (scratch.rot_sel.len() as u64, scratch.det_sel.len() as u64)
         };
-        scratch.family_cache.store(key, mask, out, nr, nd);
-        if let Some(l2) = &scratch.shared_cache {
-            l2.store(key, mask, out, nr, nd);
+        match &scratch.shared_cache {
+            Some(l2) => l2.store(key, mask, out, nr, nd),
+            None => scratch.family_cache.store(key, mask, out, nr, nd),
         }
         let m = &mut scratch.metrics;
         m.queries += 1;

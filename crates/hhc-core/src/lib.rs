@@ -34,8 +34,8 @@
 //! * [`wide`] — empirical wide-diameter search over node pairs;
 //! * [`collectives`] — one-port broadcast schedules (extension feature);
 //! * [`service`] — the concurrent routing service: a [`Router`] worker
-//!   pool over a tiered (per-worker L1 / shared sharded L2) family
-//!   cache with a live fault feed.
+//!   pool over one shared, lock-striped family cache (the L2) with a
+//!   live fault feed.
 //!
 //! ## Example
 //!
@@ -86,9 +86,7 @@ pub use fault::{FaultOracle, NoFaults};
 pub use metrics::{ConstructionMetrics, MetricsReport};
 pub use node::NodeId;
 pub use pathset::PathSet;
-pub use service::{
-    FamilyRef, L2Config, QueryBatchResult, QueryResult, Router, RouterConfig, SharedFamilyCache,
-};
+pub use service::{FamilyRef, L2Config, QueryBatchResult, Router, RouterConfig, SharedFamilyCache};
 pub use topology::Hhc;
 
 /// A path through the network as the sequence of visited nodes,

@@ -42,14 +42,15 @@ pub struct ConstructionMetrics {
     /// `rotation_plans + detour_plans = degree·cross_cube + same_cube`
     /// holds with or without caching.
     pub detour_plans: u64,
-    /// Queries answered by replaying a translation-canonical cached
-    /// family (no fans, no flow solves).
+    /// Queries answered by replaying a translation-canonical family from
+    /// the builder's own family cache (no fans, no flow solves). Always
+    /// 0 while a shared L2 tier is attached: the builder then consults
+    /// the L2 alone.
     pub family_hits: u64,
-    /// Cross-cube queries answered from *any* family-cache tier — the
-    /// per-builder L1 or an attached shared L2 — i.e. the ones that
+    /// Cross-cube queries answered from *either* family tier — the
+    /// builder's own cache or an attached shared L2 — i.e. the ones that
     /// would otherwise have issued two fan queries each. This is what
-    /// keeps the `fan_queries` conservation law tier-agnostic; the
-    /// L1-only subset is `family_hits` minus same-cube hits.
+    /// keeps the `fan_queries` conservation law tier-agnostic.
     pub family_hits_cross: u64,
     /// Family caches that latched adaptive probe-only mode (stopped
     /// inserting after a sustained near-zero hit rate); 0 or 1 per
@@ -65,14 +66,13 @@ pub struct ConstructionMetrics {
     /// because a fault blocked their trajectory or terminal stub.
     pub fault_avoided_plans: u64,
     /// Queries answered by replaying a family from an attached shared L2
-    /// tier ([`SharedFamilyCache`](crate::service::SharedFamilyCache))
-    /// after the per-builder L1 missed. Zero unless a shared cache is
-    /// attached.
+    /// tier ([`SharedFamilyCache`](crate::service::SharedFamilyCache)).
+    /// Zero unless a shared cache is attached.
     pub l2_hits: u64,
-    /// L1-miss queries that also missed the attached shared L2 tier and
-    /// fell through to a fresh construction. For untraced queries on a
-    /// builder with an attached L2,
-    /// `queries == family_hits + l2_hits + l2_misses`.
+    /// Queries that missed the attached shared L2 tier and fell through
+    /// to a fresh construction. For untraced queries on a builder with
+    /// an attached L2, `queries == family_hits + l2_hits + l2_misses`
+    /// (with `family_hits == 0`).
     pub l2_misses: u64,
     /// L2-replayed families that the fault-avoiding layer then found
     /// blocked by the live fault set and repaired via the rebuild path —
@@ -110,7 +110,8 @@ impl ConstructionMetrics {
         *self = ConstructionMetrics::default();
     }
 
-    /// Family-cache hit rate over all queries; `None` before any query.
+    /// Own-family-cache hit rate over all queries; `None` before any
+    /// query.
     pub fn family_hit_rate(&self) -> Option<f64> {
         (self.queries > 0).then(|| self.family_hits as f64 / self.queries as f64)
     }
@@ -133,21 +134,13 @@ pub struct MetricsReport {
 impl MetricsReport {
     /// Total fan queries across both terminal engines. Case B issues
     /// exactly two (one per side) unless the whole family was replayed
-    /// from the family cache, case A none, so this always equals
+    /// from a family tier, case A none, so this always equals
     /// `2 * (construction.cross_cube - construction.family_hits_cross)`
     /// for plain constructions. Fault-avoiding rebuilds issue additional
-    /// (uncached) fan queries, so the law holds only while
+    /// fan queries, so the law holds only while
     /// `construction.fault_reroutes == 0`.
     pub fn fan_queries(&self) -> u64 {
         self.src_fan.queries + self.tgt_fan.queries
-    }
-
-    /// Canonical-fan-cache hit rate across both terminal engines;
-    /// `None` before any cache-eligible fan query.
-    pub fn fan_cache_hit_rate(&self) -> Option<f64> {
-        let hits = self.src_fan.cache_hits + self.tgt_fan.cache_hits;
-        let probes = hits + self.src_fan.cache_misses + self.tgt_fan.cache_misses;
-        (probes > 0).then(|| hits as f64 / probes as f64)
     }
 
     /// Element-wise accumulation (for combining per-thread reports).
@@ -187,8 +180,6 @@ impl MetricsReport {
             fo.u64("seeded_direct", f.seeded_direct);
             fo.u64("network_builds", f.network_builds);
             fo.u64("fast_path", f.fast_path);
-            fo.u64("cache_hits", f.cache_hits);
-            fo.u64("cache_misses", f.cache_misses);
             fo.finish()
         };
         o.raw("src_fan", &fan_obj(&self.src_fan));

@@ -8,11 +8,11 @@
 //! No lock on either side, so there is no poisoned-mutex panic path and
 //! a reader never blocks a worker mid-batch.
 //!
-//! Deltas use `saturating_sub` because two counters can legitimately
-//! step backwards between publications: `family_bypass_events` is
+//! Deltas use `saturating_sub` because a counter can legitimately step
+//! backwards between publications: `family_bypass_events` is
 //! lifetime-of-cache (it resets when
-//! [`Router::flush_caches`](super::Router::flush_caches) replaces the
-//! L1), and a flush likewise rebuilds the whole builder-side report.
+//! [`Router::flush_caches`](super::Router::flush_caches) replaces a
+//! worker's own family cache).
 //! Saturation turns such resets into "no new events this batch", which
 //! keeps every published total monotone. `fault_generation` is a gauge,
 //! not a counter: publish takes `fetch_max`, merge takes `max`, same as
@@ -91,15 +91,11 @@ atomic_report! {
         src_fan_seeded_direct => src_fan.seeded_direct;
         src_fan_network_builds => src_fan.network_builds;
         src_fan_fast_path => src_fan.fast_path;
-        src_fan_cache_hits => src_fan.cache_hits;
-        src_fan_cache_misses => src_fan.cache_misses;
         tgt_fan_queries => tgt_fan.queries;
         tgt_fan_targets_requested => tgt_fan.targets_requested;
         tgt_fan_seeded_direct => tgt_fan.seeded_direct;
         tgt_fan_network_builds => tgt_fan.network_builds;
         tgt_fan_fast_path => tgt_fan.fast_path;
-        tgt_fan_cache_hits => tgt_fan.cache_hits;
-        tgt_fan_cache_misses => tgt_fan.cache_misses;
         solver_bfs_passes => solver.bfs_passes;
         solver_augmentations => solver.augmentations;
         solver_arcs_touched => solver.arcs_touched;
@@ -126,14 +122,14 @@ mod tests {
         a.publish(&cur, &prev);
         prev = cur.clone();
         cur.construction.queries = 7;
-        cur.src_fan.cache_hits = 4;
+        cur.src_fan.fast_path = 4;
         cur.construction.fault_generation = 1; // gauge may regress in cur
         a.publish(&cur, &prev);
         let mut out = MetricsReport::default();
         a.merge_into(&mut out);
         assert_eq!(out.construction.queries, 7);
         assert_eq!(out.solver.bfs_passes, 5);
-        assert_eq!(out.src_fan.cache_hits, 4);
+        assert_eq!(out.src_fan.fast_path, 4);
         assert_eq!(out.construction.fault_generation, 2, "gauge keeps max");
     }
 

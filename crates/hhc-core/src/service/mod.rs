@@ -1,18 +1,21 @@
 //! Concurrent routing service: a long-lived [`Router`] answering
-//! disjoint-path queries from a tiered family cache under a live fault
+//! disjoint-path queries from a shared family cache under a live fault
 //! feed.
 //!
 //! Every earlier consumer of the construction engine is a closed-loop
 //! batch ([`crate::batch`], the experiment drivers, the DES). This
 //! module turns the library into a serving system: a pool of worker
-//! threads, each owning a [`PathBuilder`] (the per-worker **L1** — the
-//! existing caches, semantics unchanged), layered over one process-wide
-//! [`SharedFamilyCache`] (**L2** — `RwLock` stripes over the L1's own
-//! bounded two-generation map and entry type, keyed by the same
-//! canonical `(m, Xu⊕Xv, Yu, Yv, order)` signature; see the
-//! [`SharedFamilyCache`] docs). A query is answered L1 → L2 → construct;
-//! misses are promoted into both tiers, so one worker's solve warms
-//! every other worker.
+//! threads, each owning a [`PathBuilder`], all attached to one
+//! process-wide [`SharedFamilyCache`] (the **L2** — `RwLock` stripes
+//! over the per-builder cache's own bounded two-generation map and
+//! entry type, keyed by the same canonical `(m, Xu⊕Xv, Yu, Yv, order)`
+//! signature; see the [`SharedFamilyCache`] docs). A query is answered
+//! L2 → construct, and a construction is stored in the L2 once, so one
+//! worker's solve warms every other worker. The L2 is the only memo
+//! layer a query consults: an attached builder never probes its own
+//! family cache. A router whose [`L2Config`] has no capacity attaches
+//! nothing, and each worker serves from its own family cache
+//! ([`RouterConfig::l1`]) instead.
 //!
 //! ## Steady-state allocation discipline
 //!
@@ -25,9 +28,8 @@
 //! answers live in one arena-backed [`QueryBatchResult`] (a single
 //! [`PathSet`] plus per-query spans) instead of a `Vec<Path>` of
 //! per-path `Vec`s per query. [`Router::query_many_into`] and
-//! [`Router::query_into`] expose that representation; the original
-//! [`Router::query_many`]/[`Router::query`] survive as thin shims that
-//! materialise owned `Vec<Path>`s from the arena.
+//! [`Router::query_into`] expose that representation; callers that want
+//! owned paths materialise them with [`FamilyRef::to_paths`].
 //!
 //! Worker metrics follow the same discipline: each worker publishes
 //! per-batch deltas into lock-free per-worker atomic counters (see
@@ -46,9 +48,9 @@
 //! family against the live snapshot and repairs blocked ones via the
 //! `construct_avoiding` rebuild — the rebuild bypasses every cache tier,
 //! so answers are byte-identical to a cold cache *by construction*
-//! (the PR 4/PR 7 equivalence argument, extended to the shared tier;
-//! see `tests/router_equivalence.rs`). Replays that had to be repaired
-//! are counted as `l2_invalidations` in
+//! (the cache-on ≡ cache-off argument of the avoiding layer, extended
+//! to the shared tier; see `tests/router_equivalence.rs`). L2 replays
+//! that had to be repaired are counted as `l2_invalidations` in
 //! [`ConstructionMetrics`](crate::ConstructionMetrics).
 //!
 //! ## Interface
@@ -85,7 +87,8 @@ pub struct RouterConfig {
     pub threads: usize,
     /// Crossing order every answer uses.
     pub order: CrossingOrder,
-    /// Per-worker L1 cache capacities.
+    /// Per-worker family cache of a router whose L2 is disabled; unused
+    /// while the L2 has capacity (workers then consult the L2 alone).
     pub l1: CacheConfig,
     /// Shared L2 tier geometry ([`L2Config::disabled`] gives the
     /// per-worker-cache-only baseline).
@@ -102,12 +105,6 @@ impl Default for RouterConfig {
         }
     }
 }
-
-/// One answered query in owned form: the `m + 1` (or fewer, under
-/// faults) internally disjoint paths, or the construction error for
-/// that pair. Produced by the compatibility shims; the allocation-free
-/// pipeline answers through [`QueryBatchResult`] instead.
-pub type QueryResult = Result<Vec<Path>, HhcError>;
 
 /// One query's answer inside a [`QueryBatchResult`] arena.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -159,8 +156,7 @@ impl<'a> FamilyRef<'a> {
         (copy.first..copy.last).map(move |i| copy.set.path(i))
     }
 
-    /// Materialises the family as owned paths (allocates; the shims'
-    /// bridge to the legacy [`QueryResult`] shape).
+    /// Materialises the family as owned paths (allocates).
     pub fn to_paths(&self) -> Vec<Path> {
         self.iter().map(<[NodeId]>::to_vec).collect()
     }
@@ -224,14 +220,6 @@ impl QueryBatchResult {
     /// Iterates every query's answer in submission order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Result<FamilyRef<'_>, &HhcError>> + '_ {
         (0..self.slots.len()).map(move |i| self.get(i))
-    }
-
-    /// Materialises owned per-query results (allocates; the
-    /// [`Router::query_many`] compatibility bridge).
-    pub fn to_results(&self) -> Vec<QueryResult> {
-        self.iter()
-            .map(|r| r.map(|f| f.to_paths()).map_err(Clone::clone))
-            .collect()
     }
 
     /// Clears and lays out `n` pending slots for out-of-order
@@ -304,8 +292,6 @@ pub struct Router {
     /// Recycled batch buffers; bounded by the most batches ever in
     /// flight at once (≤ the worker count).
     pool: Vec<Batch>,
-    /// Reused result buffer behind the owned-result shims.
-    scratch: QueryBatchResult,
 }
 
 impl Router {
@@ -348,7 +334,6 @@ impl Router {
             flush_epoch,
             next_worker: 0,
             pool: Vec::new(),
-            scratch: QueryBatchResult::new(),
         })
     }
 
@@ -388,10 +373,10 @@ impl Router {
         self.shared.generation()
     }
 
-    /// Drops the L2 tier and tells every worker to replace its L1 with
-    /// a fresh one before its next batch. This is the
-    /// full-rebuild-on-fault baseline the bench ablates against — the
-    /// serving path never calls it (lazy invalidation makes it
+    /// Drops the L2 tier's entries and tells every worker to replace its
+    /// own family cache with a fresh one before its next batch. This is
+    /// the full-rebuild-on-fault baseline the bench ablates against —
+    /// the serving path never calls it (lazy invalidation makes it
     /// unnecessary).
     pub fn flush_caches(&self) {
         self.shared.flush();
@@ -439,7 +424,14 @@ impl Router {
         v: NodeId,
         out: &mut PathSet,
     ) -> Result<usize, HhcError> {
-        let b = self.exchange_single(u, v);
+        let w = self.next_worker;
+        self.next_worker = (self.next_worker + 1) % self.senders.len();
+        let mut b = self.pool.pop().unwrap_or_default();
+        b.base = 0;
+        b.pairs.clear();
+        b.pairs.push((u, v));
+        self.submit(w, b);
+        let b = self.results_rx.recv().expect("worker pool hung up");
         out.clear();
         let r = match b.result.get(0) {
             Ok(f) => {
@@ -454,26 +446,6 @@ impl Router {
         r
     }
 
-    /// Answers one query in owned form — a compatibility shim over
-    /// [`Self::query_into`] (the pooled pipeline underneath is shared;
-    /// only the final `Vec<Path>` materialisation allocates).
-    pub fn query(&mut self, u: NodeId, v: NodeId) -> QueryResult {
-        let b = self.exchange_single(u, v);
-        let r = b.result.get(0).map(|f| f.to_paths()).map_err(Clone::clone);
-        self.pool.push(b);
-        r
-    }
-
-    /// Answers a batch in owned form — a compatibility shim over
-    /// [`Self::query_many_into`] through an internal reused buffer.
-    pub fn query_many(&mut self, pairs: &[(NodeId, NodeId)]) -> Vec<QueryResult> {
-        let mut out = std::mem::take(&mut self.scratch);
-        self.query_many_into(pairs, &mut out);
-        let results = out.to_results();
-        self.scratch = out;
-        results
-    }
-
     /// Merged effort snapshot across all workers (each worker publishes
     /// per-batch counter deltas into lock-free atomics;
     /// `fault_generation` is the maximum generation any worker has
@@ -484,19 +456,6 @@ impl Router {
             r.merge_into(&mut merged);
         }
         merged
-    }
-
-    /// Ships a one-pair pooled batch to the next worker and returns the
-    /// answered batch (callers recycle it into the pool).
-    fn exchange_single(&mut self, u: NodeId, v: NodeId) -> Batch {
-        let w = self.next_worker;
-        self.next_worker = (self.next_worker + 1) % self.senders.len();
-        let mut b = self.pool.pop().unwrap_or_default();
-        b.base = 0;
-        b.pairs.clear();
-        b.pairs.push((u, v));
-        self.submit(w, b);
-        self.results_rx.recv().expect("worker pool hung up")
     }
 
     fn submit(&self, worker: usize, batch: Batch) {
@@ -528,8 +487,12 @@ struct WorkerCtx {
 }
 
 fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
+    // One family tier per worker: the shared L2 when it has capacity,
+    // else the worker's own cache.
     let mut builder = PathBuilder::with_caches(ctx.l1);
-    builder.attach_shared_cache(Arc::clone(&ctx.shared));
+    if ctx.shared.shard_capacity() > 0 {
+        builder.attach_shared_cache(Arc::clone(&ctx.shared));
+    }
     let mut out = PathSet::new();
     let mut local_faults: HashSet<NodeId> = HashSet::new();
     let mut local_gen = ctx.shared.faults_snapshot_into(&mut local_faults);
@@ -589,6 +552,24 @@ mod tests {
         }
     }
 
+    type Owned = Result<Vec<Path>, HhcError>;
+
+    /// One query through [`Router::query_into`], in owned form.
+    fn ask(router: &mut Router, u: NodeId, v: NodeId) -> Owned {
+        let mut out = PathSet::new();
+        router.query_into(u, v, &mut out).map(|_| out.to_paths())
+    }
+
+    /// A batch through [`Router::query_many_into`], in owned form.
+    fn ask_many(router: &mut Router, pairs: &[(NodeId, NodeId)]) -> Vec<Owned> {
+        let mut out = QueryBatchResult::new();
+        router.query_many_into(pairs, &mut out);
+        assert_eq!(out.len(), pairs.len());
+        out.iter()
+            .map(|r| r.map(|f| f.to_paths()).map_err(Clone::clone))
+            .collect()
+    }
+
     #[test]
     fn rejects_invalid_m() {
         assert!(Router::new(99, RouterConfig::default()).is_err());
@@ -599,14 +580,15 @@ mod tests {
         let mut router = Router::new(3, cfg(3)).unwrap();
         let h = Hhc::new(3).unwrap();
         let pairs = workload_pairs(&h, 40);
-        let answers = router.query_many(&pairs);
+        let answers = ask_many(&mut router, &pairs);
         for ((u, v), got) in pairs.iter().zip(&answers) {
             let want = disjoint_paths(&h, *u, *v, CrossingOrder::Gray).unwrap();
             assert_eq!(got.as_ref().unwrap(), &want);
         }
         let m = router.metrics();
         assert_eq!(m.construction.queries, 40);
-        // Every L1 miss probed the L2 exactly once.
+        // Every query probed the L2 exactly once, and nothing else.
+        assert_eq!(m.construction.family_hits, 0);
         assert_eq!(
             m.construction.family_hits + m.construction.l2_hits + m.construction.l2_misses,
             m.construction.queries,
@@ -615,26 +597,22 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_and_shim_agree() {
-        // query_many_into (arena) and query_many (owned) answer the
-        // same batch identically, and query_into matches query.
+    fn single_and_batch_pipelines_agree() {
+        // query_into (one pooled batch per query, round-robin) answers
+        // every pair exactly as query_many_into answered the batch.
         let mut router = Router::new(3, cfg(2)).unwrap();
         let h = Hhc::new(3).unwrap();
         let pairs = workload_pairs(&h, 24);
-        let owned = router.query_many(&pairs);
-        let mut arena = QueryBatchResult::new();
-        router.query_many_into(&pairs, &mut arena);
-        assert_eq!(arena.len(), pairs.len());
-        assert_eq!(arena.to_results(), owned);
+        let batch = ask_many(&mut router, &pairs);
         let mut single = PathSet::new();
         for (i, &(u, v)) in pairs.iter().enumerate() {
             match router.query_into(u, v, &mut single) {
                 Ok(n) => {
-                    let want = owned[i].as_ref().unwrap();
+                    let want = batch[i].as_ref().unwrap();
                     assert_eq!(n, want.len());
                     assert_eq!(&single.to_paths(), want);
                 }
-                Err(e) => assert_eq!(Err(e), owned[i].clone()),
+                Err(e) => assert_eq!(Err(e), batch[i].clone()),
             }
         }
     }
@@ -646,9 +624,10 @@ mod tests {
         let h = Hhc::new(3).unwrap();
         let pairs = workload_pairs(&h, 30);
         let mut out = QueryBatchResult::new();
+        let mut single = PathSet::new();
         for _ in 0..5 {
             router.query_many_into(&pairs, &mut out);
-            let _ = router.query(pairs[0].0, pairs[0].1);
+            let _ = router.query_into(pairs[0].0, pairs[0].1, &mut single);
         }
         assert!(
             router.pool.len() <= threads,
@@ -660,7 +639,6 @@ mod tests {
     #[test]
     fn empty_batch_answers_empty() {
         let mut router = Router::new(2, cfg(2)).unwrap();
-        assert!(router.query_many(&[]).is_empty());
         let mut out = QueryBatchResult::new();
         router.query_many_into(&[], &mut out);
         assert!(out.is_empty());
@@ -670,20 +648,21 @@ mod tests {
     #[test]
     fn l2_promotes_across_workers() {
         // A repeated pair answered by many single queries round-robins
-        // across workers; after the first solve every other worker hits
-        // the shared tier (or its own L1).
+        // across workers; after the first solve every other query hits
+        // the shared tier, which is the only tier a worker consults.
         let mut router = Router::new(3, cfg(4)).unwrap();
         let h = Hhc::new(3).unwrap();
         let u = h.node(0x00, 0b000).unwrap();
         let v = h.node(0xA5, 0b110).unwrap();
-        let first = router.query(u, v).unwrap();
+        let first = ask(&mut router, u, v).unwrap();
         for _ in 0..7 {
-            assert_eq!(router.query(u, v).unwrap(), first);
+            assert_eq!(ask(&mut router, u, v).unwrap(), first);
         }
         let c = router.metrics().construction;
         assert_eq!(c.queries, 8);
         assert_eq!(c.l2_misses, 1, "only the first query constructs");
-        assert_eq!(c.family_hits + c.l2_hits, 7);
+        assert_eq!(c.family_hits, 0, "no worker probes a cache of its own");
+        assert_eq!(c.l2_hits, 7);
     }
 
     #[test]
@@ -692,20 +671,23 @@ mod tests {
         let h = Hhc::new(2).unwrap();
         let u = h.node(0b0000, 0b00).unwrap();
         let v = h.node(0b0101, 0b11).unwrap();
-        let plain = router.query(u, v).unwrap();
+        let plain = ask(&mut router, u, v).unwrap();
         // Fault an interior node of the first path: answers must reroute.
         let fault = plain[0][1];
         assert!(router.add_fault(fault));
-        let rerouted = router.query_many(&[(u, v), (u, v)]);
+        let rerouted = ask_many(&mut router, &[(u, v), (u, v)]);
         for r in &rerouted {
             let fam = r.as_ref().unwrap();
             assert!(fam.iter().all(|p| !p.contains(&fault)));
         }
         assert_ne!(rerouted[0].as_ref().unwrap(), &plain);
         // Faulty endpoints error like the serial avoiding entry point.
-        assert_eq!(router.query(fault, v), Err(HhcError::FaultyEndpoint(fault)));
+        assert_eq!(
+            ask(&mut router, fault, v),
+            Err(HhcError::FaultyEndpoint(fault))
+        );
         assert!(router.clear_fault(fault));
-        assert_eq!(router.query(u, v).unwrap(), plain);
+        assert_eq!(ask(&mut router, u, v).unwrap(), plain);
         let c = router.metrics().construction;
         assert_eq!(c.fault_generation, 2, "add + clear = two generations");
         assert!(c.fault_reroutes >= 1);
@@ -717,17 +699,13 @@ mod tests {
         let h = Hhc::new(3).unwrap();
         let u = h.node(0x01, 0b001).unwrap();
         let v = h.node(0x3C, 0b100).unwrap();
-        let a = router.query(u, v).unwrap();
+        let a = ask(&mut router, u, v).unwrap();
         router.flush_caches();
         assert!(router.shared_cache().is_empty());
-        let b = router.query(u, v).unwrap();
+        let b = ask(&mut router, u, v).unwrap();
         assert_eq!(a, b, "flushing never changes answers");
         let c = router.metrics().construction;
-        assert_eq!(
-            c.family_hits + c.l2_hits,
-            0,
-            "both tiers were cold both times"
-        );
+        assert_eq!(c.family_hits + c.l2_hits, 0, "the L2 was cold both times");
     }
 
     fn workload_pairs(h: &Hhc, n: usize) -> Vec<(NodeId, NodeId)> {

@@ -10,9 +10,9 @@
 //! ## Striped generation maps
 //!
 //! The key space is split across [`L2Config::shards`] stripes, each an
-//! `RwLock` over the L1's own bounded two-generation map (the entry
-//! type, its canonicalisation and its replay live in
-//! `disjoint::family_cache`):
+//! `RwLock` over the per-builder family cache's own bounded
+//! two-generation map (the entry type, its canonicalisation and its
+//! replay live in `disjoint::family_cache`):
 //!
 //! * A probe takes its stripe's read lock and, on a hit, copies the
 //!   entry's node slab straight into the caller's [`PathSet`] while the
@@ -24,8 +24,8 @@
 //!   entry: racing writers of one key carry identical bytes, because
 //!   construction is deterministic.
 //! * There is no cold→hot promotion on a hit. Promotion would put a
-//!   write lock on the read path, and the L1 in front of this tier
-//!   already keeps the genuinely hot keys local.
+//!   write lock on the read path; a hot key that a sweep drops is
+//!   constructed once more and stored again.
 //!
 //! Each stripe holds at most `2 × shard_capacity` entries.
 //!
@@ -245,9 +245,9 @@ impl SharedFamilyCache {
     /// On a hit, appends the cached family translated by `mask` to
     /// `out` and returns its `(rotations, detours)` plan counts —
     /// byte-identical to what the construction that stored it produced,
-    /// by the same equivariance argument as the L1 replay. Holds the
-    /// stripe's read lock for the copy; allocates nothing once `out`
-    /// has grown to the family's size.
+    /// by the same equivariance argument as the per-builder replay.
+    /// Holds the stripe's read lock for the copy; allocates nothing once
+    /// `out` has grown to the family's size.
     #[inline]
     pub(crate) fn replay(&self, key: u128, mask: u128, out: &mut PathSet) -> Option<(u64, u64)> {
         if self.shard_capacity == 0 {

@@ -1,11 +1,10 @@
-//! Property tests for the symmetry caches: construction output must be
+//! Property tests for the family cache: construction output must be
 //! byte-identical with caching on, off, or thrashing.
 //!
-//! The caches (canonical fan cache in `hypercube`, canonical family
-//! cache in `hhc-core`) memoise exact translation-canonical solutions,
-//! so they must never change a single node of any family — across random
-//! pairs, every supported `m`, both crossing orders, and under eviction
-//! pressure from deliberately tiny capacities. Pairs are drawn from a
+//! The cache memoises exact translation-canonical families, so it must
+//! never change a single node of any family — across random pairs,
+//! every supported `m`, both crossing orders, and under eviction
+//! pressure from a deliberately tiny capacity. Pairs are drawn from a
 //! small pool and repeated so hit paths are actually exercised.
 
 use hhc_core::{batch, disjoint, CacheConfig, CrossingOrder, Hhc, NodeId, PathSet, Workspace};
@@ -19,15 +18,12 @@ fn node(h: &Hhc, x: u64, y: u64) -> NodeId {
 }
 
 /// The cache configurations under test: reference (off), defaults, and
-/// tiny capacities that sweep constantly.
+/// a tiny capacity that sweeps constantly.
 fn configs() -> [CacheConfig; 3] {
     [
         CacheConfig::disabled(),
         CacheConfig::enabled(),
-        CacheConfig {
-            fan_capacity: 2,
-            family_capacity: 2,
-        },
+        CacheConfig { family_capacity: 2 },
     ]
 }
 

@@ -3,7 +3,7 @@
 //! never touch a given fault, degrade gracefully (never panic) as faults
 //! exceed the connectivity, match the plain construction exactly when
 //! the fault set is empty or misses the family, and be byte-identical
-//! with symmetry caches on or off.
+//! with the family cache on or off.
 
 use hhc_core::disjoint::disjoint_paths;
 use hhc_core::verify::verify_disjoint_paths;
@@ -156,7 +156,7 @@ proptest! {
         let configs = [
             CacheConfig::disabled(),
             CacheConfig::enabled(),
-            CacheConfig { fan_capacity: 2, family_capacity: 2 },
+            CacheConfig { family_capacity: 2 },
         ];
         let mut workspaces: Vec<Workspace> =
             configs.iter().map(|&c| Workspace::with_caches(c)).collect();

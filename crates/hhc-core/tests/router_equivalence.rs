@@ -1,15 +1,16 @@
 //! Concurrency equivalence for the routing service: under any seeded
 //! interleaving of query bursts and fault events, [`Router`] answers —
-//! served from per-worker L1s over the shared L2, with lazy fault
-//! invalidation — must be byte-identical to a serial cold-cache oracle
-//! that solves every query from scratch against the same fault set.
+//! served from the shared L2 (or, with the L2 disabled, from per-worker
+//! family caches), with lazy fault invalidation — must be
+//! byte-identical to a serial cold-cache oracle that solves every query
+//! from scratch against the same fault set.
 //!
-//! This extends the PR 4 (cache-on ≡ cache-off) and PR 7 (avoiding
-//! layer never consults caches under faults) equivalence suites to the
-//! concurrent tiers, and covers **both** query pipelines: the
-//! allocation-free arena path ([`Router::query_many_into`] answering
-//! into a reused [`QueryBatchResult`]) and the owned-result
-//! compatibility shim ([`Router::query_many`]). Concurrency note:
+//! This extends the cache-on ≡ cache-off and the fault-avoidance
+//! (avoiding layer never consults caches under faults) equivalence
+//! suites to the concurrent service, and covers **both** query
+//! pipelines: batches ([`Router::query_many_into`] answering into a
+//! reused [`QueryBatchResult`]) and single queries
+//! ([`Router::query_into`], round-robin across workers). Concurrency note:
 //! queries inside one burst run in parallel across workers, fault
 //! events are applied at burst boundaries — that linearisation is what
 //! "the same fault set" means for the oracle. The loom/shuttle crates
@@ -18,8 +19,9 @@
 //! checking; the shared tier is plain `RwLock` stripes (a replay copies
 //! under a read lock, a store inserts under the write lock — no
 //! lock-free retry loops), which keeps the schedule space benign. One
-//! configuration runs with the L1 disabled, so every replay goes
-//! through the stripes and their generation sweep.
+//! configuration runs tiny L2 stripes, so replays race the stripes'
+//! generation sweep, and one runs L2-disabled with per-worker caches
+//! that thrash.
 
 use hhc_core::{
     disjoint_paths_avoiding, CacheConfig, CrossingOrder, Hhc, HhcError, L2Config, NodeId, PathSet,
@@ -70,27 +72,10 @@ fn oracle_run(h: &Hhc, script: &[Op]) -> Vec<Result<Vec<Vec<NodeId>>, HhcError>>
     answers
 }
 
-/// Runs the same schedule through a router, bursts via the owned-result
-/// shim `query_many`.
-fn router_run(router: &mut Router, script: &[Op]) -> Vec<Result<Vec<Vec<NodeId>>, HhcError>> {
-    let mut answers = Vec::new();
-    for op in script {
-        match op {
-            Op::Toggle(w) => {
-                if !router.add_fault(*w) {
-                    router.clear_fault(*w);
-                }
-            }
-            Op::Burst(pairs) => answers.extend(router.query_many(pairs)),
-        }
-    }
-    answers
-}
-
-/// Runs the same schedule through the allocation-free pipeline: bursts
-/// via `query_many_into` into one reused arena buffer, answers read out
+/// Runs the same schedule through a router, bursts via
+/// `query_many_into` into one reused arena buffer, answers read out
 /// through `FamilyRef` borrows.
-fn router_run_arena(router: &mut Router, script: &[Op]) -> Vec<Result<Vec<Vec<NodeId>>, HhcError>> {
+fn router_run(router: &mut Router, script: &[Op]) -> Vec<Result<Vec<Vec<NodeId>>, HhcError>> {
     let mut answers = Vec::new();
     let mut out = QueryBatchResult::new();
     for op in script {
@@ -107,6 +92,32 @@ fn router_run_arena(router: &mut Router, script: &[Op]) -> Vec<Result<Vec<Vec<No
                     out.iter()
                         .map(|r| r.map(|f| f.to_paths()).map_err(Clone::clone)),
                 );
+            }
+        }
+    }
+    answers
+}
+
+/// Runs the same schedule through the single-query pipeline: every
+/// query of a burst via `query_into` (round-robin across workers) into
+/// one reused `PathSet`.
+fn router_run_single(
+    router: &mut Router,
+    script: &[Op],
+) -> Vec<Result<Vec<Vec<NodeId>>, HhcError>> {
+    let mut answers = Vec::new();
+    let mut out = PathSet::new();
+    for op in script {
+        match op {
+            Op::Toggle(w) => {
+                if !router.add_fault(*w) {
+                    router.clear_fault(*w);
+                }
+            }
+            Op::Burst(pairs) => {
+                for &(u, v) in pairs {
+                    answers.push(router.query_into(u, v, &mut out).map(|_| out.to_paths()));
+                }
             }
         }
     }
@@ -166,10 +177,12 @@ proptest! {
                            l1: CacheConfig::enabled(), l2: L2Config::enabled() },
             RouterConfig { threads: 3, order: CrossingOrder::Gray,
                            l1: CacheConfig::enabled(), l2: L2Config::disabled() },
+            // L2 disabled: each worker's own cache serves, and at
+            // capacity 2 it sweeps its generations constantly.
             RouterConfig { threads: 2, order: CrossingOrder::Gray,
-                           l1: CacheConfig { fan_capacity: 2, family_capacity: 2 },
-                           l2: L2Config { shards: 2, shard_capacity: 2 } },
-            // L2 only: every hit is a stripe replay, and the tiny
+                           l1: CacheConfig { family_capacity: 2 },
+                           l2: L2Config::disabled() },
+            // Tiny stripes: every hit is a stripe replay, and the
             // stripes sweep their generations constantly.
             RouterConfig { threads: 3, order: CrossingOrder::Gray,
                            l1: CacheConfig::disabled(),
@@ -178,12 +191,12 @@ proptest! {
         for (i, cfg) in configs.into_iter().enumerate() {
             let mut router = Router::new(m, cfg).unwrap();
             let got = router_run(&mut router, &script);
-            prop_assert_eq!(&got, &want, "router config {} (shim) diverged from the oracle", i);
+            prop_assert_eq!(&got, &want, "router config {} (batch) diverged from the oracle", i);
             // Fresh router per pipeline: fault toggles are stateful, and
             // a cold start keeps both runs against the same cold oracle.
             let mut router = Router::new(m, cfg).unwrap();
-            let got = router_run_arena(&mut router, &script);
-            prop_assert_eq!(&got, &want, "router config {} (arena) diverged from the oracle", i);
+            let got = router_run_single(&mut router, &script);
+            prop_assert_eq!(&got, &want, "router config {} (single) diverged from the oracle", i);
         }
     }
 }
@@ -203,7 +216,7 @@ fn seeded_fault_churn_hits_invalidation_path() {
         state ^= state << 17;
         state
     };
-    // A small hot pool: repeats guarantee both tiers serve replays.
+    // A small hot pool: repeats guarantee the L2 serves replays.
     let pool: Vec<(NodeId, NodeId)> = (0..6)
         .map(|_| (node(&h, next(), next()), node(&h, next(), next())))
         .filter(|(u, v)| u != v)
@@ -246,8 +259,10 @@ fn seeded_fault_churn_hits_invalidation_path() {
     assert_eq!(got, want, "churn schedule diverged from the oracle");
 
     let c = router.metrics().construction;
-    // Tiered-probe conservation: every untraced query is an L1 hit, an
-    // L2 hit, or an L2 miss (the tier analogue of the fan-query law).
+    // Tiered-probe conservation: every untraced query is an L2 hit or an
+    // L2 miss (the tier analogue of the fan-query law); no worker
+    // consults a cache of its own next to the L2.
+    assert_eq!(c.family_hits, 0, "one family tier per worker");
     assert_eq!(
         c.family_hits + c.l2_hits + c.l2_misses,
         c.queries,
@@ -267,19 +282,18 @@ fn seeded_fault_churn_hits_invalidation_path() {
         c.fault_reroutes
     );
     assert_eq!(c.fault_generation, router.generation());
-    // Plan conservation survives the tiers: the plain stage (replayed
+    // Plan conservation survives the L2: the plain stage (replayed
     // or fresh) selects exactly degree plans per query, and the
     // fault-rebuild path never touches the plan counters.
     assert_eq!(
         c.rotation_plans + c.detour_plans,
         (h.m() as u64 + 1) * c.cross_cube + c.same_cube,
-        "plan conservation across cache tiers"
+        "plan conservation across L2 replays"
     );
 }
 
-/// The serial single-query paths (round-robin across workers, both the
-/// owned shim `query` and the pooled `query_into`) agree with
-/// `query_many` and with the oracle.
+/// The single-query path (`query_into`, round-robin across workers)
+/// agrees with `query_many_into` and with the oracle.
 #[test]
 fn single_query_round_robin_matches_batch() {
     let h = Hhc::new(2).unwrap();
@@ -289,10 +303,9 @@ fn single_query_round_robin_matches_batch() {
         (node(&h, 7, 0), node(&h, 7, 3)),
         (node(&h, 0, 0), node(&h, u64::MAX, 1)),
     ];
-    let batch = router.query_many(&pairs);
+    let batch = router_run(&mut router, &[Op::Burst(pairs.clone())]);
     let mut single = PathSet::new();
     for (i, &(u, v)) in pairs.iter().enumerate() {
-        assert_eq!(router.query(u, v), batch[i]);
         match router.query_into(u, v, &mut single) {
             Ok(n) => {
                 let want = batch[i].as_ref().unwrap();
@@ -307,7 +320,6 @@ fn single_query_round_robin_matches_batch() {
     }
     // Equal endpoints error through the service like the library.
     let w = node(&h, 5, 1);
-    assert_eq!(router.query(w, w), Err(HhcError::EqualNodes));
     assert_eq!(
         router.query_into(w, w, &mut single),
         Err(HhcError::EqualNodes)

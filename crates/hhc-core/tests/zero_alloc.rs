@@ -6,11 +6,13 @@
 //! stripes) and then asserts that repeated hit-path queries perform
 //! no `alloc`/`realloc` at all. Three tiers are pinned:
 //!
-//! * **L1 hit** — replay from the per-builder family cache;
-//! * **L2 hit** — the builder's L1 is configured away
-//!   (`family_capacity: 0`), so every query probes the shared tier and
-//!   copies the entry's slab into the caller's scratch under the
-//!   stripe's read lock;
+//! * **own-cache hit** — replay from the per-builder family cache of a
+//!   builder with no L2 attached;
+//! * **L2 hit** — a builder with its own cache enabled *and* an L2
+//!   attached: every query probes the shared tier alone and copies the
+//!   entry's slab into the caller's scratch under the stripe's read
+//!   lock. The builder's own cache must stay empty — one family tier
+//!   per builder;
 //! * **L2 hit under non-intersecting faults** — same, plus a live
 //!   fault set the replayed family doesn't touch, so the avoiding
 //!   layer's fault scan runs (and passes) on the hot path.
@@ -76,7 +78,7 @@ fn hit_paths_do_not_allocate() {
         (h.node(0x42, 0b000).unwrap(), h.node(0x42, 0b111).unwrap()),
     ];
 
-    // --- L1 hit path: per-builder family cache replay. ---
+    // --- Own-cache hit path: per-builder family cache replay. ---
     let mut builder = PathBuilder::with_caches(CacheConfig::enabled());
     let mut out = PathSet::new();
     for &(u, v) in &queries {
@@ -108,11 +110,15 @@ fn hit_paths_do_not_allocate() {
                 .unwrap();
             }
         });
-        assert_eq!(n, 0, "L1-hit path allocated {n} times for {u:?}→{v:?}");
+        assert_eq!(
+            n, 0,
+            "own-cache hit path allocated {n} times for {u:?}→{v:?}"
+        );
     }
 
-    // --- L2 hit path: L1 disabled, every query probes a shared
-    // stripe and copies straight out of the slab. ---
+    // --- L2 hit path: with the L2 attached, every query probes a
+    // shared stripe and copies straight out of the slab; the builder's
+    // own (enabled) cache is never probed nor stored into. ---
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let mut warmer = PathBuilder::with_caches(CacheConfig::enabled());
     warmer.attach_shared_cache(Arc::clone(&l2));
@@ -120,11 +126,7 @@ fn hit_paths_do_not_allocate() {
         disjoint_paths_avoiding_into(&h, u, v, CrossingOrder::Gray, &empty, &mut out, &mut warmer)
             .unwrap();
     }
-    let no_l1 = CacheConfig {
-        fan_capacity: 0,
-        family_capacity: 0,
-    };
-    let mut reader = PathBuilder::with_caches(no_l1);
+    let mut reader = PathBuilder::with_caches(CacheConfig::enabled());
     reader.attach_shared_cache(Arc::clone(&l2));
     for &(u, v) in &queries {
         // Warm the reader's scratch capacity.
@@ -159,8 +161,12 @@ fn hit_paths_do_not_allocate() {
         assert_eq!(n, 0, "L2-hit path allocated {n} times for {u:?}→{v:?}");
     }
     let c = reader.metrics().construction;
-    assert_eq!(c.family_hits, 0, "L1 is off: every hit must be an L2 hit");
+    assert_eq!(c.family_hits, 0, "an attached L2 is the only tier");
     assert_eq!(c.l2_hits, c.queries, "measurement really ran on L2 hits");
+    assert!(
+        reader.family_cache().is_empty(),
+        "an L2 hit must not be copied into the builder's own cache"
+    );
 
     // --- L2 hit with a live, non-intersecting fault set: the avoiding
     // layer scans the replayed family against the faults and keeps it. ---

@@ -14,7 +14,6 @@
 //! walks positive-flow arcs from the source.
 
 use crate::cube::{Cube, CubeError, Node};
-use crate::fancache::{FanCache, FanEntry};
 use graphs::{ArcId, Dinic};
 
 /// Errors from fan construction.
@@ -68,12 +67,13 @@ pub struct FanMetrics {
     /// Flow networks (re)built because the cube dimension changed.
     pub network_builds: u64,
     /// Queries answered by the combinatorial neighbour-fan fast path
-    /// (all targets adjacent to the source; no solver, no cache).
+    /// (all targets adjacent to the source; no solver).
     pub fast_path: u64,
-    /// [`fan_paths_cached`] queries answered from the [`FanCache`].
+    /// Always 0: the fan cache was removed. Kept so that readers of
+    /// this struct keep compiling.
     pub cache_hits: u64,
-    /// [`fan_paths_cached`] queries that had to solve (and, capacity
-    /// permitting, populated the cache).
+    /// Always 0: the fan cache was removed. Kept so that readers of
+    /// this struct keep compiling.
     pub cache_misses: u64,
 }
 
@@ -85,15 +85,6 @@ impl FanMetrics {
         self.seeded_direct += other.seeded_direct;
         self.network_builds += other.network_builds;
         self.fast_path += other.fast_path;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-    }
-
-    /// Cache hit rate over [`fan_paths_cached`] queries that reached the
-    /// cache (fast-path queries never do); `None` before any such query.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let probes = self.cache_hits + self.cache_misses;
-        (probes > 0).then(|| self.cache_hits as f64 / probes as f64)
     }
 }
 
@@ -324,11 +315,9 @@ pub fn fan_paths_into(
 /// path. With `forbidden == 0` this is exactly [`fan_paths_into`] and
 /// serves every target.
 ///
-/// Never consults or populates the [`FanCache`] — cached entries are
-/// keyed on `(s, targets)` only and would be unsound to replay against
-/// an arbitrary fault set. The HHC fault-avoiding construction calls
-/// this rarely (only on queries whose plain family is actually blocked),
-/// so the uncached solve is not a hot path.
+/// Solves the query as given, without canonicalisation. The HHC
+/// fault-avoiding construction calls this rarely (only on queries whose
+/// plain family is actually blocked), so it is not a hot path.
 ///
 /// `forbidden` is a bitmask over node labels, so this entry point is
 /// limited to `n ≤ 6` (64 nodes) — every HHC son-cube qualifies.
@@ -632,52 +621,33 @@ fn solve_dinic_avoiding(
     flow
 }
 
-/// Whether a canonical fan query in `Q_n` with `k` targets fits the
-/// [`FanCache`] key/entry encoding (one byte per sorted nonzero target).
-#[inline]
-fn cacheable(n: u32, k: usize) -> bool {
-    n <= 8 && k <= 8
-}
-
-/// [`fan_paths_into`] with translation canonicalisation and memoisation.
+/// [`fan_paths_into`] solved in translation-canonical form.
 ///
 /// The query is canonicalised by XOR-translating the source to 0 and
 /// sorting the targets — an automorphism of `Q_n`, so the canonical
-/// solution maps back exactly. Canonical solutions are looked up in (and
-/// inserted into) `cache`; results are read back through
+/// solution maps back exactly. Results are read back through
 /// [`FanScratch::path`] in original target order, exactly as with
 /// [`fan_paths_into`].
 ///
-/// **Determinism contract:** for a given `(cube, s, targets)` the
-/// resulting paths are byte-identical regardless of cache capacity,
-/// contents, or hit/miss history. Misses always solve the *canonical*
-/// query, so a later hit replays exactly what the miss produced. A
-/// capacity-0 cache therefore serves as the reference "off" mode.
-/// (Because of canonicalisation, individual paths may differ from the
-/// direct [`fan_paths_into`] solve of the untranslated query — both are
-/// valid minimum-total-length fans.)
-///
-/// Queries outside the cacheable regime (`n > 8`; never produced by the
-/// HHC construction, whose son-cubes have `m ≤ 6`) skip canonicalisation
-/// and solve directly.
-pub fn fan_paths_cached(
+/// **Determinism contract:** every query in one canonical class (same
+/// targets relative to the source, in any order) gets the same fan, up
+/// to the translation. Individual paths may differ from the direct
+/// [`fan_paths_into`] solve of the untranslated query — both are valid
+/// minimum-total-length fans. The HHC construction solves every
+/// terminal fan this way, which fixes which of the equally short fans
+/// its families use.
+pub fn fan_paths_canonical(
     cube: &Cube,
     s: Node,
     targets: &[Node],
     scratch: &mut FanScratch,
-    cache: &mut FanCache,
 ) -> Result<(), FanError> {
     let n = validate_and_index(cube, s, targets, scratch)?;
-    let k = targets.len();
-    if k == 0 {
+    if targets.is_empty() {
         return Ok(());
     }
     if all_adjacent(s, targets) {
         write_direct_fan(s, targets, scratch);
-        return Ok(());
-    }
-    if !cacheable(n, k) {
-        solve_dinic(n, s, targets, scratch);
         return Ok(());
     }
 
@@ -688,30 +658,6 @@ pub fn fan_paths_cached(
         scratch.canon.push((t ^ s, i as u32));
     }
     scratch.canon.sort_unstable();
-    let mut key = (n as u128) << 64;
-    for (j, &(ct, _)) in scratch.canon.iter().enumerate() {
-        key |= ct << (8 * j);
-    }
-
-    if let Some(e) = cache.get(key) {
-        // Replay the canonical fan, translated back by `s`. The arena is
-        // laid out in sorted-target order; `path_of_target` restores the
-        // caller's order.
-        for j in 0..k {
-            let (a, b) = (e.offsets[j] as usize, e.offsets[j + 1] as usize);
-            for &x in &e.nodes[a..b] {
-                scratch.tmp_nodes.push(x as Node ^ s);
-            }
-            scratch.tmp_offsets.push(scratch.tmp_nodes.len() as u32);
-        }
-        scratch.path_of_target.resize(k, UNSET);
-        for (j, &(_, i)) in scratch.canon.iter().enumerate() {
-            scratch.path_of_target[i as usize] = j as u32;
-        }
-        scratch.metrics.cache_hits += 1;
-        return Ok(());
-    }
-    scratch.metrics.cache_misses += 1;
 
     // Solve the canonical query: re-index `target_idx` for the
     // translated labels, then run the ordinary solver from source 0.
@@ -724,30 +670,6 @@ pub fn fan_paths_cached(
     let canon_nodes = std::mem::take(&mut scratch.canon_nodes);
     solve_dinic(n, 0, &canon_nodes, scratch);
     scratch.canon_nodes = canon_nodes;
-
-    // Snapshot the canonical solution for the cache (sorted-target CSR,
-    // byte labels) before de-canonicalising the arena in place.
-    if cache.capacity() > 0 {
-        let mut nodes = Vec::new();
-        let mut offsets = Vec::with_capacity(k + 1);
-        offsets.push(0u16);
-        for j in 0..k {
-            let p = scratch.path_of_target[j] as usize;
-            let (a, b) = (
-                scratch.tmp_offsets[p] as usize,
-                scratch.tmp_offsets[p + 1] as usize,
-            );
-            nodes.extend(scratch.tmp_nodes[a..b].iter().map(|&x| x as u8));
-            offsets.push(nodes.len() as u16);
-        }
-        cache.insert(
-            key,
-            FanEntry {
-                nodes: nodes.into_boxed_slice(),
-                offsets: offsets.into_boxed_slice(),
-            },
-        );
-    }
 
     // De-canonicalise: translate every arena node back, and remap
     // `path_of_target` from canonical (sorted) indices to original ones.
@@ -954,72 +876,31 @@ mod tests {
     }
 
     #[test]
-    fn cached_is_deterministic_and_hits_on_translation() {
+    fn canonical_solve_translates_with_the_query() {
         // Same canonical class (translated sources, permuted targets):
-        // one miss, then hits; every answer identical to the capacity-0
-        // reference and a valid fan.
+        // every answer is the source-0 fan translated by `s`, matched
+        // up by target, and a valid fan.
         let q = Cube::new(4).unwrap();
-        let mut warm = FanScratch::new();
-        let mut cold = FanScratch::new();
-        let mut cache = FanCache::new(64);
-        let mut off = FanCache::new(0);
         let base: Vec<Node> = vec![0b1111, 0b0111, 0b1110];
+        let mut reference = FanScratch::new();
+        fan_paths_canonical(&q, 0, &base, &mut reference).unwrap();
+        let mut sc = FanScratch::new();
         for s in 0..16u128 {
             let targets: Vec<Node> = base.iter().map(|&t| t ^ s).collect();
             let mut rev = targets.clone();
             rev.reverse();
             for t in [&targets, &rev] {
-                fan_paths_cached(&q, s, t, &mut warm, &mut cache).unwrap();
-                fan_paths_cached(&q, s, t, &mut cold, &mut off).unwrap();
-                assert_eq!(warm.num_paths(), cold.num_paths());
-                let fan: Vec<Vec<Node>> = (0..t.len()).map(|i| warm.path(i).to_vec()).collect();
-                for i in 0..t.len() {
-                    assert_eq!(warm.path(i), cold.path(i), "s={s} targets={t:?} path {i}");
+                fan_paths_canonical(&q, s, t, &mut sc).unwrap();
+                assert_eq!(sc.num_paths(), t.len());
+                for (i, &ti) in t.iter().enumerate() {
+                    let j = base.iter().position(|&b| b == ti ^ s).unwrap();
+                    let want: Vec<Node> = reference.path(j).iter().map(|&x| x ^ s).collect();
+                    assert_eq!(sc.path(i), &want[..], "s={s} targets={t:?} path {i}");
                 }
+                let fan: Vec<Vec<Node>> = (0..t.len()).map(|i| sc.path(i).to_vec()).collect();
                 check_fan(&q, s, t, &fan).unwrap();
             }
         }
-        let m = warm.metrics();
-        assert_eq!(m.cache_misses, 1, "one canonical class ⇒ one solve");
-        assert_eq!(m.cache_hits, 31);
-        assert_eq!(cold.metrics().cache_hits, 0);
-        assert_eq!(cold.metrics().cache_misses, 32);
-        assert!(off.is_empty());
-    }
-
-    #[test]
-    fn cached_survives_eviction_pressure() {
-        // A capacity-1 cache sweeps constantly; answers must not change.
-        let q = Cube::new(5).unwrap();
-        let mut tiny_sc = FanScratch::new();
-        let mut off_sc = FanScratch::new();
-        let mut tiny = FanCache::new(1);
-        let mut off = FanCache::new(0);
-        let mut state = 0xdeadbeefcafef00du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for _ in 0..300 {
-            let s = (next() % 32) as Node;
-            let k = (next() % 5 + 1) as usize;
-            let mut targets = Vec::new();
-            while targets.len() < k {
-                let t = (next() % 32) as Node;
-                if t != s && !targets.contains(&t) {
-                    targets.push(t);
-                }
-            }
-            fan_paths_cached(&q, s, &targets, &mut tiny_sc, &mut tiny).unwrap();
-            fan_paths_cached(&q, s, &targets, &mut off_sc, &mut off).unwrap();
-            for i in 0..k {
-                assert_eq!(tiny_sc.path(i), off_sc.path(i), "s={s} targets={targets:?}");
-            }
-        }
-        assert!(tiny.sweeps() > 0, "capacity 1 must sweep under this load");
-        assert!(tiny.len() <= 2);
     }
 
     #[test]

@@ -29,13 +29,11 @@ pub mod alloc;
 pub mod cube;
 pub mod embed;
 pub mod fan;
-pub mod fancache;
 pub mod gray;
 pub mod paths;
 pub mod routing;
 
 pub use cube::{Cube, CubeError, Node};
-pub use fan::{fan_paths, fan_paths_cached, fan_paths_into, FanMetrics, FanScratch};
-pub use fancache::{FanCache, DEFAULT_FAN_CACHE_CAPACITY};
+pub use fan::{fan_paths, fan_paths_canonical, fan_paths_into, FanMetrics, FanScratch};
 pub use paths::disjoint_paths;
 pub use routing::shortest_path;

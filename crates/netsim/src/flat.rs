@@ -47,7 +47,6 @@ use hhc_core::{CacheConfig, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 use workloads::Pattern;
 
 /// How per-link queue state is materialised.
@@ -141,22 +140,9 @@ impl Default for ArenaShard {
 /// ways by an endpoint hash — ids encode `(local « 4) | shard` — so a
 /// million-node run's route set spreads across sixteen independent
 /// indexes and backing vectors instead of monopolising one allocation.
-///
-/// An arena can be layered over a **frozen base**
-/// ([`RouteArena::with_base`]): lookups consult the base's index first
-/// (read-only), and only routes the base does not hold are stored
-/// locally. Per shard, local ids `0..base_len` address the base and
-/// higher ids the overlay, so base-resident route ids are stable across
-/// every overlay built on the same base — this is what lets
-/// [`crate::Simulator::run_many_warm`] share one warmed arena across
-/// replications instead of re-interning the hot routes per run.
 #[derive(Debug)]
 pub struct RouteArena {
     shards: Vec<ArenaShard>,
-    /// Frozen pre-warmed routes, consulted before the own shards. The
-    /// base is immutable (never layered itself), so shard splits are
-    /// fixed for the overlay's lifetime.
-    base: Option<Arc<RouteArena>>,
 }
 
 impl RouteArena {
@@ -164,26 +150,12 @@ impl RouteArena {
     pub fn new() -> Self {
         RouteArena {
             shards: (0..ARENA_SHARDS).map(|_| ArenaShard::default()).collect(),
-            base: None,
         }
     }
 
-    /// An empty overlay over a frozen `base` arena: every route already
-    /// in the base is served from it (same ids as the base would
-    /// return), only new sequences are stored locally. The base must be
-    /// a plain arena — overlays do not stack.
-    pub fn with_base(base: Arc<RouteArena>) -> Self {
-        assert!(base.base.is_none(), "route-arena overlays do not stack");
-        RouteArena {
-            shards: (0..ARENA_SHARDS).map(|_| ArenaShard::default()).collect(),
-            base: Some(base),
-        }
-    }
-
-    /// Number of distinct routes interned so far (base included).
+    /// Number of distinct routes interned so far.
     pub fn len(&self) -> usize {
-        let own: usize = self.shards.iter().map(|s| s.offsets.len() - 1).sum();
-        own + self.base.as_deref().map_or(0, RouteArena::len)
+        self.shards.iter().map(|s| s.offsets.len() - 1).sum()
     }
 
     /// Whether no route has been interned.
@@ -202,32 +174,16 @@ impl RouteArena {
         h as usize & (ARENA_SHARDS - 1)
     }
 
-    /// Routes the base holds in shard `si` (0 without a base): the local
-    /// ids below this address the base, the rest the overlay.
-    #[inline]
-    fn base_len(&self, si: usize) -> usize {
-        self.base
-            .as_deref()
-            .map_or(0, |b| b.shards[si].offsets.len() - 1)
-    }
-
     /// Interns `route` (raw node addresses, ≥ 2 nodes), returning its
-    /// arena id. A sequence already present — in the frozen base or
-    /// locally — is not stored again.
+    /// arena id. A sequence already present is not stored again.
     pub fn intern(&mut self, route: &[u32], table: &LinkTable) -> u32 {
         debug_assert!(route.len() >= 2, "a route needs at least one hop");
         let si = Self::shard_of(route);
-        if let Some(b) = self.base.as_deref() {
-            if let Some(&local) = b.shards[si].index.get(route) {
-                return (local << ARENA_SHARD_BITS) | si as u32;
-            }
-        }
-        let base_len = self.base_len(si) as u32;
         let shard = &mut self.shards[si];
         if let Some(&local) = shard.index.get(route) {
             return (local << ARENA_SHARD_BITS) | si as u32;
         }
-        let local = base_len + (shard.offsets.len() - 1) as u32;
+        let local = (shard.offsets.len() - 1) as u32;
         shard.nodes.extend_from_slice(route);
         for w in route.windows(2) {
             shard.links.push(table.link_id(w[0], w[1]));
@@ -242,15 +198,7 @@ impl RouteArena {
     #[inline]
     fn locate(&self, r: u32) -> (&ArenaShard, usize) {
         let si = (r & (ARENA_SHARDS as u32 - 1)) as usize;
-        let local = (r >> ARENA_SHARD_BITS) as usize;
-        if let Some(b) = self.base.as_deref() {
-            let bl = b.shards[si].offsets.len() - 1;
-            if local < bl {
-                return (&b.shards[si], local);
-            }
-            return (&self.shards[si], local - bl);
-        }
-        (&self.shards[si], local)
+        (&self.shards[si], (r >> ARENA_SHARD_BITS) as usize)
     }
 
     /// Node sequence of route `r`.
@@ -281,29 +229,6 @@ impl RouteArena {
 impl Default for RouteArena {
     fn default() -> Self {
         RouteArena::new()
-    }
-}
-
-/// A frozen, shareable pre-warmed route arena, built once by
-/// [`crate::Simulator::warm_routes`] and layered (read-only) under every
-/// replication of [`crate::Simulator::run_many_warm`]. Routes the warmup
-/// predicted are served from the shared arena; anything else falls
-/// through to the run's private overlay, so warming is purely an
-/// optimisation — statistics are byte-identical with or without it.
-#[derive(Debug, Clone)]
-pub struct WarmRoutes {
-    pub(crate) arena: Arc<RouteArena>,
-}
-
-impl WarmRoutes {
-    /// Number of pre-interned routes.
-    pub fn len(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// Whether the warmup interned nothing.
-    pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
     }
 }
 
@@ -658,7 +583,6 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     route_cache: CacheConfig,
     cfg: SimConfig,
     engine: EngineConfig,
-    warm: Option<&WarmRoutes>,
     mut trace: Option<&mut Vec<DeliveryRecord>>,
 ) -> SimStats {
     let busy = cfg.packet_len.max(1);
@@ -680,13 +604,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
 
     let table = LinkTable::build(net);
     let n_links = table.num_links();
-    // A warmed run layers a private overlay over the shared frozen
-    // arena: hot routes resolve through the shared index, only routes
-    // the warmup missed are stored per run.
-    let mut arena = match warm {
-        Some(w) => RouteArena::with_base(w.arena.clone()),
-        None => RouteArena::new(),
-    };
+    let mut arena = RouteArena::new();
     let mut store = LinkStore::new(n_links, engine.store);
     // Non-empty-queue links, visited in ascending id order: `active` is
     // sorted; links becoming non-empty are appended to `pending`
@@ -1091,72 +1009,6 @@ mod tests {
                 assert_eq!(links[i], t.link_id(w[0], w[1]));
             }
         }
-    }
-
-    #[test]
-    fn arena_overlay_reads_base_and_extends_past_it() {
-        let (h, t) = table();
-        let as_raw = |u: u128, v: u128| -> Vec<u32> {
-            h.route(NodeId::from_raw(u), NodeId::from_raw(v))
-                .unwrap()
-                .iter()
-                .map(|x| x.raw() as u32)
-                .collect()
-        };
-        // Warm a base with a spread of routes, then freeze it.
-        let warmed: Vec<Vec<u32>> = (1u128..30).map(|dst| as_raw(0, dst)).collect();
-        let mut base = RouteArena::new();
-        let base_ids: Vec<u32> = warmed.iter().map(|r| base.intern(r, &t)).collect();
-        let base_len = base.len();
-        let base = Arc::new(base);
-
-        let mut overlay = RouteArena::with_base(base.clone());
-        assert_eq!(overlay.len(), base_len, "empty overlay counts the base");
-        // Every warmed route resolves to the base's id, stores nothing.
-        for (r, &id) in warmed.iter().zip(&base_ids) {
-            assert_eq!(overlay.intern(r, &t), id);
-            assert_eq!(overlay.route_nodes(id), &r[..]);
-            assert_eq!(overlay.route_len(id) as usize, r.len());
-            let links = overlay.route_links(id);
-            for (i, w) in r.windows(2).enumerate() {
-                assert_eq!(links[i], t.link_id(w[0], w[1]));
-            }
-        }
-        assert_eq!(overlay.len(), base_len, "base hits must not store");
-
-        // Routes the base lacks land in the overlay with fresh ids that
-        // never collide with base ids, and all accessors work across the
-        // base/overlay split.
-        let misses: Vec<Vec<u32>> = (31u128..60).map(|dst| as_raw(63, dst)).collect();
-        let miss_ids: Vec<u32> = misses.iter().map(|r| overlay.intern(r, &t)).collect();
-        assert_eq!(overlay.len(), base_len + misses.len());
-        let mut seen: HashSet<u32> = base_ids.iter().copied().collect();
-        for (r, &id) in misses.iter().zip(&miss_ids) {
-            assert!(seen.insert(id), "overlay id collided");
-            assert_eq!(overlay.intern(r, &t), id, "re-intern must dedup");
-            assert_eq!(overlay.route_nodes(id), &r[..]);
-            assert_eq!(overlay.route_len(id) as usize, r.len());
-            let links = overlay.route_links(id);
-            for (i, w) in r.windows(2).enumerate() {
-                assert_eq!(links[i], t.link_id(w[0], w[1]));
-            }
-        }
-        // The frozen base itself is untouched.
-        assert_eq!(base.len(), base_len);
-
-        // A second overlay on the same base sees the same base ids but
-        // none of the first overlay's private routes.
-        let mut overlay2 = RouteArena::with_base(base.clone());
-        assert_eq!(overlay2.intern(&warmed[0], &t), base_ids[0]);
-        assert_eq!(overlay2.len(), base_len);
-    }
-
-    #[test]
-    #[should_panic(expected = "overlays do not stack")]
-    fn arena_overlay_rejects_stacking() {
-        let base = Arc::new(RouteArena::new());
-        let overlay = RouteArena::with_base(base);
-        RouteArena::with_base(Arc::new(overlay));
     }
 
     fn pkt(id: u64) -> FlatPacket {

@@ -32,7 +32,7 @@ pub mod stats;
 pub mod strategy;
 
 pub use faults::{FaultAction, FaultEvent, FaultFlags, FaultLookup, FaultSet};
-pub use flat::{EngineConfig, Fidelity, LinkStoreMode, RouteArena, WarmRoutes};
+pub use flat::{EngineConfig, Fidelity, LinkStoreMode, RouteArena};
 pub use hhc_core::CacheConfig;
 pub use net::{CubeNet, LinkTable, Network, RouteScratch};
 pub use sim::{DeliveryRecord, SimConfig, SimError, Simulator, Switching};

@@ -36,15 +36,15 @@ pub struct RouteScratch {
 }
 
 impl RouteScratch {
-    /// A fresh scratch with default-capacity symmetry caches.
+    /// A fresh scratch with a default-capacity family cache.
     pub fn new() -> Self {
         RouteScratch::default()
     }
 
-    /// A scratch whose construction engine uses the given symmetry-cache
-    /// configuration (fan cache + family cache). The default scratch has
-    /// both caches enabled at their default capacities; routes are
-    /// byte-identical under every configuration.
+    /// A scratch whose construction engine uses the given family-cache
+    /// configuration. The default scratch has the cache enabled at its
+    /// default capacity; routes are byte-identical under every
+    /// configuration.
     pub fn with_route_cache(cfg: CacheConfig) -> Self {
         let mut s = RouteScratch::default();
         s.builder.set_cache_config(cfg);

@@ -28,14 +28,13 @@
 //! replications across rayon workers and merges their statistics.
 
 use crate::faults::FaultEvent;
-use crate::flat::{EngineConfig, RouteArena, WarmRoutes};
-use crate::net::{LinkTable, Network, RouteScratch};
+use crate::flat::EngineConfig;
+use crate::net::Network;
 use crate::stats::SimStats;
 use crate::strategy::Strategy;
 use hhc_core::{CacheConfig, NodeId};
 use rayon::prelude::*;
 use std::collections::HashSet;
-use std::sync::Arc;
 use workloads::Pattern;
 
 /// Largest network (in address bits) the engine accepts. 20 bits admits
@@ -246,12 +245,11 @@ impl<'a, N: Network + ?Sized> Simulator<'a, N> {
         self
     }
 
-    /// Configures the symmetry caches of the run's route-construction
-    /// scratch (fan cache + family cache; on by default). The caches
-    /// memoise exact translation-canonical solutions, so routes are
-    /// byte-identical in every configuration — only the construction
-    /// cost changes. Pass [`CacheConfig::disabled`] for the uncached
-    /// reference behaviour.
+    /// Configures the family cache of the run's route-construction
+    /// scratch (on by default). The cache memoises exact
+    /// translation-canonical families, so routes are byte-identical in
+    /// every configuration — only the construction cost changes. Pass
+    /// [`CacheConfig::disabled`] for the uncached reference behaviour.
     pub fn with_route_cache(mut self, cfg: CacheConfig) -> Self {
         self.route_cache = cfg;
         self
@@ -269,28 +267,6 @@ impl<'a, N: Network + ?Sized> Simulator<'a, N> {
             self.route_cache,
             cfg,
             self.engine,
-            None,
-            None,
-        )
-    }
-
-    /// [`Simulator::run`] with a pre-warmed shared route arena
-    /// ([`Simulator::warm_routes`]): routes the warmup predicted resolve
-    /// through the frozen arena's index instead of being re-interned
-    /// into the run's private one. Purely an optimisation — statistics
-    /// are byte-identical to [`Simulator::run`]'s (route ids never leak
-    /// into [`SimStats`]).
-    pub fn run_warm(&self, cfg: SimConfig, warm: &WarmRoutes) -> SimStats {
-        crate::flat::run_flat(
-            self.net,
-            self.pattern,
-            self.strategy,
-            &self.faults,
-            &self.fault_events,
-            self.route_cache,
-            cfg,
-            self.engine,
-            Some(warm),
             None,
         )
     }
@@ -310,49 +286,9 @@ impl<'a, N: Network + ?Sized> Simulator<'a, N> {
             self.route_cache,
             cfg,
             self.engine,
-            None,
             Some(&mut records),
         );
         (stats, records)
-    }
-
-    /// Builds a frozen, shareable route arena by pre-interning the
-    /// routes this simulator's strategy can select for `pairs`
-    /// (self-addressed pairs are skipped): the deterministic single
-    /// route for [`Strategy::SinglePath`] and [`Strategy::Valiant`]
-    /// (whose random detour walks cannot be predicted, so only the
-    /// direct route is warmed), the whole fault-blind disjoint family
-    /// otherwise. Warming is *advisory*: a run layers a private overlay
-    /// over the frozen arena, so missing or superfluous routes cost
-    /// nothing but memory and statistics stay byte-identical.
-    pub fn warm_routes(&self, pairs: &[(NodeId, NodeId)]) -> WarmRoutes {
-        let table = LinkTable::build(self.net);
-        let mut arena = RouteArena::new();
-        let mut scratch = RouteScratch::with_route_cache(self.route_cache);
-        let mut idx: Vec<u32> = Vec::new();
-        for &(u, v) in pairs {
-            if u == v {
-                continue;
-            }
-            match self.strategy {
-                Strategy::SinglePath | Strategy::Valiant => {
-                    idx.clear();
-                    idx.extend(self.net.route(u, v).iter().map(|v| v.raw() as u32));
-                    arena.intern(&idx, &table);
-                }
-                Strategy::MultipathRandom | Strategy::FaultAdaptive | Strategy::FaultFree => {
-                    let set = self.net.disjoint_routes_into(u, v, &mut scratch);
-                    for p in set.iter() {
-                        idx.clear();
-                        idx.extend(p.iter().map(|v| v.raw() as u32));
-                        arena.intern(&idx, &table);
-                    }
-                }
-            }
-        }
-        WarmRoutes {
-            arena: Arc::new(arena),
-        }
     }
 
     /// Runs `n_runs` independent replications of `cfg` — run `i` uses
@@ -372,31 +308,6 @@ impl<'a, N: Network + ?Sized> Simulator<'a, N> {
         let runs: Vec<SimStats> = seeds
             .par_iter()
             .map(|&seed| self.run(SimConfig { seed, ..cfg }))
-            .collect();
-        let mut merged = SimStats::default();
-        for s in &runs {
-            merged.merge(s);
-        }
-        merged
-    }
-
-    /// [`Simulator::run_many`] with a shared pre-warmed route arena: all
-    /// replications read the same frozen arena ([`Simulator::warm_routes`])
-    /// through per-run overlays instead of each re-interning the hot
-    /// routes from scratch. Same determinism contract as `run_many` —
-    /// the result equals `n_runs` sequential [`Simulator::run_warm`]
-    /// calls folded in seed order, independent of the worker count, and
-    /// byte-identical to the unwarmed [`Simulator::run_many`].
-    pub fn run_many_warm(&self, cfg: SimConfig, n_runs: usize, warm: &WarmRoutes) -> SimStats
-    where
-        N: Sync,
-    {
-        let seeds: Vec<u64> = (0..n_runs as u64)
-            .map(|i| cfg.seed.wrapping_add(i))
-            .collect();
-        let runs: Vec<SimStats> = seeds
-            .par_iter()
-            .map(|&seed| self.run_warm(SimConfig { seed, ..cfg }, warm))
             .collect();
         let mut merged = SimStats::default();
         for s in &runs {
@@ -854,94 +765,6 @@ mod instrumentation_tests {
             hi > lo * 5.0,
             "utilisation should scale ~linearly: {lo} vs {hi}"
         );
-    }
-}
-
-#[cfg(test)]
-mod warm_route_tests {
-    use super::*;
-    use hhc_core::Hhc;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    /// The pairs a pattern will generate, for warming. BitComplement is
-    /// deterministic per source, so this predicts the traffic exactly.
-    fn pattern_pairs(h: &Hhc, pattern: Pattern) -> Vec<(NodeId, NodeId)> {
-        let mut rng = StdRng::seed_from_u64(0);
-        h.all_nodes()
-            .into_iter()
-            .filter_map(|u| pattern.destination(h, u, &mut rng).map(|v| (u, v)))
-            .collect()
-    }
-
-    fn cfg() -> SimConfig {
-        SimConfig {
-            cycles: 150,
-            drain_cycles: 2000,
-            inject_rate: 0.10,
-            seed: 97,
-            ..SimConfig::default()
-        }
-    }
-
-    #[test]
-    fn warm_arena_is_observationally_invisible() {
-        let h = Hhc::new(2).unwrap();
-        let sim = Simulator::new(&h, Pattern::BitComplement, Strategy::MultipathRandom);
-        let warm = sim.warm_routes(&pattern_pairs(&h, Pattern::BitComplement));
-        // 64 sources × (m + 1) = 3 disjoint routes each, all distinct
-        // node sequences (translation moves the whole family).
-        assert_eq!(warm.len(), 64 * 3);
-        assert_eq!(sim.run_warm(cfg(), &warm), sim.run(cfg()));
-    }
-
-    #[test]
-    fn warm_run_many_matches_cold_and_sequential_fold() {
-        let h = Hhc::new(2).unwrap();
-        let sim = Simulator::new(&h, Pattern::BitComplement, Strategy::MultipathRandom);
-        let warm = sim.warm_routes(&pattern_pairs(&h, Pattern::BitComplement));
-        let n_runs = 4;
-        let warm_merged = sim.run_many_warm(cfg(), n_runs, &warm);
-        // Worker-count invariance: the parallel warmed fan-out equals
-        // the sequential seed-order fold of warmed runs...
-        let mut seq = SimStats::default();
-        for i in 0..n_runs as u64 {
-            seq.merge(&sim.run_warm(
-                SimConfig {
-                    seed: cfg().seed.wrapping_add(i),
-                    ..cfg()
-                },
-                &warm,
-            ));
-        }
-        assert_eq!(warm_merged, seq);
-        // ...and warming itself is invisible in the merged statistics.
-        assert_eq!(warm_merged, sim.run_many(cfg(), n_runs));
-    }
-
-    #[test]
-    fn partial_and_superfluous_warming_change_nothing() {
-        let h = Hhc::new(2).unwrap();
-        let sim = Simulator::new(&h, Pattern::UniformRandom, Strategy::FaultAdaptive);
-        // Warm from a *different* traffic pattern: some routes will hit,
-        // most will miss, none of it may show in the stats.
-        let warm = sim.warm_routes(&pattern_pairs(&h, Pattern::BitComplement));
-        assert!(!warm.is_empty());
-        assert_eq!(sim.run_warm(cfg(), &warm), sim.run(cfg()));
-        // An empty warm arena is the degenerate case of the same claim.
-        let empty = sim.warm_routes(&[]);
-        assert!(empty.is_empty());
-        assert_eq!(sim.run_warm(cfg(), &empty), sim.run(cfg()));
-    }
-
-    #[test]
-    fn single_path_warming_interns_one_route_per_pair() {
-        let h = Hhc::new(2).unwrap();
-        let sim = Simulator::new(&h, Pattern::BitComplement, Strategy::SinglePath);
-        let pairs = pattern_pairs(&h, Pattern::BitComplement);
-        let warm = sim.warm_routes(&pairs);
-        assert_eq!(warm.len(), pairs.len());
-        assert_eq!(sim.run_warm(cfg(), &warm), sim.run(cfg()));
     }
 }
 
