@@ -3,8 +3,8 @@
 //! acceptance workload (random HHC(5) pairs), plus the metered batch
 //! path (counters on, timing off — the zero-cost claim) and a replay of
 //! the exact fan queries the construction issues. Uses a min-over-repeats
-//! protocol so a noisy host does not swamp the numbers; `cargo bench -p
-//! bench --bench batch_throughput` is the canonical measurement.
+//! protocol so a noisy host does not swamp the numbers; this is the
+//! canonical batch-engine measurement.
 //!
 //! The cache section compares the family cache on vs off across three
 //! 10k-pair workloads with different reuse profiles — uniform (every pair

@@ -3,9 +3,7 @@
 //! (eager store + full queueing) across representative workloads,
 //! asserting byte-identical [`SimStats`] before timing anything, plus a
 //! replication sweep through `run_many` at 1 and 4 rayon workers.
-//! Min-over-repeats protocol mirrors `profile_batch`; `cargo bench -p
-//! bench --bench netsim_throughput` is the canonical single-engine
-//! measurement.
+//! Min-over-repeats protocol mirrors `profile_batch`.
 //!
 //! The headline workload is **HHC(4)** — 2^20 ≈ 1M nodes, the first
 //! paper topology at the million scale — run packet-level end-to-end

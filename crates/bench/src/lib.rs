@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks for the HHC suite live in `benches/`;
-//! `src/bin/` holds the profilers (`profile_batch`, `profile_sim`) and
-//! the CI perf-regression gate (`perf_gate`) built on [`gate`].
+//! `src/bin/` holds the profilers (`profile_batch`, `profile_sim`,
+//! `profile_router`) and the CI perf-regression gate (`perf_gate`) built
+//! on [`gate`].
 
 pub mod gate {
     //! Perf-regression gating over the `results/BENCH_*.json` sidecars.

@@ -14,28 +14,22 @@
 //! * [`dinic`] — Dinic's maximum-flow algorithm on integer capacities;
 //! * [`vertex_disjoint`] — Menger baseline: max set of internally
 //!   vertex-disjoint paths via vertex splitting;
-//! * [`edge_disjoint`] — the edge version of Menger's theorem;
 //! * [`fan`] — general one-to-many vertex-disjoint fans (flow-based);
 //! * [`many_to_many`] — unpaired many-to-many disjoint path covers;
-//! * [`articulation`] — cut vertices / biconnectivity (Tarjan);
 //! * [`props`] — structural property checks (regularity, bipartiteness,
 //!   triangle counts, girth).
 
-pub mod articulation;
 pub mod bfs;
 pub mod csr;
 pub mod dinic;
-pub mod edge_disjoint;
 pub mod fan;
 pub mod many_to_many;
 pub mod props;
 pub mod vertex_disjoint;
 
-pub use articulation::{articulation_points, is_biconnected};
 pub use bfs::Bfs;
 pub use csr::CsrGraph;
 pub use dinic::{ArcId, Dinic, DinicStats};
-pub use edge_disjoint::{edge_connectivity_between, edge_disjoint_paths};
 pub use fan::fan_paths;
 pub use many_to_many::many_to_many_paths;
 pub use vertex_disjoint::{vertex_connectivity_between, vertex_disjoint_paths};

@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate: random graphs, checked
-//! invariants between BFS, Dinic, and both Menger decompositions.
+//! invariants between BFS, Dinic, and the Menger decomposition.
 
-use graphs::{bfs, csr::CsrGraph, edge_disjoint, vertex_disjoint};
+use graphs::{bfs, csr::CsrGraph, vertex_disjoint};
 use proptest::prelude::*;
 
 /// Strategy: a random simple graph with n in [2, 24] nodes given by an
@@ -93,20 +93,6 @@ proptest! {
         let ps = vertex_disjoint::vertex_disjoint_paths(&g, s, t);
         prop_assert_eq!(ps.len() as u32, k);
         vertex_disjoint::check_disjoint_paths(&g, s, t, &ps)
-            .map_err(|e| TestCaseError::fail(proptest::test_runner::Reason::from(e)))?;
-    }
-
-    /// Edge connectivity dominates vertex connectivity, and its
-    /// decomposition validates.
-    #[test]
-    fn edge_disjoint_paths_validate(g in random_graph()) {
-        let (s, t) = (0, g.num_nodes() - 1);
-        let lam = edge_disjoint::edge_connectivity_between(&g, s, t);
-        let kap = vertex_disjoint::vertex_connectivity_between(&g, s, t);
-        prop_assert!(lam >= kap, "λ={lam} < κ={kap}");
-        let ps = edge_disjoint::edge_disjoint_paths(&g, s, t);
-        prop_assert_eq!(ps.len() as u32, lam);
-        edge_disjoint::check_edge_disjoint(&g, s, t, &ps)
             .map_err(|e| TestCaseError::fail(proptest::test_runner::Reason::from(e)))?;
     }
 

@@ -182,28 +182,6 @@ pub fn construct_many_with(
         .collect()
 }
 
-/// Constructs a fault-avoiding family for every pair against one shared
-/// fault oracle, fanning out over rayon like [`construct_many`].
-/// Per-pair results (paths and outcome) are identical to calling
-/// [`crate::disjoint_paths_avoiding`] per pair.
-pub fn construct_many_avoiding(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    faults: &(dyn FaultOracle + Sync),
-) -> Result<Vec<(PathSet, AvoidOutcome)>, HhcError> {
-    pairs
-        .par_iter()
-        .map_init(
-            || (PathBuilder::new(), PathSet::new()),
-            |(scratch, tmp), &(u, v)| {
-                let outcome = disjoint_paths_avoiding_into(hhc, u, v, order, faults, tmp, scratch)?;
-                Ok((tmp.clone(), outcome))
-            },
-        )
-        .collect()
-}
-
 /// [`construct_many`] on the current thread only: one scratch, no
 /// thread fan-out. This isolates the allocation-reuse win from the
 /// parallelism win (and is what single-threaded callers should use).
@@ -223,27 +201,16 @@ pub fn construct_many_serial(
         .collect()
 }
 
-/// [`construct_many`] additionally returning the [`MetricsReport`]
+/// [`construct_many_with`] additionally returning the [`MetricsReport`]
 /// accumulated across every worker. Results are node-for-node identical
-/// to [`construct_many`]; `timed` enables per-query wall-clock timing
-/// (see [`PathBuilder::enable_timing`] for its cost).
+/// to [`construct_many_with`]; `timed` enables per-query wall-clock
+/// timing (see [`PathBuilder::enable_timing`] for its cost), and the
+/// merged report's `family_hits` counter exposes the aggregate hit rate.
 ///
 /// The pair list is split into one contiguous chunk per rayon worker so
 /// each chunk's builder — and its counters — can be recovered after the
 /// parallel section and merged (plain `map_init` scratch is unrecoverable
 /// once the iterator finishes).
-pub fn construct_many_metered(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    timed: bool,
-) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    construct_many_metered_with(hhc, pairs, order, timed, CacheConfig::default())
-}
-
-/// [`construct_many_metered`] with an explicit per-worker family-cache
-/// capacity; the merged report's `family_hits` counter exposes the
-/// aggregate hit rate.
 pub fn construct_many_metered_with(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],
@@ -396,8 +363,14 @@ mod tests {
     fn metered_matches_unmetered_and_conserves_counters() {
         let (h, pairs) = pairs_m3();
         let plain = construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
-        let (metered, report) =
-            construct_many_metered(&h, &pairs, CrossingOrder::Gray, false).unwrap();
+        let (metered, report) = construct_many_metered_with(
+            &h,
+            &pairs,
+            CrossingOrder::Gray,
+            false,
+            CacheConfig::default(),
+        )
+        .unwrap();
         assert_eq!(metered, plain);
         let c = &report.construction;
         assert_eq!(c.queries, pairs.len() as u64);
@@ -428,11 +401,24 @@ mod tests {
     #[test]
     fn metered_empty_and_error_paths() {
         let h = Hhc::new(2).unwrap();
-        let (sets, report) = construct_many_metered(&h, &[], CrossingOrder::Gray, false).unwrap();
+        let (sets, report) = construct_many_metered_with(
+            &h,
+            &[],
+            CrossingOrder::Gray,
+            false,
+            CacheConfig::default(),
+        )
+        .unwrap();
         assert!(sets.is_empty());
         assert_eq!(report, MetricsReport::default());
         let u = h.node(1, 1).unwrap();
-        let err = construct_many_metered(&h, &[(u, u)], CrossingOrder::Gray, false);
+        let err = construct_many_metered_with(
+            &h,
+            &[(u, u)],
+            CrossingOrder::Gray,
+            false,
+            CacheConfig::default(),
+        );
         assert!(matches!(err, Err(HhcError::EqualNodes)));
     }
 

@@ -69,9 +69,9 @@ pub mod verify;
 pub mod wide;
 
 pub use batch::{
-    construct_many, construct_many_avoiding, construct_many_metered, construct_many_metered_with,
-    construct_many_serial, construct_many_serial_metered, construct_many_serial_metered_with,
-    construct_many_with, Workspace,
+    construct_many, construct_many_metered_with, construct_many_serial,
+    construct_many_serial_metered, construct_many_serial_metered_with, construct_many_with,
+    Workspace,
 };
 pub use disjoint::family_cache::{
     CacheConfig, FamilyCache, BYPASS_CONSEC_MISSES, BYPASS_HIT_FLOOR, BYPASS_MIN_PROBES,

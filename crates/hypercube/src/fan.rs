@@ -27,6 +27,8 @@ pub enum FanError {
     TooManyTargets { targets: usize, dim: u32 },
     /// Fans are computed by flow on the materialised cube; `n ≤ 16` only.
     CubeTooLarge(u32),
+    /// The source of a fault-avoiding fan is itself forbidden.
+    SourceForbidden,
 }
 
 impl std::fmt::Display for FanError {
@@ -38,6 +40,7 @@ impl std::fmt::Display for FanError {
                 write!(f, "{targets} targets exceed connectivity {dim}")
             }
             FanError::CubeTooLarge(n) => write!(f, "fan computation limited to n ≤ 16, got {n}"),
+            FanError::SourceForbidden => write!(f, "fan source is forbidden"),
         }
     }
 }
@@ -300,7 +303,13 @@ pub fn fan_paths_into(
         write_direct_fan(s, targets, scratch);
         return Ok(());
     }
-    solve_dinic(n, s, targets, scratch);
+    let flow = solve_dinic(n, s, targets, 0, scratch);
+    assert_eq!(
+        flow as usize,
+        targets.len(),
+        "fan lemma violated: flow {flow} < {} targets (bug)",
+        targets.len()
+    );
     Ok(())
 }
 
@@ -313,7 +322,8 @@ pub fn fan_paths_into(
 /// fan-lemma value this returns the number of targets actually served.
 /// Check [`FanScratch::target_served`] per target before reading its
 /// path. With `forbidden == 0` this is exactly [`fan_paths_into`] and
-/// serves every target.
+/// serves every target. A forbidden source is rejected with
+/// [`FanError::SourceForbidden`].
 ///
 /// Solves the query as given, without canonicalisation. The HHC
 /// fault-avoiding construction calls this rarely (only on queries whose
@@ -331,26 +341,20 @@ pub fn fan_paths_avoiding(
     if cube.dim() > 6 {
         return Err(FanError::CubeTooLarge(cube.dim()));
     }
+    if is_forbidden(forbidden, s) {
+        return Err(FanError::SourceForbidden);
+    }
     let n = validate_and_index(cube, s, targets, scratch)?;
-    debug_assert_eq!(forbidden >> s & 1, 0, "source itself forbidden");
     if targets.is_empty() {
         return Ok(0);
     }
-    if forbidden == 0 {
-        if all_adjacent(s, targets) {
-            write_direct_fan(s, targets, scratch);
-        } else {
-            solve_dinic(n, s, targets, scratch);
-        }
-        return Ok(targets.len());
-    }
-    if all_adjacent(s, targets) && targets.iter().all(|&t| forbidden >> t & 1 == 0) {
+    if all_adjacent(s, targets) && !targets.iter().any(|&t| is_forbidden(forbidden, t)) {
         // Direct edges bypass every interior node, so faults elsewhere in
         // the cube cannot invalidate the star fan.
         write_direct_fan(s, targets, scratch);
         return Ok(targets.len());
     }
-    Ok(solve_dinic_avoiding(n, s, targets, forbidden, scratch) as usize)
+    Ok(solve_dinic(n, s, targets, forbidden, scratch) as usize)
 }
 
 /// Input validation shared by every fan entry point. On success the
@@ -401,6 +405,14 @@ fn all_adjacent(s: Node, targets: &[Node]) -> bool {
     targets.iter().all(|&t| (t ^ s).count_ones() == 1)
 }
 
+/// Whether `v`'s bit is set in the `forbidden` mask. Labels ≥ 64 are
+/// never forbidden, which keeps the shift in range for the plain entry
+/// points' larger cubes and for a source not yet validated.
+#[inline]
+fn is_forbidden(forbidden: u64, v: Node) -> bool {
+    v < 64 && forbidden >> v & 1 == 1
+}
+
 /// Combinatorial fast path: when every target is a neighbour of `s`, the
 /// unique minimum fan is the star of direct edges — exactly what the flow
 /// formulation returns after seeding (each target's vertex capacity is
@@ -417,11 +429,13 @@ fn write_direct_fan(s: Node, targets: &[Node], scratch: &mut FanScratch) {
     scratch.metrics.fast_path += 1;
 }
 
-/// The general solver: seeds direct edges, runs unit max-flow, and
-/// decomposes the flow into the output arena. Requires
+/// The solver: removes the `forbidden` nodes from the network, seeds
+/// direct edges, runs unit max-flow, and decomposes the flow into the
+/// output arena. Returns the max-flow value (= targets served); unserved
+/// targets keep `path_of_target == UNSET`. Requires
 /// [`validate_and_index`] to have set up `target_idx` for exactly this
-/// `(s, targets)` query, and `targets` non-empty.
-fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
+/// `(s, targets)` query, `targets` non-empty and `s` not forbidden.
+fn solve_dinic(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScratch) -> u32 {
     scratch.ensure_network(n);
     let num = 1u32 << n;
     let sink = 2 * num;
@@ -431,20 +445,36 @@ fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
     // paths)) rather than rewriting every capacity in the network.
     d.rewind(&scratch.default_caps);
     d.set_cap(scratch.vertex_arc[s as usize], u32::MAX / 2);
+    // Remove every forbidden node from the network by zeroing its
+    // vertex-split arc: no flow (hence no fan path) can pass through it.
+    let mut f = forbidden;
+    while f != 0 {
+        let v = f.trailing_zeros();
+        f &= f - 1;
+        if v < num {
+            d.set_cap(scratch.vertex_arc[v as usize], 0);
+        }
+    }
+    let mut want = 0u32;
     for &t in targets {
-        d.set_cap(scratch.terminal_arc[t as usize], 1);
+        if !is_forbidden(forbidden, t) {
+            d.set_cap(scratch.terminal_arc[t as usize], 1);
+            want += 1;
+        }
     }
 
-    // Seed every target adjacent to `s` with its direct edge. A target is
-    // never an interior node of any fan path (its vertex capacity is
-    // consumed by its own terminal unit), so the direct edge is
-    // compatible with — and no longer than — some maximum fan; the
-    // solver only has to route the remaining targets.
+    // Seed every served target adjacent to `s` with its direct edge. A
+    // target is never an interior node of any fan path (its vertex
+    // capacity is consumed by its own terminal unit), so the direct edge
+    // is compatible with — and no longer than — some maximum fan of the
+    // fault-free subcube; the solver only has to route the remaining
+    // targets. Forbidden targets are skipped: forcing a unit through a
+    // zeroed vertex arc would corrupt the flow.
     let mut seeded = 0u32;
     for &t in targets {
         let t32 = t as u32;
         let diff = t32 ^ s32;
-        if diff.count_ones() == 1 {
+        if diff.count_ones() == 1 && !is_forbidden(forbidden, t) {
             let dim = diff.trailing_zeros();
             d.force_unit(scratch.vertex_arc[s as usize]);
             d.force_unit(scratch.edge_arc[(s32 * n + dim) as usize]);
@@ -455,18 +485,17 @@ fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
     }
     scratch.metrics.seeded_direct += seeded as u64;
 
-    // The terminal arcs cap the flow at exactly `targets.len()`, and the
-    // fan lemma guarantees that value is reached — so the solver can stop
+    // The terminal arcs cap the flow at `want`, so the solver can stop
     // there instead of running a final no-progress phase to prove it.
     // Every augmenting path here has bottleneck 1 (the terminal arcs),
-    // which is exactly the regime the unit solver is built for.
-    let flow = seeded + d.max_flow_unit(v_in(s32), sink, targets.len() as u32 - seeded);
-    assert_eq!(
-        flow as usize,
-        targets.len(),
-        "fan lemma violated: flow {flow} < {} targets (bug)",
-        targets.len()
-    );
+    // which is exactly the regime the unit solver is built for. Faults
+    // may cut targets off, so the flow value is the answer; the plain
+    // entry points assert the fan-lemma value themselves.
+    let flow = if want > seeded {
+        seeded + d.max_flow_unit(v_in(s32), sink, want - seeded)
+    } else {
+        seeded
+    };
 
     // Decompose: remaining flow per forward arc (the network is simple,
     // so an arc is uniquely determined by its endpoints), then walk.
@@ -494,112 +523,6 @@ fn solve_dinic(n: u32, s: Node, targets: &[Node], scratch: &mut FanScratch) {
             let _ = take(&mut scratch.rem, scratch.vertex_arc[cur as usize]);
             // Terminate here if this node's terminal arc still carries flow
             // (a target is never a through-node: its vertex capacity is 1).
-            let t_idx = scratch.target_idx[cur as usize];
-            if t_idx != UNSET && take(&mut scratch.rem, scratch.terminal_arc[cur as usize]) {
-                assert_eq!(
-                    scratch.path_of_target[t_idx as usize], UNSET,
-                    "target reached twice"
-                );
-                scratch.path_of_target[t_idx as usize] = p;
-                scratch.tmp_offsets.push(scratch.tmp_nodes.len() as u32);
-                break;
-            }
-            let next = (0..n)
-                .find(|&dim| take(&mut scratch.rem, scratch.edge_arc[(cur * n + dim) as usize]))
-                .map(|dim| cur ^ (1u32 << dim))
-                .expect("flow decomposition stuck (bug)");
-            scratch.tmp_nodes.push(next as Node);
-            cur = next;
-        }
-    }
-    debug_assert!(scratch.path_of_target.iter().all(|&p| p != UNSET));
-}
-
-/// [`solve_dinic`] over the fault-free subcube: forbidden nodes get
-/// vertex capacity 0, forbidden targets get no terminal arc, and only
-/// non-forbidden adjacent targets are seeded. Returns the max-flow value
-/// (= targets served); unserved targets keep `path_of_target == UNSET`.
-fn solve_dinic_avoiding(
-    n: u32,
-    s: Node,
-    targets: &[Node],
-    forbidden: u64,
-    scratch: &mut FanScratch,
-) -> u32 {
-    scratch.ensure_network(n);
-    let num = 1u32 << n;
-    let sink = 2 * num;
-    let s32 = s as u32;
-    let d = scratch.dinic.as_mut().expect("network built");
-    d.rewind(&scratch.default_caps);
-    d.set_cap(scratch.vertex_arc[s as usize], u32::MAX / 2);
-    // Remove every forbidden node from the network by zeroing its
-    // vertex-split arc: no flow (hence no fan path) can pass through it.
-    let mut f = forbidden;
-    while f != 0 {
-        let v = f.trailing_zeros();
-        f &= f - 1;
-        if v < num {
-            d.set_cap(scratch.vertex_arc[v as usize], 0);
-        }
-    }
-    let mut want = 0u32;
-    for &t in targets {
-        if forbidden >> t & 1 == 0 {
-            d.set_cap(scratch.terminal_arc[t as usize], 1);
-            want += 1;
-        }
-    }
-
-    // Seed direct edges exactly as in the plain solver, but only for
-    // reachable (non-forbidden) targets: forcing a unit through a zeroed
-    // vertex arc would corrupt the flow. The seeding argument from
-    // `solve_dinic` carries over to the fault-free subcube — a served
-    // target is never interior to another path, so its direct edge is
-    // compatible with some maximum fan of the restricted network.
-    let mut seeded = 0u32;
-    for &t in targets {
-        let t32 = t as u32;
-        let diff = t32 ^ s32;
-        if diff.count_ones() == 1 && forbidden >> t & 1 == 0 {
-            let dim = diff.trailing_zeros();
-            d.force_unit(scratch.vertex_arc[s as usize]);
-            d.force_unit(scratch.edge_arc[(s32 * n + dim) as usize]);
-            d.force_unit(scratch.vertex_arc[t as usize]);
-            d.force_unit(scratch.terminal_arc[t as usize]);
-            seeded += 1;
-        }
-    }
-    scratch.metrics.seeded_direct += seeded as u64;
-
-    // No fan-lemma assertion here: faults may legitimately cut targets
-    // off, so the flow value is the answer, not an invariant.
-    let flow = if want > seeded {
-        seeded + d.max_flow_unit(v_in(s32), sink, want - seeded)
-    } else {
-        seeded
-    };
-
-    scratch.rem.clear();
-    scratch.rem.resize(scratch.default_caps.len(), 0);
-    for &slot in d.touched_slots() {
-        scratch.rem[slot as usize] = d.flow_on(2 * slot);
-    }
-    scratch.path_of_target.resize(targets.len(), UNSET);
-    let take = |rem: &mut Vec<u32>, aid: ArcId| -> bool {
-        let slot = &mut rem[(aid / 2) as usize];
-        if *slot > 0 {
-            *slot -= 1;
-            true
-        } else {
-            false
-        }
-    };
-    for p in 0..flow {
-        scratch.tmp_nodes.push(s);
-        let mut cur = s32;
-        loop {
-            let _ = take(&mut scratch.rem, scratch.vertex_arc[cur as usize]);
             let t_idx = scratch.target_idx[cur as usize];
             if t_idx != UNSET && take(&mut scratch.rem, scratch.terminal_arc[cur as usize]) {
                 assert_eq!(
@@ -668,7 +591,13 @@ pub fn fan_paths_canonical(
         scratch.target_idx[ct as usize] = j as u32;
     }
     let canon_nodes = std::mem::take(&mut scratch.canon_nodes);
-    solve_dinic(n, 0, &canon_nodes, scratch);
+    let flow = solve_dinic(n, 0, &canon_nodes, 0, scratch);
+    assert_eq!(
+        flow as usize,
+        targets.len(),
+        "fan lemma violated: flow {flow} < {} targets (bug)",
+        targets.len()
+    );
     scratch.canon_nodes = canon_nodes;
 
     // De-canonicalise: translate every arena node back, and remap
@@ -837,7 +766,7 @@ mod tests {
     /// answer via the combinatorial fast path.
     fn dinic_reference(q: &Cube, s: Node, targets: &[Node], sc: &mut FanScratch) {
         let n = validate_and_index(q, s, targets, sc).unwrap();
-        solve_dinic(n, s, targets, sc);
+        assert_eq!(solve_dinic(n, s, targets, 0, sc) as usize, targets.len());
     }
 
     #[test]
@@ -905,7 +834,10 @@ mod tests {
 
     #[test]
     fn avoiding_with_no_forbidden_matches_plain() {
-        // forbidden == 0 must be byte-identical to the plain entry point.
+        // forbidden == 0 must be byte-identical to the plain entry point
+        // and do the same work. Both scratches run the same query
+        // sequence, so equal totals after every query pin equal
+        // per-query deltas of the fan and solver counters.
         let q = Cube::new(3).unwrap();
         let nodes: Vec<Node> = (0..8).collect();
         let mut plain = FanScratch::new();
@@ -928,6 +860,84 @@ mod tests {
                 for i in 0..targets.len() {
                     assert!(avoid.target_served(i));
                     assert_eq!(plain.path(i), avoid.path(i), "s={s} targets={targets:?}");
+                }
+                assert_eq!(
+                    plain.metrics(),
+                    avoid.metrics(),
+                    "s={s} targets={targets:?}"
+                );
+                assert_eq!(
+                    plain.solver_stats(),
+                    avoid.solver_stats(),
+                    "s={s} targets={targets:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn avoiding_rejects_a_forbidden_source() {
+        // Served counts and paths are meaningless when the source itself
+        // is removed from the network, so the query is refused before it
+        // is validated or counted.
+        let q = Cube::new(3).unwrap();
+        let mut sc = FanScratch::new();
+        for targets in [&[1u128, 2][..], &[1, 6], &[3, 5, 6], &[1, 2, 4]] {
+            assert_eq!(
+                fan_paths_avoiding(&q, 0, targets, 1, &mut sc),
+                Err(FanError::SourceForbidden),
+                "targets={targets:?}"
+            );
+        }
+        assert_eq!(sc.metrics().queries, 0);
+    }
+
+    #[test]
+    fn avoiding_matches_max_flow_exhaustively() {
+        // Every source, every target set of at most n targets and every
+        // forbidden mask sparing the source, on Q_2 and Q_3: the served
+        // count must equal the explicit-graph Menger value between the
+        // source and a sink joined to the surviving targets of Q_n − F.
+        let mut sc = FanScratch::new();
+        for n in 2u32..=3 {
+            let q = Cube::new(n).unwrap();
+            let num = 1u32 << n;
+            let sink = num;
+            for s in 0..num {
+                for tmask in 0u32..1 << num {
+                    if tmask >> s & 1 == 1 || tmask.count_ones() > n {
+                        continue;
+                    }
+                    let targets: Vec<Node> = (0..num)
+                        .filter(|&t| tmask >> t & 1 == 1)
+                        .map(Node::from)
+                        .collect();
+                    for forbidden in 0u64..1 << num {
+                        if forbidden >> s & 1 == 1 {
+                            continue;
+                        }
+                        let mut edges = Vec::new();
+                        for v in (0..num).filter(|&v| forbidden >> v & 1 == 0) {
+                            for dim in 0..n {
+                                let w = v ^ (1 << dim);
+                                if v < w && forbidden >> w & 1 == 0 {
+                                    edges.push((v, w));
+                                }
+                            }
+                            if tmask >> v & 1 == 1 {
+                                edges.push((v, sink));
+                            }
+                        }
+                        let g = graphs::CsrGraph::from_edges(num + 1, &edges);
+                        let want = graphs::vertex_connectivity_between(&g, s, sink);
+                        let served =
+                            fan_paths_avoiding(&q, Node::from(s), &targets, forbidden, &mut sc)
+                                .unwrap();
+                        assert_eq!(
+                            served as u32, want,
+                            "n={n} s={s} targets={targets:?} forbidden={forbidden:#x}"
+                        );
+                    }
                 }
             }
         }

@@ -20,14 +20,8 @@
 //! 4. **Gray codes** ([`gray`]): the reflected Gray sequence is a
 //!    Hamiltonian cycle of `Q_m`; ordering external crossings along it is
 //!    what keeps HHC disjoint paths short (ablation F5).
-//!
-//! [`embed`] adds classic embeddings (Gray ring, Hamiltonian paths,
-//! binomial broadcast) and [`alloc`] a buddy-system subcube allocator —
-//! both supported extension features.
 
-pub mod alloc;
 pub mod cube;
-pub mod embed;
 pub mod fan;
 pub mod gray;
 pub mod paths;

@@ -2,7 +2,7 @@
 //! against the explicit-graph ground truth where cubes are small enough
 //! to materialise.
 
-use hypercube::{embed, fan, gray, paths, routing, Cube};
+use hypercube::{fan, gray, paths, routing, Cube};
 use proptest::prelude::*;
 
 proptest! {
@@ -59,27 +59,6 @@ proptest! {
         prop_assert!((total as u128) < cube.num_nodes());
     }
 
-    /// Hamiltonian paths exist exactly for odd-distance pairs and are
-    /// valid when they do.
-    #[test]
-    fn hamiltonian_parity_dichotomy(n in 1u32..=8, a in any::<u64>(), b in any::<u64>()) {
-        let cube = Cube::new(n).unwrap();
-        let mask = (1u128 << n) - 1;
-        let (u, v) = (a as u128 & mask, b as u128 & mask);
-        match embed::hamiltonian_path(&cube, u, v) {
-            Ok(p) => {
-                prop_assert_eq!(cube.distance(u, v) % 2, 1);
-                prop_assert_eq!(p.len() as u128, cube.num_nodes());
-                let set: std::collections::HashSet<_> = p.iter().collect();
-                prop_assert_eq!(set.len(), p.len());
-                for w in p.windows(2) {
-                    prop_assert_eq!(cube.distance(w[0], w[1]), 1);
-                }
-            }
-            Err(_) => prop_assert_eq!(cube.distance(u, v) % 2, 0),
-        }
-    }
-
     /// Gray sequences restricted to arbitrary subsets keep the one-lap
     /// walking bound used by the HHC length analysis.
     #[test]
@@ -94,60 +73,5 @@ proptest! {
             .map(|i| (order[i] ^ order[(i + 1) % order.len()]).count_ones())
             .sum();
         prop_assert!(total as u64 <= period, "cyclic walk exceeds one lap");
-    }
-
-    /// Binomial broadcast always reaches everyone exactly once.
-    #[test]
-    fn broadcast_covers_once(n in 1u32..=8, root in any::<u64>()) {
-        let cube = Cube::new(n).unwrap();
-        let root = root as u128 & ((1u128 << n) - 1);
-        let rounds = embed::broadcast_schedule(&cube, root).unwrap();
-        let mut seen = std::collections::HashSet::from([root]);
-        for round in &rounds {
-            for &(s, t) in round {
-                prop_assert!(seen.contains(&s));
-                prop_assert_eq!(cube.distance(s, t), 1);
-                prop_assert!(seen.insert(t), "node reached twice");
-            }
-        }
-        prop_assert_eq!(seen.len() as u128, cube.num_nodes());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Buddy allocator model check: under random allocate/free sequences,
-    /// live blocks never overlap and accounting is exact.
-    #[test]
-    fn buddy_allocator_model(ops in proptest::collection::vec((0u32..3, 0u32..4), 1..60)) {
-        use hypercube::alloc::BuddyAllocator;
-        let n = 5u32;
-        let cube = Cube::new(n).unwrap();
-        let mut a = BuddyAllocator::new(&cube);
-        let mut live: Vec<hypercube::alloc::Subcube> = Vec::new();
-        for (op, k) in ops {
-            if op < 2 {
-                // allocate (twice as likely as free)
-                if let Some(sc) = a.allocate(k) {
-                    // no overlap with any live block
-                    for other in &live {
-                        let hi = sc.dim.max(other.dim);
-                        prop_assert_ne!(sc.base >> hi, other.base >> hi, "overlap");
-                    }
-                    live.push(sc);
-                }
-            } else if !live.is_empty() {
-                let idx = (k as usize) % live.len();
-                a.free(live.swap_remove(idx));
-            }
-            let allocated: u128 = live.iter().map(|b| 1u128 << b.dim).sum();
-            prop_assert_eq!(a.free_nodes() + allocated, 1u128 << n, "accounting");
-        }
-        // Free everything: must coalesce to the full cube.
-        for b in live.drain(..) {
-            a.free(b);
-        }
-        prop_assert_eq!(a.largest_free_dim(), Some(n));
     }
 }

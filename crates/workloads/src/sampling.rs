@@ -1,8 +1,8 @@
 //! Random node/pair sampling over the HHC address space.
 //!
 //! This is the single home of the pair-sampling logic shared by the
-//! experiment tables, the criterion benches and the stress suites (it
-//! was previously duplicated in each). Everything is deterministic under
+//! experiment tables, the profilers and the stress suites (it was
+//! previously duplicated in each). Everything is deterministic under
 //! the caller's RNG (or seed, for the owning helpers).
 
 use hhc_core::{Hhc, NodeId};

@@ -7,7 +7,7 @@
 
 use hhc_suite::graphs::{bfs, props, vertex_disjoint};
 use hhc_suite::hhc::Hhc;
-use hhc_suite::hypercube::{embed, fan, gray, paths, Cube};
+use hhc_suite::hypercube::{fan, gray, paths, Cube};
 
 fn main() {
     // --- The family at a glance ------------------------------------------
@@ -67,18 +67,11 @@ fn main() {
         f.iter().map(|p| p.len() - 1).collect::<Vec<_>>()
     );
 
-    let ring = embed::hamiltonian_ring(&q4).unwrap();
+    let ring = gray::gray_sequence(4);
     println!(
         "  Gray Hamiltonian cycle visits all {} vertices (first 6: {:?})",
         ring.len(),
         &ring[..6]
-    );
-
-    let rounds = embed::broadcast_schedule(&q4, 0).unwrap();
-    println!(
-        "  binomial-tree broadcast reaches 16 nodes in {} rounds ({} sends)",
-        rounds.len(),
-        rounds.iter().map(|r| r.len()).sum::<usize>()
     );
 
     // --- Gray-cycle crossing order (the length-bound trick) -----------------

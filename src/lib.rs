@@ -9,7 +9,7 @@
 //!   hypercube topology and the construction of `m+1` node-disjoint paths
 //!   between any two nodes;
 //! * [`hypercube`] — symbolic `Q_n` algorithms (routing, disjoint paths,
-//!   fans, embeddings) the construction builds upon;
+//!   fans, Gray codes) the construction builds upon;
 //! * [`graphs`] — explicit-graph ground truth (BFS, Dinic max-flow,
 //!   Menger-optimal disjoint path baseline);
 //! * [`netsim`] — discrete-event store-and-forward simulator used by the
