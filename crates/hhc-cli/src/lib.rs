@@ -931,6 +931,17 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 c.l2_invalidations,
                 c.fault_generation
             );
+            let _ = writeln!(
+                out,
+                "  fault checks  : {} exact fault scans, {} reroutes ({:.1}% of queries scanned)",
+                c.fault_scans,
+                c.fault_reroutes,
+                if c.queries > 0 {
+                    100.0 * c.fault_scans as f64 / c.queries as f64
+                } else {
+                    0.0
+                }
+            );
             if metrics {
                 let _ = writeln!(out, "metrics: {}", report.to_json());
             }
@@ -1364,6 +1375,14 @@ mod tests {
         assert!(out.contains("query 20: "), "first error is surfaced: {out}");
         assert!(out.contains("service time p50"), "{out}");
         assert!(out.contains("fault generation 2"), "{out}");
+        // The fault is live for window 1 (queries 8..16): each of the
+        // hot pair's 4 queries there is scanned and rerouted, and the
+        // other pair's span excludes the fault's cube offset, so the
+        // span test settles its 4 without a scan.
+        assert!(
+            out.contains("4 exact fault scans, 4 reroutes"),
+            "the summary counts the exact scans: {out}"
+        );
         assert!(out.contains("metrics: {\"queries\":"), "{out}");
         // The schedule reached the stream: some window served with the
         // fault active, and the final fault set is empty again.

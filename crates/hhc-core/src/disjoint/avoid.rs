@@ -19,18 +19,28 @@
 //!    plain path is byte-identical with caches on or off, and the fault
 //!    check below is cache-independent, so cache-on ≡ cache-off holds
 //!    for the avoiding entry points trivially).
-//! 2. If no path touches a fault, return it unchanged (`rerouted =
-//!    false`): the fault-free hot path costs one `is_faulty` probe per
-//!    family node, nothing else.
+//! 2. Check it against the faults in O(f): list the live faults
+//!    ([`FaultOracle::list_faults`]) and test each against the family's
+//!    cube-offset span (`family_cache`). Every node `w` of the family
+//!    has `Xw ⊕ Xu ⊆ span`, so a fault with `(Xw ⊕ Xu) & !span ≠ 0` is
+//!    on no path; when every fault fails the test the family is returned
+//!    unchanged (`rerouted = false`) without probing a node. Only when
+//!    some fault passes does the exact scan run: one `is_faulty` probe
+//!    per interior node. If no path touches a fault, the family is
+//!    returned unchanged all the same.
 //! 3. Otherwise (case B) rebuild from the full candidate pool: select
 //!    viable plans in priority order (the two degree-forced candidates
 //!    first), pre-check each plan's middle trajectory and terminal stubs
-//!    against the oracle, and serve the terminal segments with
+//!    against the faults, and serve the terminal segments with
 //!    *fault-avoiding* fans ([`hypercube::fan::fan_paths_avoiding`],
-//!    faulty son-cube coordinates excluded from the flow network). Plans
-//!    whose fan target goes unserved are retired permanently and the
-//!    selection re-runs — drops are monotone, so the loop terminates in
-//!    at most `2^m` rounds.
+//!    faulty son-cube coordinates excluded from the flow network). The
+//!    listed faults give the terminal cubes' forbidden masks directly,
+//!    and a plan's middle walk is probed only when some fault's offset
+//!    lies within the plan's crossing set (every cube the walk visits
+//!    is a prefix XOR of its positions). Plans whose fan target goes
+//!    unserved are retired permanently and the selection re-runs —
+//!    drops are monotone, so the loop terminates in at most `2^m`
+//!    rounds.
 //! 4. Degradation is graceful, never a panic: if the rebuild yields
 //!    fewer paths than simply dropping the blocked ones from the plain
 //!    family (case A always, case B when faults overwhelm the pool), the
@@ -99,15 +109,31 @@ pub(super) fn avoid_into(
 
     let l2_hits_before = sc.metrics.l2_hits;
     super::construct_into(hhc, u, v, order, out, sc, false)?;
+    let plain = AvoidOutcome {
+        paths: out.len(),
+        rerouted: false,
+    };
     if faults.fault_count() == 0 {
-        return Ok(AvoidOutcome {
-            paths: out.len(),
-            rerouted: false,
-        });
+        return Ok(plain);
     }
 
-    // Which plain paths a fault blocks (endpoints are known healthy, so
-    // only interior nodes need probing).
+    // The span test: a fault whose cube offset leaves the family's span
+    // is on no path. When every live fault fails it, the family stands
+    // without a single node probe.
+    sc.avoid_faults.clear();
+    faults.list_faults(&mut sc.avoid_faults);
+    let (xu, span) = (hhc.cube_field(u), sc.span as u128);
+    if !sc
+        .avoid_faults
+        .iter()
+        .any(|&w| offset_within(hhc, w, xu, span))
+    {
+        return Ok(plain);
+    }
+    sc.metrics.fault_scans += 1;
+
+    // The exact scan: which plain paths a fault blocks (endpoints are
+    // known healthy, so only interior nodes need probing).
     sc.avoid_blocked.clear();
     let mut any_blocked = false;
     for p in out.iter() {
@@ -116,10 +142,7 @@ pub(super) fn avoid_into(
         any_blocked |= blocked;
     }
     if !any_blocked {
-        return Ok(AvoidOutcome {
-            paths: out.len(),
-            rerouted: false,
-        });
+        return Ok(plain);
     }
     sc.metrics.fault_reroutes += 1;
     // The lazy-invalidation event of the tiered cache: a family replayed
@@ -156,9 +179,10 @@ pub(super) fn avoid_into(
     })
 }
 
-/// Case-B rebuild over the full `2^m`-candidate plan pool. Writes the
-/// rebuilt family into `out` (cleared first); an empty `out` means no
-/// viable selection survived.
+/// Case-B rebuild over the full `2^m`-candidate plan pool, against the
+/// faults `avoid_into` listed into `sc.avoid_faults` (`faults` answers
+/// the exact middle-walk probes). Writes the rebuilt family into `out`
+/// (cleared first); an empty `out` means no viable selection survived.
 fn rebuild_cross_cube(
     hhc: &Hhc,
     u: NodeId,
@@ -250,14 +274,15 @@ fn rebuild_cross_cube(
     }
 
     // Faulty son-cube coordinates in the two terminal cubes, as fan
-    // forbidden masks (2·2^m oracle probes, done once).
+    // forbidden masks, read off the listed faults.
     let mut forb_src = 0u64;
     let mut forb_tgt = 0u64;
-    for y in 0..(1u32 << m) {
-        if faults.is_faulty(hhc.node(xu, y)?) {
+    for &w in &sc.avoid_faults {
+        let (x, y) = (hhc.cube_field(w), hhc.node_field(w));
+        if x == xu {
             forb_src |= 1 << y;
         }
-        if faults.is_faulty(hhc.node(xv, y)?) {
+        if x == xv {
             forb_tgt |= 1 << y;
         }
     }
@@ -291,13 +316,21 @@ fn rebuild_cross_cube(
                 _ => {
                     // First consideration: check the plan's fixed
                     // trajectory (terminal stubs + middle walk) against
-                    // the oracle before letting it consume a slot.
+                    // the faults before letting it consume a slot. The
+                    // walk only visits cubes whose offset from Xu lies
+                    // within the plan's crossing set, so it is probed
+                    // only if some fault's offset does too.
                     let p = &sc.avoid_cand_pos
                         [sc.avoid_cand_off[c] as usize..sc.avoid_cand_off[c + 1] as usize];
                     let (first, last) = (p[0], p[p.len() - 1]);
                     let stub_blocked = (first != yu && forb_src >> first & 1 == 1)
                         || (last != yv && forb_tgt >> last & 1 == 1);
-                    if stub_blocked || middle_blocked(hhc, p, xu, xv, faults)? {
+                    let crossing = p.iter().fold(0u128, |acc, &q| acc | 1 << q);
+                    let walk_exposed = sc
+                        .avoid_faults
+                        .iter()
+                        .any(|&w| offset_within(hhc, w, xu, crossing));
+                    if stub_blocked || (walk_exposed && middle_blocked(hhc, p, xu, xv, faults)?) {
                         sc.avoid_state[c] = DEAD;
                         sc.metrics.fault_avoided_plans += 1;
                     } else {
@@ -405,6 +438,13 @@ fn rebuild_cross_cube(
         return Ok(());
     }
     unreachable!("avoid rebuild failed to converge despite monotone drops (bug)");
+}
+
+/// Whether `w`'s cube offset from `xu` lies within the offset set
+/// `within` (bit `p` = position `p`): necessary for `w` to sit on a
+/// family or walk whose every node's offset lies within that set.
+fn offset_within(hhc: &Hhc, w: NodeId, xu: u128, within: u128) -> bool {
+    (hhc.cube_field(w) ^ xu) & !within == 0
 }
 
 /// Whether a fault blocks the plan's fixed middle trajectory: every node

@@ -19,7 +19,13 @@
 //!
 //! Entries also carry the rotation/detour plan counts of the cached
 //! family so metric conservation laws (`rotation_plans + detour_plans =
-//! degree × cross_cube + same_cube`) survive cache replays.
+//! degree × cross_cube + same_cube`) survive cache replays, and the
+//! family's cube-offset **span**: the OR of `Xw ⊕ Xu` over its nodes
+//! (`2^m ≤ 64` positions, so one word). Translation leaves offsets
+//! unchanged, so one span serves every replay of the entry. A fault `w`
+//! can lie on the replayed family only if `(Xw ⊕ Xu) & !span == 0`; the
+//! fault-avoiding layer tests each live fault against it before it
+//! probes a single node.
 //!
 //! This module owns the entry format for both family tiers: the shared
 //! L2 ([`SharedFamilyCache`](crate::SharedFamilyCache)) keeps the same
@@ -100,27 +106,57 @@ pub(crate) fn family_key(m: u32, dx: u128, yu: u32, yv: u32, order: CrossingOrde
     dx | (yu as u128) << 64 | (yv as u128) << 72 | (m as u128) << 80 | order_bit << 88
 }
 
+/// What a replay reports next to the family it appended:
+/// `(rotations, detours, span)` — the plan counts the family was built
+/// from and its cube-offset span (see the module docs).
+pub(crate) type Replayed = (u64, u64, u64);
+
+/// The cube-offset span of `set`, a family of `HHC(m)` whose source
+/// cube field `Xu` sits in `mask = Xu << m`: the OR over its nodes of
+/// `Xw ⊕ Xu`. [`FamilyEntry::canonical`] computes the same word in its
+/// canonicalising pass; this is for families no tier stores.
+pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet) -> u64 {
+    let or = set
+        .iter()
+        .flatten()
+        .fold(0u128, |acc, v| acc | (v.raw() ^ mask));
+    (or >> m) as u64
+}
+
 /// One cached canonical family: the CSR path set for `Xu = 0`, plus the
-/// plan counts it was built from. The one entry format of both family
-/// tiers: the per-builder [`FamilyCache`] and the shared L2
-/// ([`SharedFamilyCache`](crate::SharedFamilyCache)).
+/// plan counts it was built from and its cube-offset span. The one
+/// entry format of both family tiers: the per-builder [`FamilyCache`]
+/// and the shared L2 ([`SharedFamilyCache`](crate::SharedFamilyCache)).
 #[derive(Debug)]
 pub(crate) struct FamilyEntry {
     nodes: Box<[u128]>,
     offsets: Box<[u32]>,
     rotations: u64,
     detours: u64,
+    span: u64,
 }
 
 impl FamilyEntry {
-    /// Canonicalises `set` (a fresh construction for some pair with
-    /// translation mask `mask`) to `Xu = 0` by XOR-ing `mask` back out.
-    pub(crate) fn canonical(mask: u128, set: &PathSet, rotations: u64, detours: u64) -> Self {
+    /// Canonicalises `set` (a fresh construction on `HHC(m)` for some
+    /// pair with translation mask `mask`) to `Xu = 0` by XOR-ing `mask`
+    /// back out, OR-ing the canonical words into the span on the way.
+    pub(crate) fn canonical(
+        m: u32,
+        mask: u128,
+        set: &PathSet,
+        rotations: u64,
+        detours: u64,
+    ) -> Self {
         let mut nodes = Vec::with_capacity(set.total_nodes());
         let mut offsets = Vec::with_capacity(set.len() + 1);
         offsets.push(0u32);
+        let mut or = 0u128;
         for path in set.iter() {
-            nodes.extend(path.iter().map(|v| v.raw() ^ mask));
+            nodes.extend(path.iter().map(|v| {
+                let w = v.raw() ^ mask;
+                or |= w;
+                w
+            }));
             offsets.push(nodes.len() as u32);
         }
         FamilyEntry {
@@ -128,17 +164,23 @@ impl FamilyEntry {
             offsets: offsets.into_boxed_slice(),
             rotations,
             detours,
+            span: (or >> m) as u64,
         }
     }
 
+    /// The entry's cube-offset span.
+    pub(crate) fn span(&self) -> u64 {
+        self.span
+    }
+
     /// Appends the family translated by `mask` to `out` and returns its
-    /// `(rotations, detours)` plan counts — byte-identical to what the
-    /// construction that stored it produced, by the equivariance
-    /// argument of the module docs.
+    /// plan counts and span — byte-identical to what the construction
+    /// that stored it produced, by the equivariance argument of the
+    /// module docs.
     #[inline]
-    pub(crate) fn replay(&self, mask: u128, out: &mut PathSet) -> (u64, u64) {
+    pub(crate) fn replay(&self, mask: u128, out: &mut PathSet) -> Replayed {
         out.extend_csr_xor(&self.nodes, &self.offsets, mask);
-        (self.rotations, self.detours)
+        (self.rotations, self.detours, self.span)
     }
 }
 
@@ -288,16 +330,11 @@ impl FamilyCache {
     }
 
     /// On a hit, appends the cached family translated by `mask` to `out`
-    /// (which must be cleared) and returns its `(rotations, detours)`
-    /// plan counts. Every call on an enabled cache counts as one probe
-    /// for the adaptive bypass; a sustained miss streak at a near-zero
-    /// hit rate latches [`Self::probe_only`].
-    pub(crate) fn replay(
-        &mut self,
-        key: u128,
-        mask: u128,
-        out: &mut PathSet,
-    ) -> Option<(u64, u64)> {
+    /// (which must be cleared) and returns its plan counts and span.
+    /// Every call on an enabled cache counts as one probe for the
+    /// adaptive bypass; a sustained miss streak at a near-zero hit rate
+    /// latches [`Self::probe_only`].
+    pub(crate) fn replay(&mut self, key: u128, mask: u128, out: &mut PathSet) -> Option<Replayed> {
         if self.map.capacity == 0 {
             return None;
         }
@@ -320,22 +357,27 @@ impl FamilyCache {
         replayed
     }
 
-    /// Stores the family in `set` (a fresh construction for some pair
-    /// with translation mask `mask`) under `key`, canonicalised to
-    /// `Xu = 0`.
+    /// Stores the family in `set` (a fresh construction on `HHC(m)` for
+    /// some pair with translation mask `mask`) under `key`, canonicalised
+    /// to `Xu = 0`. Returns the span the canonicalising pass computed,
+    /// or `None` when the cache stores nothing (capacity 0 or latched
+    /// probe-only).
     pub(crate) fn store(
         &mut self,
         key: u128,
+        m: u32,
         mask: u128,
         set: &PathSet,
         rotations: u64,
         detours: u64,
-    ) {
+    ) -> Option<u64> {
         if self.map.capacity == 0 || self.probe_only {
-            return;
+            return None;
         }
-        self.map
-            .insert(key, FamilyEntry::canonical(mask, set, rotations, detours));
+        let entry = FamilyEntry::canonical(m, mask, set, rotations, detours);
+        let span = entry.span();
+        self.map.insert(key, entry);
+        Some(span)
     }
 }
 
@@ -374,11 +416,15 @@ mod tests {
             }
             set.finish_path();
         }
-        cache.store(1, 4, &set, 2, 1);
+        // As a family of HHC(1): cube field = raw >> 1.
+        assert_eq!(cache.store(1, 1, 4, &set, 2, 1), Some(0b111));
         // Replaying with a different mask translates node-wise.
         let mut out = PathSet::new();
-        let (nr, nd) = cache.replay(1, 8, &mut out).unwrap();
+        let (nr, nd, span) = cache.replay(1, 8, &mut out).unwrap();
         assert_eq!((nr, nd), (2, 1));
+        // Canonical words 1, 3, 13, 1, 2, 13: cube offsets 0, 1, 6, 0, 1, 6.
+        assert_eq!(span, 0b111);
+        assert_eq!(family_span(1, 4, &set), span, "both span passes agree");
         let expect: Vec<u128> = [5u128, 7, 9, 5, 6, 9].iter().map(|r| r ^ 4 ^ 8).collect();
         let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(got, expect);
@@ -391,7 +437,7 @@ mod tests {
         let mut set = PathSet::new();
         set.push_node(NodeId::from_raw(3));
         set.finish_path();
-        cache.store(1, 0, &set, 0, 1);
+        assert_eq!(cache.store(1, 1, 0, &set, 0, 1), None);
         assert!(cache.replay(1, 0, &mut PathSet::new()).is_none());
         assert!(cache.is_empty());
         // A disabled cache does no bypass accounting either.
@@ -411,7 +457,7 @@ mod tests {
         let mut cache = FamilyCache::new(8);
         let set = one_path_set();
         // An entry stored before the latch keeps replaying after it.
-        cache.store(u128::MAX, 0, &set, 1, 0);
+        cache.store(u128::MAX, 1, 0, &set, 1, 0);
         let mut out = PathSet::new();
         for key in 0..BYPASS_MIN_PROBES as u128 {
             assert!(cache.replay(key, 0, &mut out).is_none());
@@ -421,7 +467,7 @@ mod tests {
         assert_eq!(cache.probes(), BYPASS_MIN_PROBES);
         // Latched: store is a no-op...
         let before = cache.len();
-        cache.store(42, 0, &set, 0, 1);
+        assert_eq!(cache.store(42, 1, 0, &set, 0, 1), None);
         assert_eq!(cache.len(), before);
         assert!(cache.replay(42, 0, &mut out).is_none());
         // ...but pre-latch entries still hit, and the event count stays 1.
@@ -432,7 +478,7 @@ mod tests {
     #[test]
     fn bypass_never_latches_while_the_cache_is_useful() {
         let mut cache = FamilyCache::new(8);
-        cache.store(7, 0, &one_path_set(), 1, 0);
+        cache.store(7, 1, 0, &one_path_set(), 1, 0);
         let mut out = PathSet::new();
         for _ in 0..4 * BYPASS_MIN_PROBES {
             assert!(cache.replay(7, 0, &mut out).is_some());

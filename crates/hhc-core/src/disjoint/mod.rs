@@ -115,9 +115,15 @@ pub struct PathBuilder {
     seg_tgt: Vec<u32>,
     src_fan: FanScratch,
     tgt_fan: FanScratch,
-    // Fault-avoiding rebuild scratch (see `avoid`): survivor snapshot,
-    // per-path blocked flags, the full candidate-plan arena with its
-    // selection state, priority order and current selection.
+    // Cube-offset span of the family `construct_into` last wrote (see
+    // `family_cache`): the replayed entry's, or computed once for a
+    // fresh construction.
+    span: u64,
+    // Fault-avoiding scratch (see `avoid`): the listed live faults,
+    // survivor snapshot, per-path blocked flags, the full candidate-plan
+    // arena with its selection state, priority order and current
+    // selection.
+    avoid_faults: Vec<NodeId>,
     avoid_tmp: PathSet,
     avoid_blocked: Vec<bool>,
     avoid_cand_pos: Vec<u32>,
@@ -357,7 +363,8 @@ fn construct_into(
             None => scratch.family_cache.replay(key, mask, out),
         };
         let m = &mut scratch.metrics;
-        if let Some((nr, nd)) = replayed {
+        if let Some((nr, nd, span)) = replayed {
+            scratch.span = span;
             m.queries += 1;
             if scratch.shared_cache.is_some() {
                 m.l2_hits += 1;
@@ -395,10 +402,13 @@ fn construct_into(
         } else {
             (scratch.rot_sel.len() as u64, scratch.det_sel.len() as u64)
         };
-        match &scratch.shared_cache {
-            Some(l2) => l2.store(key, mask, out, nr, nd),
-            None => scratch.family_cache.store(key, mask, out, nr, nd),
-        }
+        // The store's canonicalising pass computes the span; a tier that
+        // stores nothing leaves it to one pass here.
+        let stored = match &scratch.shared_cache {
+            Some(l2) => l2.store(key, hhc.m(), mask, out, nr, nd),
+            None => scratch.family_cache.store(key, hhc.m(), mask, out, nr, nd),
+        };
+        scratch.span = stored.unwrap_or_else(|| family_cache::family_span(hhc.m(), mask, out));
         let m = &mut scratch.metrics;
         m.queries += 1;
         if same {

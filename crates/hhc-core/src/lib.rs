@@ -82,7 +82,7 @@ pub use disjoint::{
     CrossingOrder, PathBuilder,
 };
 pub use error::HhcError;
-pub use fault::{FaultOracle, NoFaults};
+pub use fault::{FaultOracle, FaultSet, NoFaults};
 pub use metrics::{ConstructionMetrics, MetricsReport};
 pub use node::NodeId;
 pub use pathset::PathSet;

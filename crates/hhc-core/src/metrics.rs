@@ -59,6 +59,11 @@ pub struct ConstructionMetrics {
     /// [`PathBuilder::reset_metrics`](crate::PathBuilder::reset_metrics)
     /// and resets only when the cache itself is replaced.
     pub family_bypass_events: u64,
+    /// Fault-avoiding queries whose check the span test could not
+    /// settle: some live fault's cube offset lay within the family's
+    /// span, so the exact per-node scan ran. Every reroute is one, so
+    /// `fault_reroutes ≤ fault_scans ≤ queries`.
+    pub fault_scans: u64,
     /// Fault-avoiding constructions that had to deviate from the plain
     /// family (at least one plain path intersected the fault set).
     pub fault_reroutes: u64,
@@ -97,6 +102,7 @@ impl ConstructionMetrics {
         self.family_hits += other.family_hits;
         self.family_hits_cross += other.family_hits_cross;
         self.family_bypass_events += other.family_bypass_events;
+        self.fault_scans += other.fault_scans;
         self.fault_reroutes += other.fault_reroutes;
         self.fault_avoided_plans += other.fault_avoided_plans;
         self.l2_hits += other.l2_hits;
@@ -164,6 +170,7 @@ impl MetricsReport {
         o.u64("family_hits", c.family_hits);
         o.u64("family_hits_cross", c.family_hits_cross);
         o.u64("family_bypass_events", c.family_bypass_events);
+        o.u64("fault_scans", c.fault_scans);
         o.u64("fault_reroutes", c.fault_reroutes);
         o.u64("fault_avoided_plans", c.fault_avoided_plans);
         o.u64("l2_hits", c.l2_hits);
@@ -207,13 +214,16 @@ mod tests {
         a.src_fan.queries = 2;
         a.tgt_fan.queries = 2;
         a.solver.bfs_passes = 7;
+        a.construction.fault_scans = 2;
         let mut b = MetricsReport::default();
         b.construction.queries = 1;
         b.construction.same_cube = 1;
+        b.construction.fault_scans = 1;
         b.solver.bfs_passes = 1;
         a.merge(&b);
         assert_eq!(a.construction.queries, 4);
         assert_eq!(a.construction.same_cube, 1);
+        assert_eq!(a.construction.fault_scans, 3);
         assert_eq!(a.fan_queries(), 4);
         assert_eq!(a.solver.bfs_passes, 8);
     }
@@ -247,8 +257,10 @@ mod tests {
     fn json_omits_timing_when_empty() {
         let mut r = MetricsReport::default();
         r.construction.queries = 1;
+        r.construction.fault_scans = 1;
         let j = r.to_json();
         assert!(j.contains("\"queries\":1"));
+        assert!(j.contains("\"fault_scans\":1,\"fault_reroutes\":0"));
         assert!(!j.contains("timing_ns"));
         r.construction.timing.record_ns(500);
         assert!(r.to_json().contains("\"timing_ns\":{"));

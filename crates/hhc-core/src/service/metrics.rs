@@ -81,6 +81,7 @@ atomic_report! {
         family_hits => construction.family_hits;
         family_hits_cross => construction.family_hits_cross;
         family_bypass_events => construction.family_bypass_events;
+        fault_scans => construction.fault_scans;
         fault_reroutes => construction.fault_reroutes;
         fault_avoided_plans => construction.fault_avoided_plans;
         l2_hits => construction.l2_hits;

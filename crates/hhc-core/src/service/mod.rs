@@ -41,16 +41,21 @@
 //! [`Router::add_fault`] / [`Router::clear_fault`] take effect without
 //! stopping the service: each event bumps the cache's generation
 //! counter, workers notice the moved generation with one atomic load at
-//! their next query and re-snapshot the fault set. Cached entries are
-//! **not** discarded — they are plain (fault-blind) families, which stay
-//! true facts about the topology. Each query runs through the
-//! fault-avoiding layer, which scans the (possibly replayed) plain
-//! family against the live snapshot and repairs blocked ones via the
-//! `construct_avoiding` rebuild — the rebuild bypasses every cache tier,
-//! so answers are byte-identical to a cold cache *by construction*
-//! (the cache-on ≡ cache-off argument of the avoiding layer, extended
-//! to the shared tier; see `tests/router_equivalence.rs`). L2 replays
-//! that had to be repaired are counted as `l2_invalidations` in
+//! their next query and re-snapshot the fault set into a worker-owned
+//! sorted [`FaultSet`] (one slice copy into reused capacity). Cached
+//! entries are **not** discarded — they are plain (fault-blind)
+//! families, which stay true facts about the topology.
+//! Each query runs through the fault-avoiding layer, which checks the
+//! (possibly replayed) plain family against the snapshot in O(f): each
+//! live fault is tested against the entry's cube-offset span, and only
+//! a fault that passes sends the family through the exact per-node scan
+//! (a binary search over the ≤ m snapshot nodes per probe). Blocked
+//! families are repaired via the `construct_avoiding` rebuild — the
+//! rebuild bypasses every cache tier, so answers are byte-identical to a
+//! cold cache *by construction* (the cache-on ≡ cache-off argument of
+//! the avoiding layer, extended to the shared tier; see
+//! `tests/router_equivalence.rs`). Exact scans are counted as
+//! `fault_scans`, repaired L2 replays as `l2_invalidations` in
 //! [`ConstructionMetrics`](crate::ConstructionMetrics).
 //!
 //! ## Interface
@@ -70,12 +75,12 @@ pub use shared::{L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHAR
 use self::metrics::AtomicReport;
 use crate::disjoint::{disjoint_paths_avoiding_into, CrossingOrder, PathBuilder};
 use crate::error::HhcError;
+use crate::fault::FaultSet;
 use crate::metrics::MetricsReport;
 use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::{CacheConfig, Path};
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -494,7 +499,7 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
         builder.attach_shared_cache(Arc::clone(&ctx.shared));
     }
     let mut out = PathSet::new();
-    let mut local_faults: HashSet<NodeId> = HashSet::new();
+    let mut local_faults = FaultSet::default();
     let mut local_gen = ctx.shared.faults_snapshot_into(&mut local_faults);
     let mut seen_flush = ctx.flush_epoch.load(Ordering::Acquire);
     // The builder's cumulative report at the last publication; the
@@ -509,7 +514,7 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
         batch.result.clear();
         for &(u, v) in &batch.pairs {
             // Epoch fast path: one atomic load per query; the fault set
-            // is re-cloned only when an event moved the generation.
+            // is re-copied only when an event moved the generation.
             let gen = ctx.shared.generation();
             if gen != local_gen {
                 local_gen = ctx.shared.faults_snapshot_into(&mut local_faults);
@@ -691,6 +696,10 @@ mod tests {
         let c = router.metrics().construction;
         assert_eq!(c.fault_generation, 2, "add + clear = two generations");
         assert!(c.fault_reroutes >= 1);
+        assert!(
+            c.fault_reroutes <= c.fault_scans && c.fault_scans <= c.queries,
+            "every reroute is an exact scan, at most one per query: {c:?}"
+        );
     }
 
     #[test]

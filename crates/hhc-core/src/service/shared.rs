@@ -3,9 +3,9 @@
 //!
 //! Entries are the same translation-canonical families the per-builder
 //! [`FamilyCache`](crate::FamilyCache) stores (CSR node list for
-//! `Xu = 0`, plus the plan counts), keyed by the same
-//! `(m, Xu⊕Xv, Yu, Yv, order)` key — so one stored solve serves every
-//! worker and every cube-field translation.
+//! `Xu = 0`, plus the plan counts and the cube-offset span), keyed by
+//! the same `(m, Xu⊕Xv, Yu, Yv, order)` key — so one stored solve
+//! serves every worker and every cube-field translation.
 //!
 //! ## Striped generation maps
 //!
@@ -34,19 +34,21 @@
 //! Entries hold *plain* (fault-blind) constructions, which never become
 //! wrong when the fault set changes. What changes is whether a replayed
 //! (translated) family is *usable* under the current faults; that check
-//! is the fault scan the avoiding layer already performs on the
-//! replayed node set, and a blocked replay is repaired through
-//! `construct_avoiding`'s rebuild (which bypasses every cache tier by
-//! design). This is the lazy-invalidation scheme: fault events bump
+//! is the avoiding layer's: each live fault against the replayed entry's
+//! span, then an exact scan of the family only if some fault passes.
+//! A blocked replay is repaired through `construct_avoiding`'s rebuild
+//! (which bypasses every cache tier by design). This is the
+//! lazy-invalidation scheme: fault events bump
 //! [`SharedFamilyCache::generation`] and touch nothing else; only the
 //! entries whose translated families actually intersect a fault pay a
 //! repair, and they become servable again the moment the fault clears —
-//! no eager scan, no cache discard.
+//! no eager scan, no cache discard. The live set is a sorted
+//! [`FaultSet`], so a worker's snapshot of it is one slice copy.
 
-use crate::disjoint::family_cache::{FamilyEntry, FamilyMap};
+use crate::disjoint::family_cache::{FamilyEntry, FamilyMap, Replayed};
+use crate::fault::FaultSet;
 use crate::node::NodeId;
 use crate::pathset::PathSet;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -119,9 +121,10 @@ pub struct SharedFamilyCache {
     stripe_mask: usize,
     shard_capacity: usize,
     /// Bumped once per fault-set mutation, while the fault write lock is
-    /// held; readers pair it with the set via [`Self::faults_snapshot`].
+    /// held; readers pair it with the set via
+    /// [`Self::faults_snapshot_into`].
     generation: AtomicU64,
-    faults: RwLock<HashSet<NodeId>>,
+    faults: RwLock<FaultSet>,
 }
 
 impl SharedFamilyCache {
@@ -134,7 +137,7 @@ impl SharedFamilyCache {
             stripe_mask: n - 1,
             shard_capacity: cfg.shard_capacity,
             generation: AtomicU64::new(0),
-            faults: RwLock::new(HashSet::new()),
+            faults: RwLock::new(FaultSet::default()),
         }
     }
 
@@ -187,27 +190,22 @@ impl SharedFamilyCache {
     /// it was not faulty.
     pub fn clear_fault(&self, v: NodeId) -> bool {
         let mut f = self.faults.write().unwrap_or_else(PoisonError::into_inner);
-        let removed = f.remove(&v);
+        let removed = f.remove(v);
         if removed {
             self.generation.fetch_add(1, Ordering::AcqRel);
         }
         removed
     }
 
-    /// A consistent `(generation, fault set)` pair: the generation is
-    /// read under the same read lock that guards the clone, so it never
-    /// lags the set. Workers re-snapshot only when
-    /// [`Self::generation`] moves — the epoch scheme's fast path is one
-    /// atomic load per query.
-    pub fn faults_snapshot(&self) -> (u64, HashSet<NodeId>) {
-        let f = self.faults.read().unwrap_or_else(PoisonError::into_inner);
-        (self.generation.load(Ordering::Acquire), f.clone())
-    }
-
-    /// [`Self::faults_snapshot`] into a caller-owned set (capacity is
-    /// reused, so a long-lived worker re-snapshots without allocating
-    /// once its set has grown to the high-water fault count).
-    pub fn faults_snapshot_into(&self, out: &mut HashSet<NodeId>) -> u64 {
+    /// Copies the live fault set into `out` and returns its generation.
+    /// The pair is consistent: the generation is read under the same
+    /// read lock that guards the copy, so it never lags the set. Workers
+    /// re-snapshot only when [`Self::generation`] moves — the epoch
+    /// scheme's fast path is one atomic load per query — and the copy
+    /// reuses `out`'s capacity, so a long-lived worker re-snapshots
+    /// without allocating once its set has grown to the high-water
+    /// fault count.
+    pub fn faults_snapshot_into(&self, out: &mut FaultSet) -> u64 {
         let f = self.faults.read().unwrap_or_else(PoisonError::into_inner);
         out.clone_from(&f);
         self.generation.load(Ordering::Acquire)
@@ -243,13 +241,13 @@ impl SharedFamilyCache {
     }
 
     /// On a hit, appends the cached family translated by `mask` to
-    /// `out` and returns its `(rotations, detours)` plan counts —
-    /// byte-identical to what the construction that stored it produced,
-    /// by the same equivariance argument as the per-builder replay.
-    /// Holds the stripe's read lock for the copy; allocates nothing once
-    /// `out` has grown to the family's size.
+    /// `out` and returns its plan counts and span — byte-identical to
+    /// what the construction that stored it produced, by the same
+    /// equivariance argument as the per-builder replay. Holds the
+    /// stripe's read lock for the copy; allocates nothing once `out` has
+    /// grown to the family's size.
     #[inline]
-    pub(crate) fn replay(&self, key: u128, mask: u128, out: &mut PathSet) -> Option<(u64, u64)> {
+    pub(crate) fn replay(&self, key: u128, mask: u128, out: &mut PathSet) -> Option<Replayed> {
         if self.shard_capacity == 0 {
             return None;
         }
@@ -258,16 +256,28 @@ impl SharedFamilyCache {
             .map(|e| e.replay(mask, out))
     }
 
-    /// Stores the family in `set` (a fresh construction under
-    /// translation `mask`) canonicalised to `Xu = 0`. The entry is built
-    /// before the stripe's write lock is taken; under the lock the store
-    /// is one insert, with a generation sweep when the hot map is full.
-    pub(crate) fn store(&self, key: u128, mask: u128, set: &PathSet, rotations: u64, detours: u64) {
+    /// Stores the family in `set` (a fresh construction on `HHC(m)`
+    /// under translation `mask`) canonicalised to `Xu = 0`, and returns
+    /// the span the canonicalising pass computed (`None` on an inert
+    /// tier). The entry is built before the stripe's write lock is
+    /// taken; under the lock the store is one insert, with a generation
+    /// sweep when the hot map is full.
+    pub(crate) fn store(
+        &self,
+        key: u128,
+        m: u32,
+        mask: u128,
+        set: &PathSet,
+        rotations: u64,
+        detours: u64,
+    ) -> Option<u64> {
         if self.shard_capacity == 0 {
-            return;
+            return None;
         }
-        let entry = FamilyEntry::canonical(mask, set, rotations, detours);
+        let entry = FamilyEntry::canonical(m, mask, set, rotations, detours);
+        let span = entry.span();
         self.write(self.stripe_of(key)).insert(key, entry);
+        Some(span)
     }
 }
 
@@ -281,6 +291,10 @@ impl Default for SharedFamilyCache {
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// The span of [`two_path_set`] stored as a family of HHC(1) under
+    /// an even mask: canonical cube offsets 0, 1 and 6.
+    const SPAN: u64 = 0b111;
 
     fn two_path_set() -> PathSet {
         let mut set = PathSet::new();
@@ -299,10 +313,10 @@ mod tests {
             shards: 4,
             shard_capacity: 8,
         });
-        l2.store(1, 4, &two_path_set(), 2, 1);
+        l2.store(1, 1, 4, &two_path_set(), 2, 1);
         let mut out = PathSet::new();
-        let (nr, nd) = l2.replay(1, 8, &mut out).unwrap();
-        assert_eq!((nr, nd), (2, 1));
+        let (nr, nd, span) = l2.replay(1, 8, &mut out).unwrap();
+        assert_eq!((nr, nd, span), (2, 1, SPAN));
         let expect: Vec<u128> = [5u128, 7, 9, 5, 6, 9].iter().map(|r| r ^ 4 ^ 8).collect();
         let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(got, expect);
@@ -322,11 +336,11 @@ mod tests {
         let mut out = PathSet::new();
         for key in 0..32u128 {
             assert!(l2.replay(key, 0, &mut out).is_none(), "cold tier misses");
-            l2.store(key, 0, &two_path_set(), key as u64, 0);
+            l2.store(key, 1, 0, &two_path_set(), key as u64, 0);
             out.clear();
             assert_eq!(
                 l2.replay(key, 0, &mut out).expect("store is visible"),
-                (key as u64, 0)
+                (key as u64, 0, SPAN)
             );
             out.clear();
         }
@@ -340,20 +354,20 @@ mod tests {
             shards: 1,
             shard_capacity: 8,
         });
-        l2.store(7, 0, &two_path_set(), 1, 0);
+        l2.store(7, 1, 0, &two_path_set(), 1, 0);
         let mut out = PathSet::new();
         assert!(l2.replay(7, 0, &mut out).is_some());
         l2.flush();
         out.clear();
         assert!(l2.replay(7, 0, &mut out).is_none(), "flush is visible");
-        l2.store(7, 0, &two_path_set(), 2, 0);
-        assert_eq!(l2.replay(7, 0, &mut out), Some((2, 0)));
+        l2.store(7, 1, 0, &two_path_set(), 2, 0);
+        assert_eq!(l2.replay(7, 0, &mut out), Some((2, 0, SPAN)));
     }
 
     #[test]
     fn disabled_tier_is_inert() {
         let l2 = SharedFamilyCache::new(L2Config::disabled());
-        l2.store(1, 0, &two_path_set(), 0, 1);
+        l2.store(1, 1, 0, &two_path_set(), 0, 1);
         assert!(l2.replay(1, 0, &mut PathSet::new()).is_none());
         assert!(l2.is_empty());
     }
@@ -367,7 +381,7 @@ mod tests {
         });
         let set = two_path_set();
         for key in 0..10 * cap as u128 {
-            l2.store(key, 0, &set, 1, 0);
+            l2.store(key, 1, 0, &set, 1, 0);
         }
         assert!(
             l2.len() <= 2 * cap,
@@ -384,7 +398,7 @@ mod tests {
         });
         let set = two_path_set();
         for key in 0..cap as u128 + 1 {
-            l2.store(key, 0, &set, key as u64, 0);
+            l2.store(key, 1, 0, &set, key as u64, 0);
         }
         // Keys 0 and 1 were swept to the cold generation by the third
         // store; every key must still replay.
@@ -393,7 +407,7 @@ mod tests {
             out.clear();
             assert_eq!(
                 l2.replay(key, 0, &mut out),
-                Some((key as u64, 0)),
+                Some((key as u64, 0, SPAN)),
                 "key {key} must survive the generation sweep"
             );
         }
@@ -408,14 +422,14 @@ mod tests {
             shard_capacity: 1,
         });
         let set = two_path_set();
-        l2.store(0, 0, &set, 0, 0);
-        l2.store(1, 0, &set, 1, 0);
+        l2.store(0, 1, 0, &set, 0, 0);
+        l2.store(1, 1, 0, &set, 1, 0);
         let mut out = PathSet::new();
         assert!(
             l2.replay(0, 0, &mut out).is_some(),
             "0 is cold, still served"
         );
-        l2.store(2, 0, &set, 2, 0);
+        l2.store(2, 1, 0, &set, 2, 0);
         assert!(
             l2.replay(0, 0, &mut out).is_none(),
             "0 was swept, not promoted"
@@ -430,9 +444,9 @@ mod tests {
             shards: 1,
             shard_capacity: 4,
         });
-        l2.store(3, 0, &two_path_set(), 1, 0);
-        l2.store(3, 0, &two_path_set(), 9, 9);
-        assert_eq!(l2.replay(3, 0, &mut PathSet::new()), Some((1, 0)));
+        l2.store(3, 1, 0, &two_path_set(), 1, 0);
+        l2.store(3, 1, 0, &two_path_set(), 9, 9);
+        assert_eq!(l2.replay(3, 0, &mut PathSet::new()), Some((1, 0, SPAN)));
         assert_eq!(l2.len(), 1);
     }
 
@@ -448,13 +462,12 @@ mod tests {
         assert!(l2.clear_fault(v));
         assert!(!l2.clear_fault(v), "duplicate clear is a no-op");
         assert_eq!(l2.generation(), 2);
-        let (gen, snap) = l2.faults_snapshot();
-        assert_eq!(gen, 2);
-        assert!(snap.is_empty());
-        let mut reused = HashSet::new();
-        reused.insert(NodeId::from_raw(9));
+        let mut reused: FaultSet = [NodeId::from_raw(9)].into_iter().collect();
         assert_eq!(l2.faults_snapshot_into(&mut reused), 2);
         assert!(reused.is_empty(), "snapshot_into replaces the contents");
+        assert!(l2.add_fault(v));
+        assert_eq!(l2.faults_snapshot_into(&mut reused), 3);
+        assert_eq!(reused.as_slice(), &[v]);
     }
 
     #[test]
@@ -463,7 +476,7 @@ mod tests {
             shards: 2,
             shard_capacity: 8,
         });
-        l2.store(1, 0, &two_path_set(), 1, 0);
+        l2.store(1, 1, 0, &two_path_set(), 1, 0);
         l2.add_fault(NodeId::from_raw(7));
         l2.flush();
         assert!(l2.is_empty());
@@ -487,7 +500,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..50u128 {
                         for key in 0..24u128 {
-                            l2.store(key, 0, &set, key as u64, round as u64 % 7 + t);
+                            l2.store(key, 1, 0, &set, key as u64, round as u64 % 7 + t);
                         }
                     }
                 })
@@ -502,7 +515,7 @@ mod tests {
                     for round in 0..200u128 {
                         let key = round % 24;
                         out.clear();
-                        if let Some((nr, _)) = l2.replay(key, 0, &mut out) {
+                        if let Some((nr, _, _)) = l2.replay(key, 0, &mut out) {
                             assert_eq!(nr, key as u64, "payload matches key");
                             assert_eq!(out.len(), 2, "stored family has two paths");
                             hits += 1;

@@ -14,8 +14,12 @@
 //!   lock. The builder's own cache must stay empty — one family tier
 //!   per builder;
 //! * **L2 hit under non-intersecting faults** — same, plus a live
-//!   fault set the replayed family doesn't touch, so the avoiding
-//!   layer's fault scan runs (and passes) on the hot path.
+//!   fault the replayed family doesn't touch, held in the router's
+//!   sorted `FaultSet`. Both ways the avoiding layer's fault check
+//!   keeps a family are pinned: a fault whose cube offset lies outside
+//!   the family's span (the span test settles it, no node is probed)
+//!   and one inside the span but on no path (the exact scan runs and
+//!   clears it).
 //!
 //! This is the core of the router's per-query work; the worker loop
 //! around it adds only pooled buffers and an atomic fault-generation
@@ -24,8 +28,8 @@
 //! allocations would poison the counter.
 
 use hhc_core::{
-    disjoint_paths_avoiding_into, CacheConfig, CrossingOrder, Hhc, L2Config, NodeId, PathBuilder,
-    PathSet, SharedFamilyCache,
+    disjoint_paths_avoiding_into, CacheConfig, CrossingOrder, FaultSet, Hhc, L2Config, NodeId,
+    PathBuilder, PathSet, SharedFamilyCache,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
@@ -168,33 +172,27 @@ fn hit_paths_do_not_allocate() {
         "an L2 hit must not be copied into the builder's own cache"
     );
 
-    // --- L2 hit with a live, non-intersecting fault set: the avoiding
-    // layer scans the replayed family against the faults and keeps it. ---
+    // --- L2 hit with a live fault off the family, both ways: the span
+    // test settles the first fault without a node probe; the second
+    // lies within the span, so the exact scan runs and clears it. ---
     let (u, v) = queries[0];
     disjoint_paths_avoiding_into(&h, u, v, CrossingOrder::Gray, &empty, &mut out, &mut reader)
         .unwrap();
     let family_nodes: HashSet<NodeId> = out.iter().flatten().copied().collect();
-    let fault = (0..)
-        .find_map(|x| {
-            let w = h.node(x, 0).ok()?;
-            (!family_nodes.contains(&w)).then_some(w)
-        })
-        .expect("some node is outside one family");
-    let faults: HashSet<NodeId> = [fault].into();
-    for _ in 0..3 {
-        disjoint_paths_avoiding_into(
-            &h,
-            u,
-            v,
-            CrossingOrder::Gray,
-            &faults,
-            &mut out,
-            &mut reader,
-        )
-        .unwrap();
-    }
-    let n = allocations(|| {
-        for _ in 0..64 {
+    let xu = h.cube_field(u);
+    let offset = |w: NodeId| h.cube_field(w) ^ xu;
+    let span = family_nodes.iter().fold(0, |acc, &w| acc | offset(w));
+    let off_family = |in_span: bool| {
+        h.iter_nodes()
+            .find(|&w| !family_nodes.contains(&w) && (offset(w) & !span == 0) == in_span)
+            .expect("HHC(3) has off-family nodes on both sides of this span")
+    };
+    for (branch, fault, scans) in [
+        ("span test", off_family(false), 0),
+        ("exact scan", off_family(true), 64),
+    ] {
+        let faults: FaultSet = [fault].into_iter().collect();
+        for _ in 0..3 {
             disjoint_paths_avoiding_into(
                 &h,
                 u,
@@ -206,11 +204,31 @@ fn hit_paths_do_not_allocate() {
             )
             .unwrap();
         }
-    });
-    assert_eq!(n, 0, "faulted L2-hit path allocated {n} times");
-    assert_eq!(
-        reader.metrics().construction.fault_reroutes,
-        0,
-        "the fault must not intersect the family (hit path, not repair)"
-    );
+        let before = reader.metrics().construction;
+        let n = allocations(|| {
+            for _ in 0..64 {
+                disjoint_paths_avoiding_into(
+                    &h,
+                    u,
+                    v,
+                    CrossingOrder::Gray,
+                    &faults,
+                    &mut out,
+                    &mut reader,
+                )
+                .unwrap();
+            }
+        });
+        assert_eq!(n, 0, "faulted L2-hit path ({branch}) allocated {n} times");
+        let after = reader.metrics().construction;
+        assert_eq!(
+            after.fault_reroutes, 0,
+            "the fault must not intersect the family (hit path, not repair)"
+        );
+        assert_eq!(
+            after.fault_scans - before.fault_scans,
+            scans,
+            "{branch}: exact scans over 64 warm queries"
+        );
+    }
 }

@@ -197,6 +197,10 @@ impl<F: FaultLookup + ?Sized> FaultLookup for OracleShim<'_, F> {
     fn fault_count(&self) -> usize {
         self.0.fault_count()
     }
+
+    fn list_faults(&self, out: &mut Vec<NodeId>) {
+        self.0.list_faults(out)
+    }
 }
 
 /// Whether any node of `path` (endpoints included) is faulty.
