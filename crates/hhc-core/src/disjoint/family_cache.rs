@@ -1,4 +1,5 @@
-//! Bounded cache of canonical disjoint-path families.
+//! The family cache: bounded, lock-striped maps of canonical
+//! disjoint-path families.
 //!
 //! `HHC(m)` is vertex-transitive under cube-field translation: for any
 //! mask `A`, the map `(X, Y) ↦ (X ⊕ A, Y)` is an automorphism (internal
@@ -11,12 +12,6 @@
 //! translated by `Xu`, and one cached solve serves all `2^{2^m}`
 //! translated instances of its signature.
 //!
-//! Eviction is generation-swept: two generations ("hot" and "cold");
-//! lookups probe hot then cold (promoting on a cold hit); a full hot map
-//! becomes the new cold map and the previous cold generation is
-//! dropped. Bounded memory (≤ 2 × capacity entries), amortised O(1),
-//! approximately LRU, with no per-entry bookkeeping on the hot path.
-//!
 //! Entries also carry the rotation/detour plan counts of the cached
 //! family so metric conservation laws (`rotation_plans + detour_plans =
 //! degree × cross_cube + same_cube`) survive cache replays, and the
@@ -27,52 +22,75 @@
 //! fault-avoiding layer tests each live fault against it before it
 //! probes a single node.
 //!
-//! This module owns the entry format for both family tiers: the shared
-//! L2 ([`SharedFamilyCache`](crate::SharedFamilyCache)) keeps the same
-//! `FamilyEntry` values in the same two-generation `FamilyMap`, one
-//! map per lock stripe, and replays them the same way. The L2 does not
-//! promote on a cold hit, so a probe needs only its stripe's read lock.
+//! ## One type, used two ways
 //!
-//! A builder consults exactly one tier per query: its own
-//! [`FamilyCache`] when it has no L2 attached (the batch engine, the
-//! simulator's route scratch, an L2-disabled router), the L2 otherwise
-//! — then its own cache is never probed nor stored into.
+//! [`SharedFamilyCache`] is the only cache type. Every
+//! [`PathBuilder`](crate::PathBuilder) holds one and consults it alone:
+//!
+//! * a **private tier** — one stripe of [`CacheConfig::family_capacity`],
+//!   built by the builder itself (the batch engine, the simulator's
+//!   route scratch, the workers of a router whose L2 has no capacity);
+//! * the **shared L2** — [`L2Config::shards`] stripes behind one `Arc`,
+//!   attached in place of the private tier by
+//!   [`PathBuilder::attach_shared_cache`](crate::PathBuilder::attach_shared_cache)
+//!   (every worker of a [`Router`](crate::Router)).
+//!
+//! Both have one entry format, one map, one replay path and one store
+//! path; they differ only in geometry and in which counter a hit ticks.
+//!
+//! ## Striped generation maps
+//!
+//! The key space is split across the stripes, each an `RwLock` over a
+//! bounded two-generation map ("hot" and "cold"):
+//!
+//! * A probe takes its stripe's read lock, looks in hot then cold and,
+//!   on a hit, copies the entry's node slab straight into the caller's
+//!   [`PathSet`] while the lock is held — no clone, no allocation.
+//!   Readers never block each other.
+//! * A store canonicalises its entry outside the lock, then takes the
+//!   write lock for one insert. When the hot map is full it becomes the
+//!   cold map and the previous cold generation is dropped. A key that is
+//!   already present keeps its entry: racing writers of one key carry
+//!   identical bytes, because construction is deterministic.
+//! * There is no cold→hot promotion on a hit. Promotion would put a
+//!   write lock on the read path; a hot key that a sweep drops is
+//!   constructed once more and stored again.
+//!
+//! Each stripe holds at most `2 × shard_capacity` entries: bounded
+//! memory, amortised O(1), approximately LRU, with no per-entry
+//! bookkeeping on the hot path.
 
 use super::CrossingOrder;
 use crate::pathset::PathSet;
 use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Default hot-generation capacity. An HHC(5) family entry is a few
-/// kilobytes, so the default bounds a per-worker cache at single-digit
-/// megabytes while covering typical repeated-pattern workloads.
+/// Default hot-generation capacity of a private tier. An HHC(5) family
+/// entry is a few kilobytes, so the default bounds a builder's own tier
+/// at single-digit megabytes while covering typical repeated-pattern
+/// workloads.
 pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 1024;
 
-/// Adaptive-bypass warm-up: the cache never latches probe-only before it
-/// has seen this many probes (a cold cache always starts at a 0% hit
-/// rate; that is not evidence the workload lacks reuse).
-pub const BYPASS_MIN_PROBES: u64 = 512;
+/// Default stripe count of the shared L2 (rounded up to a power of two
+/// internally).
+pub const DEFAULT_L2_SHARDS: usize = 16;
 
-/// Adaptive-bypass hit-rate floor: below this lifetime hit rate the
-/// cache is judged useless for the running workload (uniform-random
-/// pairs on a large address space re-key almost every query).
-pub const BYPASS_HIT_FLOOR: f64 = 0.05;
+/// Default hot-generation capacity per L2 stripe. With the default 16
+/// stripes this bounds the L2 at `2 × 16 × 1024` entries — a few tens
+/// of megabytes of HHC(5) families, shared by every worker.
+pub const DEFAULT_L2_SHARD_CAPACITY: usize = 1024;
 
-/// Adaptive-bypass streak: probe-only additionally requires this many
-/// consecutive misses, so a workload that alternates phases of reuse
-/// and churn is not punished for one cold burst.
-pub const BYPASS_CONSEC_MISSES: u64 = 256;
-
-/// Capacity of the family cache carried by a
-/// [`PathBuilder`](crate::PathBuilder). Capacity 0 disables it
-/// (identical results, no memoisation).
+/// Capacity of the private tier a [`PathBuilder`](crate::PathBuilder)
+/// builds for itself: one stripe of `family_capacity`. Capacity 0
+/// disables it (identical results, no memoisation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Hot-generation capacity of the canonical family cache.
+    /// Hot-generation capacity of the builder's private tier.
     pub family_capacity: usize,
 }
 
 impl CacheConfig {
-    /// The family cache at its default capacity (the `PathBuilder`
+    /// The private tier at its default capacity (the `PathBuilder`
     /// default).
     pub fn enabled() -> Self {
         CacheConfig {
@@ -80,7 +98,7 @@ impl CacheConfig {
         }
     }
 
-    /// The family cache disabled: every query is solved from scratch.
+    /// The private tier disabled: every query is solved from scratch.
     /// The reference mode for equivalence testing and ablation
     /// benchmarks.
     pub fn disabled() -> Self {
@@ -91,6 +109,44 @@ impl CacheConfig {
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig::enabled()
+    }
+}
+
+/// Geometry of a shared [`SharedFamilyCache`]. `shard_capacity = 0`
+/// disables it (probes and stores become no-ops), mirroring
+/// [`CacheConfig`] capacity-0 semantics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct L2Config {
+    /// `RwLock` stripes; rounded up to a power of two, at least 1.
+    /// Readers of one stripe share its read lock; a store holds the
+    /// write lock of its key's stripe only.
+    pub shards: usize,
+    /// Hot-generation capacity of each stripe.
+    pub shard_capacity: usize,
+}
+
+impl L2Config {
+    /// The default enabled geometry.
+    pub fn enabled() -> Self {
+        L2Config {
+            shards: DEFAULT_L2_SHARDS,
+            shard_capacity: DEFAULT_L2_SHARD_CAPACITY,
+        }
+    }
+
+    /// An inert tier: every probe misses, every store is dropped. The
+    /// reference mode for the per-worker-cache-only baseline.
+    pub fn disabled() -> Self {
+        L2Config {
+            shards: 1,
+            shard_capacity: 0,
+        }
+    }
+}
+
+impl Default for L2Config {
+    fn default() -> Self {
+        L2Config::enabled()
     }
 }
 
@@ -114,7 +170,8 @@ pub(crate) type Replayed = (u64, u64, u64);
 /// The cube-offset span of `set`, a family of `HHC(m)` whose source
 /// cube field `Xu` sits in `mask = Xu << m`: the OR over its nodes of
 /// `Xw ⊕ Xu`. [`FamilyEntry::canonical`] computes the same word in its
-/// canonicalising pass; this is for families no tier stores.
+/// canonicalising pass; this is for families an inert tier does not
+/// store.
 pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet) -> u64 {
     let or = set
         .iter()
@@ -124,9 +181,7 @@ pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet) -> u64 {
 }
 
 /// One cached canonical family: the CSR path set for `Xu = 0`, plus the
-/// plan counts it was built from and its cube-offset span. The one
-/// entry format of both family tiers: the per-builder [`FamilyCache`]
-/// and the shared L2 ([`SharedFamilyCache`](crate::SharedFamilyCache)).
+/// plan counts it was built from and its cube-offset span.
 #[derive(Debug)]
 pub(crate) struct FamilyEntry {
     nodes: Box<[u128]>,
@@ -184,186 +239,171 @@ impl FamilyEntry {
     }
 }
 
-/// The bounded two-generation map both family tiers keep their entries
-/// in (see the module docs): at most `2 × capacity` entries; capacity 0
-/// holds nothing.
+/// One stripe's bounded two-generation map (see the module docs): at
+/// most `2 × capacity` entries; capacity 0 holds nothing.
 #[derive(Debug)]
-pub(crate) struct FamilyMap {
+struct FamilyMap {
     capacity: usize,
     hot: HashMap<u128, FamilyEntry>,
     cold: HashMap<u128, FamilyEntry>,
-    sweeps: u64,
 }
 
 impl FamilyMap {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         FamilyMap {
             capacity,
             hot: HashMap::new(),
             cold: HashMap::new(),
-            sweeps: 0,
         }
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.hot.len() + self.cold.len()
     }
 
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.hot.clear();
         self.cold.clear();
     }
 
-    fn make_room(&mut self) {
-        if self.hot.len() >= self.capacity {
-            self.cold = std::mem::take(&mut self.hot);
-            self.sweeps += 1;
-        }
-    }
-
     /// Probes hot then cold, without promotion.
-    pub(crate) fn get(&self, key: u128) -> Option<&FamilyEntry> {
+    fn get(&self, key: u128) -> Option<&FamilyEntry> {
         self.hot.get(&key).or_else(|| self.cold.get(&key))
-    }
-
-    /// Probes hot then cold, moving a cold hit into the hot generation.
-    fn get_promote(&mut self, key: u128) -> Option<&FamilyEntry> {
-        if self.hot.contains_key(&key) {
-            return self.hot.get(&key);
-        }
-        let e = self.cold.remove(&key)?;
-        self.make_room();
-        Some(self.hot.entry(key).or_insert(e))
     }
 
     /// Inserts `entry` into the hot generation, sweeping first if it is
     /// full. A key already present in either generation keeps its
     /// entry: constructions are deterministic, so a second store of a
     /// key carries identical bytes.
-    pub(crate) fn insert(&mut self, key: u128, entry: FamilyEntry) {
+    fn insert(&mut self, key: u128, entry: FamilyEntry) {
         if self.capacity == 0 || self.get(key).is_some() {
             return;
         }
-        self.make_room();
+        if self.hot.len() >= self.capacity {
+            self.cold = std::mem::take(&mut self.hot);
+        }
         self.hot.insert(key, entry);
     }
 }
 
-/// Bounded, generation-swept cache of canonical disjoint-path families;
-/// see the module docs. Owned per [`PathBuilder`](crate::PathBuilder),
-/// so batch workers never contend on it.
-#[derive(Debug)]
-pub struct FamilyCache {
-    map: FamilyMap,
-    // Adaptive bypass: lifetime probe/hit accounting. When the hit rate
-    // stays under `BYPASS_HIT_FLOOR` after `BYPASS_MIN_PROBES` probes
-    // and the cache has just missed `BYPASS_CONSEC_MISSES` times in a
-    // row, it latches `probe_only`: stored entries keep replaying but
-    // no new ones are inserted, so a churn workload (uniform-random
-    // pairs over a huge key space) stops paying the canonicalise-and-
-    // copy cost of `store` on every query. The transition is one-way
-    // for the cache's lifetime — `clear` drops entries, not the latch.
-    probes: u64,
-    hits: u64,
-    consec_misses: u64,
-    probe_only: bool,
-    bypass_events: u64,
+/// Splitmix64 finalizer over the folded 128-bit key; its high bits pick
+/// the stripe, so dense key families spread across stripes.
+#[inline]
+fn fold_mix(key: u128) -> u64 {
+    let mut z = ((key ^ (key >> 64)) as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-impl FamilyCache {
-    pub fn new(capacity: usize) -> Self {
-        FamilyCache {
-            map: FamilyMap::new(capacity),
-            probes: 0,
-            hits: 0,
-            consec_misses: 0,
-            probe_only: false,
-            bypass_events: 0,
+/// The family cache: lock-striped two-generation maps of canonical
+/// families; see the module docs. Used two ways — a builder's private
+/// one-stripe tier, or the shared L2 every router worker attaches.
+///
+/// All methods take `&self`; the type is `Sync` and lives in an
+/// [`Arc`](std::sync::Arc), shared by every worker's
+/// [`PathBuilder`](crate::PathBuilder) when it is the L2.
+#[derive(Debug)]
+pub struct SharedFamilyCache {
+    stripes: Box<[RwLock<FamilyMap>]>,
+    stripe_mask: usize,
+    shard_capacity: usize,
+}
+
+impl SharedFamilyCache {
+    pub fn new(cfg: L2Config) -> Self {
+        let n = cfg.shards.max(1).next_power_of_two();
+        SharedFamilyCache {
+            stripes: (0..n)
+                .map(|_| RwLock::new(FamilyMap::new(cfg.shard_capacity)))
+                .collect(),
+            stripe_mask: n - 1,
+            shard_capacity: cfg.shard_capacity,
         }
     }
 
-    /// Hot-generation capacity this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.map.capacity
+    /// A builder's private tier: one stripe of `cfg.family_capacity`.
+    pub(crate) fn private(cfg: CacheConfig) -> Self {
+        SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: cfg.family_capacity,
+        })
     }
 
-    /// Entries currently retained (both generations).
+    /// Number of shards (power of two).
+    pub fn shards(&self) -> usize {
+        self.stripes.len()
+    }
+
+    /// Hot-generation capacity per shard (0 = inert tier).
+    pub fn shard_capacity(&self) -> usize {
+        self.shard_capacity
+    }
+
+    /// Entries currently retained across all shards and generations.
     pub fn len(&self) -> usize {
-        self.map.len()
+        (0..self.stripes.len()).map(|i| self.read(i).len()).sum()
     }
 
-    /// Whether the cache holds no entries.
+    /// Whether no shard holds an entry.
     pub fn is_empty(&self) -> bool {
-        self.map.len() == 0
+        self.len() == 0
     }
 
-    /// Generation sweeps performed so far.
-    pub fn sweeps(&self) -> u64 {
-        self.map.sweeps
+    /// Drops every cached entry in every shard. Exists for the
+    /// full-rebuild-on-fault baseline ablation
+    /// ([`Router::flush_caches`](crate::Router::flush_caches)); the
+    /// serving path never needs it.
+    pub fn flush(&self) {
+        for i in 0..self.stripes.len() {
+            self.write(i).clear();
+        }
     }
 
-    /// Lifetime replay probes (capacity-0 caches never account).
-    pub fn probes(&self) -> u64 {
-        self.probes
+    #[inline]
+    fn stripe_of(&self, key: u128) -> usize {
+        (fold_mix(key) >> 32) as usize & self.stripe_mask
     }
 
-    /// Lifetime replay hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
+    // A writer that panicked mid-insert left its map consistent (a
+    // sweep or an insert either happened or did not), so poison carries
+    // no information here.
+    fn read(&self, stripe: usize) -> RwLockReadGuard<'_, FamilyMap> {
+        self.stripes[stripe]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Whether the adaptive bypass has latched: the cache still replays
-    /// existing entries but no longer inserts new ones.
-    pub fn probe_only(&self) -> bool {
-        self.probe_only
+    fn write(&self, stripe: usize) -> RwLockWriteGuard<'_, FamilyMap> {
+        self.stripes[stripe]
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Number of probe-only transitions over this cache's lifetime
-    /// (0 or 1 per cache; summed across workers in merged metrics).
-    pub fn bypass_events(&self) -> u64 {
-        self.bypass_events
-    }
-
-    /// Drops all entries, keeping the capacity.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// On a hit, appends the cached family translated by `mask` to `out`
-    /// (which must be cleared) and returns its plan counts and span.
-    /// Every call on an enabled cache counts as one probe for the
-    /// adaptive bypass; a sustained miss streak at a near-zero hit rate
-    /// latches [`Self::probe_only`].
-    pub(crate) fn replay(&mut self, key: u128, mask: u128, out: &mut PathSet) -> Option<Replayed> {
-        if self.map.capacity == 0 {
+    /// On a hit, appends the cached family translated by `mask` to
+    /// `out` and returns its plan counts and span — byte-identical to
+    /// what the construction that stored it produced, by the
+    /// equivariance argument of the module docs. Holds the stripe's read
+    /// lock for the copy; allocates nothing once `out` has grown to the
+    /// family's size.
+    #[inline]
+    pub(crate) fn replay(&self, key: u128, mask: u128, out: &mut PathSet) -> Option<Replayed> {
+        if self.shard_capacity == 0 {
             return None;
         }
-        self.probes += 1;
-        let replayed = self.map.get_promote(key).map(|e| e.replay(mask, out));
-        if replayed.is_some() {
-            self.hits += 1;
-            self.consec_misses = 0;
-        } else {
-            self.consec_misses += 1;
-            if !self.probe_only
-                && self.probes >= BYPASS_MIN_PROBES
-                && self.consec_misses >= BYPASS_CONSEC_MISSES
-                && (self.hits as f64) < BYPASS_HIT_FLOOR * self.probes as f64
-            {
-                self.probe_only = true;
-                self.bypass_events += 1;
-            }
-        }
-        replayed
+        self.read(self.stripe_of(key))
+            .get(key)
+            .map(|e| e.replay(mask, out))
     }
 
-    /// Stores the family in `set` (a fresh construction on `HHC(m)` for
-    /// some pair with translation mask `mask`) under `key`, canonicalised
-    /// to `Xu = 0`. Returns the span the canonicalising pass computed,
-    /// or `None` when the cache stores nothing (capacity 0 or latched
-    /// probe-only).
+    /// Stores the family in `set` (a fresh construction on `HHC(m)`
+    /// under translation `mask`) canonicalised to `Xu = 0`, and returns
+    /// the span the canonicalising pass computed (`None` on an inert
+    /// tier). The entry is built before the stripe's write lock is
+    /// taken; under the lock the store is one insert, with a generation
+    /// sweep when the hot map is full.
     pub(crate) fn store(
-        &mut self,
+        &self,
         key: u128,
         m: u32,
         mask: u128,
@@ -371,19 +411,13 @@ impl FamilyCache {
         rotations: u64,
         detours: u64,
     ) -> Option<u64> {
-        if self.map.capacity == 0 || self.probe_only {
+        if self.shard_capacity == 0 {
             return None;
         }
         let entry = FamilyEntry::canonical(m, mask, set, rotations, detours);
         let span = entry.span();
-        self.map.insert(key, entry);
+        self.write(self.stripe_of(key)).insert(key, entry);
         Some(span)
-    }
-}
-
-impl Default for FamilyCache {
-    fn default() -> Self {
-        FamilyCache::new(DEFAULT_FAMILY_CACHE_CAPACITY)
     }
 }
 
@@ -391,6 +425,29 @@ impl Default for FamilyCache {
 mod tests {
     use super::*;
     use crate::node::NodeId;
+    use std::sync::Arc;
+
+    /// The span of [`two_path_set`] stored as a family of HHC(1) under
+    /// an even mask: canonical cube offsets 0, 1 and 6.
+    const SPAN: u64 = 0b111;
+
+    fn two_path_set() -> PathSet {
+        let mut set = PathSet::new();
+        for p in [[5u128, 7, 9], [5, 6, 9]] {
+            for raw in p {
+                set.push_node(NodeId::from_raw(raw));
+            }
+            set.finish_path();
+        }
+        set
+    }
+
+    fn one_stripe(capacity: usize) -> SharedFamilyCache {
+        SharedFamilyCache::new(L2Config {
+            shards: 1,
+            shard_capacity: capacity,
+        })
+    }
 
     #[test]
     fn keys_separate_every_component() {
@@ -408,83 +465,192 @@ mod tests {
 
     #[test]
     fn store_replay_round_trips_translation() {
-        let mut cache = FamilyCache::new(8);
-        let mut set = PathSet::new();
-        for p in [[5u128, 7, 9], [5, 6, 9]] {
-            for raw in p {
-                set.push_node(NodeId::from_raw(raw));
-            }
-            set.finish_path();
-        }
+        let l2 = SharedFamilyCache::new(L2Config {
+            shards: 4,
+            shard_capacity: 8,
+        });
         // As a family of HHC(1): cube field = raw >> 1.
-        assert_eq!(cache.store(1, 1, 4, &set, 2, 1), Some(0b111));
+        let set = two_path_set();
+        assert_eq!(l2.store(1, 1, 4, &set, 2, 1), Some(SPAN));
         // Replaying with a different mask translates node-wise.
         let mut out = PathSet::new();
-        let (nr, nd, span) = cache.replay(1, 8, &mut out).unwrap();
-        assert_eq!((nr, nd), (2, 1));
-        // Canonical words 1, 3, 13, 1, 2, 13: cube offsets 0, 1, 6, 0, 1, 6.
-        assert_eq!(span, 0b111);
+        let (nr, nd, span) = l2.replay(1, 8, &mut out).unwrap();
+        assert_eq!((nr, nd, span), (2, 1, SPAN));
         assert_eq!(family_span(1, 4, &set), span, "both span passes agree");
         let expect: Vec<u128> = [5u128, 7, 9, 5, 6, 9].iter().map(|r| r ^ 4 ^ 8).collect();
         let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(got, expect);
-        assert!(cache.replay(2, 0, &mut PathSet::new()).is_none());
+        assert!(l2.replay(2, 0, &mut PathSet::new()).is_none());
     }
 
     #[test]
-    fn capacity_zero_is_inert() {
-        let mut cache = FamilyCache::new(0);
-        let mut set = PathSet::new();
-        set.push_node(NodeId::from_raw(3));
-        set.finish_path();
-        assert_eq!(cache.store(1, 1, 0, &set, 0, 1), None);
-        assert!(cache.replay(1, 0, &mut PathSet::new()).is_none());
-        assert!(cache.is_empty());
-        // A disabled cache does no bypass accounting either.
-        assert_eq!(cache.probes(), 0);
-        assert!(!cache.probe_only());
-    }
-
-    fn one_path_set() -> PathSet {
-        let mut set = PathSet::new();
-        set.push_node(NodeId::from_raw(3));
-        set.finish_path();
-        set
-    }
-
-    #[test]
-    fn bypass_latches_after_sustained_misses_and_stops_inserting() {
-        let mut cache = FamilyCache::new(8);
-        let set = one_path_set();
-        // An entry stored before the latch keeps replaying after it.
-        cache.store(u128::MAX, 1, 0, &set, 1, 0);
+    fn reader_sees_stores_published_after_creation() {
+        // Every store must be visible to the next replay, whichever
+        // stripe it lands in and however many stores that stripe has
+        // taken before (32 keys over 2 stripes of capacity 8 also run
+        // the generation sweep).
+        let l2 = SharedFamilyCache::new(L2Config {
+            shards: 2,
+            shard_capacity: 8,
+        });
         let mut out = PathSet::new();
-        for key in 0..BYPASS_MIN_PROBES as u128 {
-            assert!(cache.replay(key, 0, &mut out).is_none());
+        for key in 0..32u128 {
+            assert!(l2.replay(key, 0, &mut out).is_none(), "cold tier misses");
+            l2.store(key, 1, 0, &two_path_set(), key as u64, 0);
+            out.clear();
+            assert_eq!(
+                l2.replay(key, 0, &mut out).expect("store is visible"),
+                (key as u64, 0, SPAN)
+            );
+            out.clear();
         }
-        assert!(cache.probe_only(), "miss streak should latch probe-only");
-        assert_eq!(cache.bypass_events(), 1);
-        assert_eq!(cache.probes(), BYPASS_MIN_PROBES);
-        // Latched: store is a no-op...
-        let before = cache.len();
-        assert_eq!(cache.store(42, 1, 0, &set, 0, 1), None);
-        assert_eq!(cache.len(), before);
-        assert!(cache.replay(42, 0, &mut out).is_none());
-        // ...but pre-latch entries still hit, and the event count stays 1.
-        assert!(cache.replay(u128::MAX, 0, &mut out).is_some());
-        assert_eq!(cache.bypass_events(), 1);
     }
 
     #[test]
-    fn bypass_never_latches_while_the_cache_is_useful() {
-        let mut cache = FamilyCache::new(8);
-        cache.store(7, 1, 0, &one_path_set(), 1, 0);
+    fn stale_snapshot_is_refreshed_not_resurrected() {
+        // After a flush, replays must stop returning dropped entries,
+        // and a later store of the same key must be served again.
+        let l2 = one_stripe(8);
+        l2.store(7, 1, 0, &two_path_set(), 1, 0);
         let mut out = PathSet::new();
-        for _ in 0..4 * BYPASS_MIN_PROBES {
-            assert!(cache.replay(7, 0, &mut out).is_some());
+        assert!(l2.replay(7, 0, &mut out).is_some());
+        l2.flush();
+        out.clear();
+        assert!(l2.replay(7, 0, &mut out).is_none(), "flush is visible");
+        l2.store(7, 1, 0, &two_path_set(), 2, 0);
+        assert_eq!(l2.replay(7, 0, &mut out), Some((2, 0, SPAN)));
+    }
+
+    #[test]
+    fn disabled_tier_is_inert() {
+        for tier in [
+            SharedFamilyCache::new(L2Config::disabled()),
+            SharedFamilyCache::private(CacheConfig::disabled()),
+        ] {
+            assert_eq!(tier.store(1, 1, 0, &two_path_set(), 0, 1), None);
+            assert!(tier.replay(1, 0, &mut PathSet::new()).is_none());
+            assert!(tier.is_empty());
         }
-        assert!(!cache.probe_only());
-        assert_eq!(cache.bypass_events(), 0);
-        assert_eq!(cache.hits(), cache.probes());
+    }
+
+    #[test]
+    fn shard_capacity_bounds_entries() {
+        let cap = 4;
+        let l2 = one_stripe(cap);
+        let set = two_path_set();
+        for key in 0..10 * cap as u128 {
+            l2.store(key, 1, 0, &set, 1, 0);
+        }
+        assert!(
+            l2.len() <= 2 * cap,
+            "two-generation sweep must bound the shard at 2×capacity"
+        );
+    }
+
+    #[test]
+    fn cold_generation_still_replays() {
+        let cap = 2;
+        let l2 = one_stripe(cap);
+        let set = two_path_set();
+        for key in 0..cap as u128 + 1 {
+            l2.store(key, 1, 0, &set, key as u64, 0);
+        }
+        // Keys 0 and 1 were swept to the cold generation by the third
+        // store; every key must still replay.
+        let mut out = PathSet::new();
+        for key in 0..cap as u128 + 1 {
+            out.clear();
+            assert_eq!(
+                l2.replay(key, 0, &mut out),
+                Some((key as u64, 0, SPAN)),
+                "key {key} must survive the generation sweep"
+            );
+        }
+    }
+
+    #[test]
+    fn cold_hits_are_not_promoted() {
+        // Replaying a cold entry leaves it cold: the next sweep drops it
+        // even though it was just hit.
+        let l2 = one_stripe(1);
+        let set = two_path_set();
+        l2.store(0, 1, 0, &set, 0, 0);
+        l2.store(1, 1, 0, &set, 1, 0);
+        let mut out = PathSet::new();
+        assert!(
+            l2.replay(0, 0, &mut out).is_some(),
+            "0 is cold, still served"
+        );
+        l2.store(2, 1, 0, &set, 2, 0);
+        assert!(
+            l2.replay(0, 0, &mut out).is_none(),
+            "0 was swept, not promoted"
+        );
+        assert!(l2.replay(1, 0, &mut out).is_some());
+        assert_eq!(l2.len(), 2);
+    }
+
+    #[test]
+    fn second_store_of_a_key_keeps_the_first() {
+        let l2 = one_stripe(4);
+        l2.store(3, 1, 0, &two_path_set(), 1, 0);
+        l2.store(3, 1, 0, &two_path_set(), 9, 9);
+        assert_eq!(l2.replay(3, 0, &mut PathSet::new()), Some((1, 0, SPAN)));
+        assert_eq!(l2.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_store_replay_smoke() {
+        // Writers and readers race over a small key space; every replay
+        // must return either a miss or the exact stored family.
+        let l2 = Arc::new(SharedFamilyCache::new(L2Config {
+            shards: 2,
+            shard_capacity: 16,
+        }));
+        let set = two_path_set();
+        let writers: Vec<_> = (0..2)
+            .map(|t| {
+                let l2 = Arc::clone(&l2);
+                let set = set.clone();
+                std::thread::spawn(move || {
+                    for round in 0..50u128 {
+                        for key in 0..24u128 {
+                            l2.store(key, 1, 0, &set, key as u64, round as u64 % 7 + t);
+                        }
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let l2 = Arc::clone(&l2);
+                std::thread::spawn(move || {
+                    let mut out = PathSet::new();
+                    let mut hits = 0u64;
+                    for round in 0..200u128 {
+                        let key = round % 24;
+                        out.clear();
+                        if let Some((nr, _, _)) = l2.replay(key, 0, &mut out) {
+                            assert_eq!(nr, key as u64, "payload matches key");
+                            assert_eq!(out.len(), 2, "stored family has two paths");
+                            hits += 1;
+                        }
+                    }
+                    hits
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        for r in readers {
+            r.join().unwrap();
+        }
+        // After the dust settles every key is served.
+        let mut out = PathSet::new();
+        for key in 0..24u128 {
+            out.clear();
+            assert!(l2.replay(key, 0, &mut out).is_some());
+        }
     }
 }

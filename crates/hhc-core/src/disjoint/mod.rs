@@ -35,9 +35,10 @@ use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::Path;
-use family_cache::{CacheConfig, FamilyCache};
+use family_cache::{CacheConfig, SharedFamilyCache};
 use hypercube::FanScratch;
 use plan::{assemble_into, CrossingPlan};
+use std::sync::Arc;
 
 /// The order in which a path crosses the differing cube-field positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,15 +132,34 @@ pub struct PathBuilder {
     avoid_priority: Vec<u32>,
     avoid_state: Vec<u8>,
     avoid_sel: Vec<u32>,
-    // The family tier: whole canonical families (see `family_cache`),
-    // either owned by the builder — batch workers never lock — or, when
-    // `shared_cache` is attached, the shared L2 of `crate::service`, read
-    // under one stripe lock. A query consults exactly one of them.
-    family_cache: FamilyCache,
-    shared_cache: Option<std::sync::Arc<crate::service::SharedFamilyCache>>,
+    // The one family tier a query consults (see `family_cache`).
+    tier: Tier,
     // Observability: monotone counters plus opt-in per-query timing.
     metrics: ConstructionMetrics,
     timing_enabled: bool,
+}
+
+/// A builder's family tier: a private one-stripe cache of its own, or a
+/// shared L2 attached in its place. A hit on the first counts as
+/// `family_hits`, a hit or miss on the second as `l2_hits`/`l2_misses`.
+struct Tier {
+    cache: Arc<SharedFamilyCache>,
+    attached: bool,
+}
+
+impl Tier {
+    fn private(cfg: CacheConfig) -> Self {
+        Tier {
+            cache: Arc::new(SharedFamilyCache::private(cfg)),
+            attached: false,
+        }
+    }
+}
+
+impl Default for Tier {
+    fn default() -> Self {
+        Tier::private(CacheConfig::enabled())
+    }
 }
 
 impl PathBuilder {
@@ -147,7 +167,7 @@ impl PathBuilder {
         PathBuilder::default()
     }
 
-    /// A builder whose family cache uses the given capacity
+    /// A builder whose private family tier has the given capacity
     /// ([`CacheConfig::disabled`] reproduces pre-cache behaviour:
     /// byte-identical output, no memoisation).
     pub fn with_caches(cfg: CacheConfig) -> Self {
@@ -156,34 +176,32 @@ impl PathBuilder {
         b
     }
 
-    /// Replaces the family cache with an empty one of the given
-    /// capacity. Results are unaffected (caching is exact); only
-    /// memoisation behaviour and memory use change.
+    /// Replaces the family tier (private or attached) with an empty
+    /// private one of the given capacity. Results are unaffected
+    /// (caching is exact); only memoisation behaviour and memory use
+    /// change.
     pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.family_cache = FamilyCache::new(cfg.family_capacity);
+        self.tier = Tier::private(cfg);
     }
 
-    /// The family cache, for capacity/occupancy introspection.
-    pub fn family_cache(&self) -> &FamilyCache {
-        &self.family_cache
-    }
-
-    /// Attaches a shared L2 family tier in place of the builder's own
-    /// family cache: queries probe `l2` (under the read lock of one of
-    /// its stripes — see [`SharedFamilyCache`](crate::SharedFamilyCache))
-    /// before constructing, and fresh constructions are stored there
-    /// only. The builder's own cache is neither probed nor stored into
-    /// while `l2` is attached. Caching stays exact — replays are
-    /// byte-identical to fresh constructions — so results are
+    /// Attaches a shared L2 in place of the builder's private tier:
+    /// queries probe `l2` (under the read lock of one of its stripes —
+    /// see [`SharedFamilyCache`]) before constructing, and fresh
+    /// constructions are stored there. Caching stays exact — replays
+    /// are byte-identical to fresh constructions — so results are
     /// unaffected. `l2_hits`/`l2_misses` in [`ConstructionMetrics`]
     /// account the tier.
-    pub fn attach_shared_cache(&mut self, l2: std::sync::Arc<crate::service::SharedFamilyCache>) {
-        self.shared_cache = Some(l2);
+    pub fn attach_shared_cache(&mut self, l2: Arc<SharedFamilyCache>) {
+        self.tier = Tier {
+            cache: l2,
+            attached: true,
+        };
     }
 
-    /// The attached shared L2 tier, if any.
-    pub fn shared_cache(&self) -> Option<&std::sync::Arc<crate::service::SharedFamilyCache>> {
-        self.shared_cache.as_ref()
+    /// The family tier this builder consults: its private one, or the
+    /// attached L2.
+    pub(crate) fn family_tier(&self) -> &Arc<SharedFamilyCache> {
+        &self.tier.cache
     }
 
     /// Turns per-query wall-clock timing on or off (off by default).
@@ -200,13 +218,8 @@ impl PathBuilder {
     pub fn metrics(&self) -> MetricsReport {
         let mut solver = self.src_fan.solver_stats();
         solver.merge(&self.tgt_fan.solver_stats());
-        let mut construction = self.metrics.clone();
-        // Read live from the cache rather than a counter: the bypass
-        // latch outlives `reset_metrics` (it describes cache state, not
-        // a window of queries).
-        construction.family_bypass_events = self.family_cache.bypass_events();
         MetricsReport {
-            construction,
+            construction: self.metrics.clone(),
             src_fan: self.src_fan.metrics(),
             tgt_fan: self.tgt_fan.metrics(),
             solver,
@@ -348,25 +361,22 @@ fn construct_into(
     // Family tier: the construction is equivariant under cube-field
     // translation (plan selection reads only dx/Yu/Yv/m/order; assembly
     // threads cube fields through XORs), so families are cached for the
-    // canonical source cube X = 0 and replayed translated by Xu. With an
-    // L2 attached it is the only tier; otherwise the builder's own cache
-    // is. Entries are canonical families stored by some exact
-    // construction, so a replay is byte-identical to constructing here.
-    // Traced queries bypass the tier — a replay has no plan internals
-    // to report.
+    // canonical source cube X = 0 and replayed translated by Xu, from
+    // the builder's one tier (private or attached). Entries are
+    // canonical families stored by some exact construction, so a replay
+    // is byte-identical to constructing here. Traced queries bypass the
+    // tier — a replay has no plan internals to report.
     let dx = hhc.cube_field(u) ^ hhc.cube_field(v);
     let key = family_cache::family_key(hhc.m(), dx, hhc.node_field(u), hhc.node_field(v), order);
     let mask = hhc.cube_field(u) << hhc.m();
+    let attached = scratch.tier.attached;
     if !want_trace {
-        let replayed = match &scratch.shared_cache {
-            Some(l2) => l2.replay(key, mask, out),
-            None => scratch.family_cache.replay(key, mask, out),
-        };
+        let replayed = scratch.tier.cache.replay(key, mask, out);
         let m = &mut scratch.metrics;
         if let Some((nr, nd, span)) = replayed {
             scratch.span = span;
             m.queries += 1;
-            if scratch.shared_cache.is_some() {
+            if attached {
                 m.l2_hits += 1;
             } else {
                 m.family_hits += 1;
@@ -384,7 +394,7 @@ fn construct_into(
             }
             return Ok(None);
         }
-        if scratch.shared_cache.is_some() {
+        if attached {
             m.l2_misses += 1;
         }
     }
@@ -402,12 +412,9 @@ fn construct_into(
         } else {
             (scratch.rot_sel.len() as u64, scratch.det_sel.len() as u64)
         };
-        // The store's canonicalising pass computes the span; a tier that
-        // stores nothing leaves it to one pass here.
-        let stored = match &scratch.shared_cache {
-            Some(l2) => l2.store(key, hhc.m(), mask, out, nr, nd),
-            None => scratch.family_cache.store(key, hhc.m(), mask, out, nr, nd),
-        };
+        // The store's canonicalising pass computes the span; an inert
+        // tier leaves it to one pass here.
+        let stored = scratch.tier.cache.store(key, hhc.m(), mask, out, nr, nd);
         scratch.span = stored.unwrap_or_else(|| family_cache::family_span(hhc.m(), mask, out));
         let m = &mut scratch.metrics;
         m.queries += 1;
@@ -720,6 +727,34 @@ mod tests {
         // Fans cover m coordinates per side.
         assert_eq!(trace.source_fan_targets.len(), h.m() as usize);
         assert_eq!(trace.target_fan_targets.len(), h.m() as usize);
+    }
+
+    #[test]
+    fn default_builders_get_a_one_stripe_private_tier() {
+        // The batch engine and the DES route scratch build their
+        // builders through these: each gets one stripe of the default
+        // capacity (at most 2 × 1024 entries), never the L2's 16-stripe
+        // router geometry.
+        for b in [
+            PathBuilder::new(),
+            PathBuilder::default(),
+            PathBuilder::with_caches(CacheConfig::enabled()),
+        ] {
+            assert!(!b.tier.attached);
+            assert_eq!(b.tier.cache.shards(), 1);
+            assert_eq!(
+                b.tier.cache.shard_capacity(),
+                family_cache::DEFAULT_FAMILY_CACHE_CAPACITY
+            );
+        }
+        let h = Hhc::new(3).unwrap();
+        let (u, v) = (h.node(0x01, 0b001).unwrap(), h.node(0x9C, 0b110).unwrap());
+        let mut out = PathSet::new();
+        for (cfg, stored) in [(CacheConfig::enabled(), 1), (CacheConfig::disabled(), 0)] {
+            let mut b = PathBuilder::with_caches(cfg);
+            disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut out, &mut b).unwrap();
+            assert_eq!(b.tier.cache.len(), stored, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -74,8 +74,7 @@ pub use batch::{
     Workspace,
 };
 pub use disjoint::family_cache::{
-    CacheConfig, FamilyCache, BYPASS_CONSEC_MISSES, BYPASS_HIT_FLOOR, BYPASS_MIN_PROBES,
-    DEFAULT_FAMILY_CACHE_CAPACITY,
+    CacheConfig, L2Config, SharedFamilyCache, DEFAULT_FAMILY_CACHE_CAPACITY,
 };
 pub use disjoint::{
     disjoint_paths_avoiding, disjoint_paths_avoiding_into, disjoint_paths_into, AvoidOutcome,
@@ -86,7 +85,7 @@ pub use fault::{FaultOracle, FaultSet, NoFaults};
 pub use metrics::{ConstructionMetrics, MetricsReport};
 pub use node::NodeId;
 pub use pathset::PathSet;
-pub use service::{FamilyRef, L2Config, QueryBatchResult, Router, RouterConfig, SharedFamilyCache};
+pub use service::{FamilyRef, QueryBatchResult, Router, RouterConfig};
 pub use topology::Hhc;
 
 /// A path through the network as the sequence of visited nodes,

@@ -14,12 +14,12 @@
 //! a JSON export used by the experiment sidecars and `hhc stats`.
 //!
 //! The concurrent [`Router`](crate::Router) does not share one of these
-//! behind a lock: each worker keeps its own `MetricsReport` and publishes
-//! per-batch deltas into a per-worker `AtomicReport`
-//! (`service::metrics`), which [`Router::metrics`](crate::Router::metrics)
-//! folds back into a plain `MetricsReport` on demand. The timing
-//! histogram is deliberately excluded from that aggregation — timing
-//! stays a single-builder, opt-in concern off the serving path.
+//! behind a lock: each worker moves its builder's report for a batch
+//! into the batch it sends back, and the router [`merge`s](MetricsReport::merge)
+//! it on receipt, so [`Router::metrics`](crate::Router::metrics) is a
+//! copy of one plain `MetricsReport`. The router never enables builder
+//! timing — timing stays a single-builder, opt-in concern off the
+//! serving path.
 
 use graphs::DinicStats;
 use hypercube::FanMetrics;
@@ -43,21 +43,17 @@ pub struct ConstructionMetrics {
     /// holds with or without caching.
     pub detour_plans: u64,
     /// Queries answered by replaying a translation-canonical family from
-    /// the builder's own family cache (no fans, no flow solves). Always
-    /// 0 while a shared L2 tier is attached: the builder then consults
+    /// the builder's private family tier (no fans, no flow solves).
+    /// Always 0 while a shared L2 is attached: the builder then consults
     /// the L2 alone.
     pub family_hits: u64,
-    /// Cross-cube queries answered from *either* family tier — the
-    /// builder's own cache or an attached shared L2 — i.e. the ones that
-    /// would otherwise have issued two fan queries each. This is what
-    /// keeps the `fan_queries` conservation law tier-agnostic.
+    /// Cross-cube queries answered from the builder's family tier —
+    /// private or an attached shared L2 — i.e. the ones that would
+    /// otherwise have issued two fan queries each. This is what keeps
+    /// the `fan_queries` conservation law tier-agnostic.
     pub family_hits_cross: u64,
-    /// Family caches that latched adaptive probe-only mode (stopped
-    /// inserting after a sustained near-zero hit rate); 0 or 1 per
-    /// builder, summed across workers by [`merge`](Self::merge).
-    /// Lifetime-of-cache: unlike the counters above it survives
-    /// [`PathBuilder::reset_metrics`](crate::PathBuilder::reset_metrics)
-    /// and resets only when the cache itself is replaced.
+    /// Always 0: the family cache's probe-only latch was removed. Kept
+    /// so that readers of this struct keep compiling.
     pub family_bypass_events: u64,
     /// Fault-avoiding queries whose check the span test could not
     /// settle: some live fault's cube offset lay within the family's
@@ -101,7 +97,6 @@ impl ConstructionMetrics {
         self.detour_plans += other.detour_plans;
         self.family_hits += other.family_hits;
         self.family_hits_cross += other.family_hits_cross;
-        self.family_bypass_events += other.family_bypass_events;
         self.fault_scans += other.fault_scans;
         self.fault_reroutes += other.fault_reroutes;
         self.fault_avoided_plans += other.fault_avoided_plans;
@@ -116,7 +111,7 @@ impl ConstructionMetrics {
         *self = ConstructionMetrics::default();
     }
 
-    /// Own-family-cache hit rate over all queries; `None` before any
+    /// Private-tier hit rate over all queries; `None` before any
     /// query.
     pub fn family_hit_rate(&self) -> Option<f64> {
         (self.queries > 0).then(|| self.family_hits as f64 / self.queries as f64)
@@ -169,7 +164,6 @@ impl MetricsReport {
         o.u64("detour_plans", c.detour_plans);
         o.u64("family_hits", c.family_hits);
         o.u64("family_hits_cross", c.family_hits_cross);
-        o.u64("family_bypass_events", c.family_bypass_events);
         o.u64("fault_scans", c.fault_scans);
         o.u64("fault_reroutes", c.fault_reroutes);
         o.u64("fault_avoided_plans", c.fault_avoided_plans);

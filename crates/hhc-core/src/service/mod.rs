@@ -6,16 +6,14 @@
 //! batch ([`crate::batch`], the experiment drivers, the DES). This
 //! module turns the library into a serving system: a pool of worker
 //! threads, each owning a [`PathBuilder`], all attached to one
-//! process-wide [`SharedFamilyCache`] (the **L2** — `RwLock` stripes
-//! over the per-builder cache's own bounded two-generation map and
-//! entry type, keyed by the same canonical `(m, Xu⊕Xv, Yu, Yv, order)`
-//! signature; see the [`SharedFamilyCache`] docs). A query is answered
-//! L2 → construct, and a construction is stored in the L2 once, so one
-//! worker's solve warms every other worker. The L2 is the only memo
-//! layer a query consults: an attached builder never probes its own
-//! family cache. A router whose [`L2Config`] has no capacity attaches
-//! nothing, and each worker serves from its own family cache
-//! ([`RouterConfig::l1`]) instead.
+//! process-wide [`SharedFamilyCache`] (the **L2** — the same
+//! lock-striped family cache a builder otherwise keeps privately, at
+//! router geometry; see the [`family_cache`](crate::disjoint::family_cache)
+//! docs). A query is answered L2 → construct, and a construction is
+//! stored in the L2 once, so one worker's solve warms every other
+//! worker. The L2 is the only memo layer a query consults. A router
+//! whose [`L2Config`] has no capacity attaches nothing, and each worker
+//! serves from a private tier of [`RouterConfig::l1`] instead.
 //!
 //! ## Steady-state allocation discipline
 //!
@@ -31,20 +29,22 @@
 //! [`Router::query_into`] expose that representation; callers that want
 //! owned paths materialise them with [`FamilyRef::to_paths`].
 //!
-//! Worker metrics follow the same discipline: each worker publishes
-//! per-batch deltas into lock-free per-worker atomic counters (see
-//! [`metrics`](self)), merged on demand by [`Router::metrics`] — no
-//! mutex, no poison path.
+//! Worker metrics ride the same buffers: after each batch a worker
+//! moves its builder's report for that batch into the pooled `Batch`
+//! and zeroes the builder's counters, and the router merges the report
+//! when the batch comes back. [`Router::metrics`] is a copy of one
+//! [`MetricsReport`] — no atomics, no mutex, no poison path.
 //!
 //! ## Fault feed
 //!
 //! [`Router::add_fault`] / [`Router::clear_fault`] take effect without
-//! stopping the service: each event bumps the cache's generation
-//! counter, workers notice the moved generation with one atomic load at
-//! their next query and re-snapshot the fault set into a worker-owned
-//! sorted [`FaultSet`] (one slice copy into reused capacity). Cached
-//! entries are **not** discarded — they are plain (fault-blind)
-//! families, which stay true facts about the topology.
+//! stopping the service: the live set is a [`LiveFaults`] the router
+//! and its workers share, each event bumps its generation counter,
+//! workers notice the moved generation with one atomic load at their
+//! next query and re-snapshot the fault set into a worker-owned sorted
+//! [`FaultSet`] (one slice copy into reused capacity). Cached entries
+//! are **not** discarded — they are plain (fault-blind) families, which
+//! stay true facts about the topology.
 //! Each query runs through the fault-avoiding layer, which checks the
 //! (possibly replayed) plain family against the snapshot in O(f): each
 //! live fault is tested against the entry's cube-offset span, and only
@@ -67,12 +67,10 @@
 //! depend only on the pair and the fault snapshot — never on which
 //! worker answered or how the chunks interleaved.
 
-mod metrics;
-mod shared;
+pub use crate::disjoint::family_cache::{
+    L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY,
+};
 
-pub use shared::{L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY};
-
-use self::metrics::AtomicReport;
 use crate::disjoint::{disjoint_paths_avoiding_into, CrossingOrder, PathBuilder};
 use crate::error::HhcError;
 use crate::fault::FaultSet;
@@ -82,7 +80,7 @@ use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::{CacheConfig, Path};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 /// Geometry and policy of a [`Router`].
@@ -92,8 +90,8 @@ pub struct RouterConfig {
     pub threads: usize,
     /// Crossing order every answer uses.
     pub order: CrossingOrder,
-    /// Per-worker family cache of a router whose L2 is disabled; unused
-    /// while the L2 has capacity (workers then consult the L2 alone).
+    /// Each worker's private family tier when the L2 has no capacity;
+    /// unused otherwise (workers then consult the L2 alone).
     pub l1: CacheConfig,
     /// Shared L2 tier geometry ([`L2Config::disabled`] gives the
     /// per-worker-cache-only baseline).
@@ -272,14 +270,79 @@ impl QueryBatchResult {
 }
 
 /// A pooled unit of work: a chunk of queries, the index its results
-/// slot back into, and the result buffer the worker fills in place. The
-/// same `Batch` objects cycle `Router` → worker → `Router` forever, so
-/// the channels carry no fresh allocations after warm-up.
+/// slot back into, the result buffer the worker fills in place, and the
+/// worker's metrics for this chunk. The same `Batch` objects cycle
+/// `Router` → worker → `Router` forever, so the channels carry no fresh
+/// allocations after warm-up.
 #[derive(Default)]
 struct Batch {
     base: usize,
     pairs: Vec<(NodeId, NodeId)>,
     result: QueryBatchResult,
+    report: MetricsReport,
+}
+
+/// The live fault set a [`Router`] and its workers share, with a
+/// generation counter bumped once per change. [`Router::live_faults`]
+/// hands it out so that another thread can feed faults while the router
+/// is busy answering.
+#[derive(Debug, Default)]
+pub struct LiveFaults {
+    /// Bumped once per fault-set mutation, while the write lock is
+    /// held; readers pair it with the set via `snapshot_into`.
+    generation: AtomicU64,
+    faults: RwLock<FaultSet>,
+}
+
+impl LiveFaults {
+    /// Current fault-set generation: bumped once per successful
+    /// [`Self::add_fault`] / [`Self::clear_fault`].
+    pub fn generation(&self) -> u64 {
+        self.generation.load(Ordering::Acquire)
+    }
+
+    /// Current fault count.
+    pub fn fault_count(&self) -> usize {
+        self.faults
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
+    /// Marks `v` faulty; returns `false` (and does not bump the
+    /// generation) if it already was.
+    pub fn add_fault(&self, v: NodeId) -> bool {
+        let mut f = self.faults.write().unwrap_or_else(PoisonError::into_inner);
+        let added = f.insert(v);
+        if added {
+            self.generation.fetch_add(1, Ordering::AcqRel);
+        }
+        added
+    }
+
+    /// Heals `v`; returns `false` (and does not bump the generation) if
+    /// it was not faulty.
+    pub fn clear_fault(&self, v: NodeId) -> bool {
+        let mut f = self.faults.write().unwrap_or_else(PoisonError::into_inner);
+        let removed = f.remove(v);
+        if removed {
+            self.generation.fetch_add(1, Ordering::AcqRel);
+        }
+        removed
+    }
+
+    /// Copies the live fault set into `out` and returns its generation.
+    /// The pair is consistent: the generation is read under the same
+    /// read lock that guards the copy, so it never lags the set. Workers
+    /// re-snapshot only when [`Self::generation`] moves, and the copy
+    /// reuses `out`'s capacity, so a long-lived worker re-snapshots
+    /// without allocating once its set has grown to the high-water
+    /// fault count.
+    fn snapshot_into(&self, out: &mut FaultSet) -> u64 {
+        let f = self.faults.read().unwrap_or_else(PoisonError::into_inner);
+        out.clone_from(&f);
+        self.generation.load(Ordering::Acquire)
+    }
 }
 
 /// The concurrent routing front-end; see the module docs.
@@ -288,11 +351,15 @@ struct Batch {
 pub struct Router {
     hhc: Hhc,
     shared: Arc<SharedFamilyCache>,
+    faults: Arc<LiveFaults>,
+    /// The workers' family tiers, each once: the shared L2, or one
+    /// private tier per worker when the L2 has no capacity.
+    tiers: Vec<Arc<SharedFamilyCache>>,
     senders: Vec<mpsc::Sender<Batch>>,
     handles: Vec<JoinHandle<()>>,
     results_rx: mpsc::Receiver<Batch>,
-    reports: Vec<Arc<AtomicReport>>,
-    flush_epoch: Arc<AtomicU64>,
+    /// Every returned batch's report, merged on receipt.
+    metrics: MetricsReport,
     next_worker: usize,
     /// Recycled batch buffers; bounded by the most batches ever in
     /// flight at once (≤ the worker count).
@@ -308,35 +375,40 @@ impl Router {
         let hhc = Hhc::new(m)?;
         let threads = cfg.threads.max(1);
         let shared = Arc::new(SharedFamilyCache::new(cfg.l2));
-        let flush_epoch = Arc::new(AtomicU64::new(0));
+        let faults = Arc::new(LiveFaults::default());
         let (results_tx, results_rx) = mpsc::channel();
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
-        let mut reports = Vec::with_capacity(threads);
+        let mut tiers = Vec::with_capacity(threads);
         for _ in 0..threads {
             let (tx, rx) = mpsc::channel::<Batch>();
-            let report = Arc::new(AtomicReport::default());
+            // One family tier per worker: the shared L2 when it has
+            // capacity, else a private tier of `l1`.
+            let mut builder = PathBuilder::with_caches(cfg.l1);
+            if shared.shard_capacity() > 0 {
+                builder.attach_shared_cache(Arc::clone(&shared));
+            }
+            tiers.push(Arc::clone(builder.family_tier()));
             let ctx = WorkerCtx {
                 hhc,
                 order: cfg.order,
-                l1: cfg.l1,
-                shared: Arc::clone(&shared),
-                flush_epoch: Arc::clone(&flush_epoch),
-                report: Arc::clone(&report),
+                builder,
+                faults: Arc::clone(&faults),
                 results_tx: results_tx.clone(),
             };
             handles.push(std::thread::spawn(move || worker_loop(ctx, rx)));
             senders.push(tx);
-            reports.push(report);
         }
+        tiers.dedup_by(|a, b| Arc::ptr_eq(a, b));
         Ok(Router {
             hhc,
             shared,
+            faults,
+            tiers,
             senders,
             handles,
             results_rx,
-            reports,
-            flush_epoch,
+            metrics: MetricsReport::default(),
             next_worker: 0,
             pool: Vec::new(),
         })
@@ -352,40 +424,47 @@ impl Router {
         self.senders.len()
     }
 
-    /// The shared L2 tier, for fault/occupancy introspection.
+    /// The shared L2 tier, for occupancy introspection.
     pub fn shared_cache(&self) -> &Arc<SharedFamilyCache> {
         &self.shared
+    }
+
+    /// The live fault set the workers read, for feeding faults from
+    /// another thread.
+    pub fn live_faults(&self) -> &Arc<LiveFaults> {
+        &self.faults
     }
 
     /// Marks `v` faulty for all subsequent queries; returns `false` if
     /// it already was. Takes effect at each worker's next query.
     pub fn add_fault(&self, v: NodeId) -> bool {
-        self.shared.add_fault(v)
+        self.faults.add_fault(v)
     }
 
     /// Heals `v`; returns `false` if it was not faulty.
     pub fn clear_fault(&self, v: NodeId) -> bool {
-        self.shared.clear_fault(v)
+        self.faults.clear_fault(v)
     }
 
     /// Current fault count.
     pub fn fault_count(&self) -> usize {
-        self.shared.fault_count()
+        self.faults.fault_count()
     }
 
     /// Current fault-set generation.
     pub fn generation(&self) -> u64 {
-        self.shared.generation()
+        self.faults.generation()
     }
 
-    /// Drops the L2 tier's entries and tells every worker to replace its
-    /// own family cache with a fresh one before its next batch. This is
-    /// the full-rebuild-on-fault baseline the bench ablates against —
+    /// Drops every entry of every worker's family tier: the shared L2,
+    /// or each worker's private tier when the L2 has no capacity. This
+    /// is the full-rebuild-on-fault baseline the bench ablates against —
     /// the serving path never calls it (lazy invalidation makes it
     /// unnecessary).
     pub fn flush_caches(&self) {
-        self.shared.flush();
-        self.flush_epoch.fetch_add(1, Ordering::Release);
+        for tier in &self.tiers {
+            tier.flush();
+        }
     }
 
     /// Answers a batch into a caller-owned (reusable) result buffer:
@@ -410,7 +489,7 @@ impl Router {
             outstanding += 1;
         }
         for _ in 0..outstanding {
-            let b = self.results_rx.recv().expect("worker pool hung up");
+            let b = self.receive();
             out.absorb(b.base, &b.result);
             self.pool.push(b);
         }
@@ -436,7 +515,7 @@ impl Router {
         b.pairs.clear();
         b.pairs.push((u, v));
         self.submit(w, b);
-        let b = self.results_rx.recv().expect("worker pool hung up");
+        let b = self.receive();
         out.clear();
         let r = match b.result.get(0) {
             Ok(f) => {
@@ -451,22 +530,24 @@ impl Router {
         r
     }
 
-    /// Merged effort snapshot across all workers (each worker publishes
-    /// per-batch counter deltas into lock-free atomics;
-    /// `fault_generation` is the maximum generation any worker has
-    /// acted on).
+    /// Merged effort snapshot across all workers: every answered
+    /// batch's report, summed (`fault_generation` is the maximum
+    /// generation any worker has acted on).
     pub fn metrics(&self) -> MetricsReport {
-        let mut merged = MetricsReport::default();
-        for r in &self.reports {
-            r.merge_into(&mut merged);
-        }
-        merged
+        self.metrics.clone()
     }
 
     fn submit(&self, worker: usize, batch: Batch) {
         self.senders[worker]
             .send(batch)
             .expect("worker pool hung up");
+    }
+
+    /// Receives the next answered batch and merges its metrics.
+    fn receive(&mut self) -> Batch {
+        let b = self.results_rx.recv().expect("worker pool hung up");
+        self.metrics.merge(&b.report);
+        b
     }
 }
 
@@ -484,46 +565,35 @@ impl Drop for Router {
 struct WorkerCtx {
     hhc: Hhc,
     order: CrossingOrder,
-    l1: CacheConfig,
-    shared: Arc<SharedFamilyCache>,
-    flush_epoch: Arc<AtomicU64>,
-    report: Arc<AtomicReport>,
+    builder: PathBuilder,
+    faults: Arc<LiveFaults>,
     results_tx: mpsc::Sender<Batch>,
 }
 
 fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
-    // One family tier per worker: the shared L2 when it has capacity,
-    // else the worker's own cache.
-    let mut builder = PathBuilder::with_caches(ctx.l1);
-    if ctx.shared.shard_capacity() > 0 {
-        builder.attach_shared_cache(Arc::clone(&ctx.shared));
-    }
+    let WorkerCtx {
+        hhc,
+        order,
+        mut builder,
+        faults,
+        results_tx,
+    } = ctx;
     let mut out = PathSet::new();
     let mut local_faults = FaultSet::default();
-    let mut local_gen = ctx.shared.faults_snapshot_into(&mut local_faults);
-    let mut seen_flush = ctx.flush_epoch.load(Ordering::Acquire);
-    // The builder's cumulative report at the last publication; the
-    // difference against it is what each batch adds to the atomics.
-    let mut prev = MetricsReport::default();
+    let mut local_gen = faults.snapshot_into(&mut local_faults);
     while let Ok(mut batch) = rx.recv() {
-        let fe = ctx.flush_epoch.load(Ordering::Acquire);
-        if fe != seen_flush {
-            seen_flush = fe;
-            builder.set_cache_config(ctx.l1);
-        }
         batch.result.clear();
         for &(u, v) in &batch.pairs {
             // Epoch fast path: one atomic load per query; the fault set
             // is re-copied only when an event moved the generation.
-            let gen = ctx.shared.generation();
-            if gen != local_gen {
-                local_gen = ctx.shared.faults_snapshot_into(&mut local_faults);
+            if faults.generation() != local_gen {
+                local_gen = faults.snapshot_into(&mut local_faults);
             }
             match disjoint_paths_avoiding_into(
-                &ctx.hhc,
+                &hhc,
                 u,
                 v,
-                ctx.order,
+                order,
                 &local_faults,
                 &mut out,
                 &mut builder,
@@ -532,14 +602,11 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
                 Err(e) => batch.result.push_err(e),
             }
         }
-        let mut cur = builder.metrics();
-        cur.construction.fault_generation = local_gen;
-        // Publish before send: the channel's happens-before edge makes
-        // the relaxed counter updates visible to whoever receives the
-        // batch and then reads Router::metrics().
-        ctx.report.publish(&cur, &prev);
-        prev = cur;
-        if ctx.results_tx.send(batch).is_err() {
+        // This batch's counters go home with it.
+        batch.report = builder.metrics();
+        builder.reset_metrics();
+        batch.report.construction.fault_generation = local_gen;
+        if results_tx.send(batch).is_err() {
             break;
         }
     }
@@ -703,6 +770,26 @@ mod tests {
     }
 
     #[test]
+    fn fault_events_bump_generation_only_on_change() {
+        let faults = LiveFaults::default();
+        let v = NodeId::from_raw(42);
+        assert_eq!(faults.generation(), 0);
+        assert!(faults.add_fault(v));
+        assert!(!faults.add_fault(v), "duplicate add is a no-op");
+        assert_eq!(faults.generation(), 1);
+        assert_eq!(faults.fault_count(), 1);
+        assert!(faults.clear_fault(v));
+        assert!(!faults.clear_fault(v), "duplicate clear is a no-op");
+        assert_eq!(faults.generation(), 2);
+        let mut reused: FaultSet = [NodeId::from_raw(9)].into_iter().collect();
+        assert_eq!(faults.snapshot_into(&mut reused), 2);
+        assert!(reused.is_empty(), "snapshot_into replaces the contents");
+        assert!(faults.add_fault(v));
+        assert_eq!(faults.snapshot_into(&mut reused), 3);
+        assert_eq!(reused.as_slice(), &[v]);
+    }
+
+    #[test]
     fn flush_caches_forces_reconstruction() {
         let mut router = Router::new(3, cfg(2)).unwrap();
         let h = Hhc::new(3).unwrap();
@@ -715,6 +802,42 @@ mod tests {
         assert_eq!(a, b, "flushing never changes answers");
         let c = router.metrics().construction;
         assert_eq!(c.family_hits + c.l2_hits, 0, "the L2 was cold both times");
+    }
+
+    #[test]
+    fn flush_caches_reaches_private_tiers() {
+        // With the L2 disabled each worker serves from a private tier;
+        // a flush must empty every one of them.
+        let mut router = Router::new(
+            3,
+            RouterConfig {
+                l2: L2Config::disabled(),
+                ..cfg(2)
+            },
+        )
+        .unwrap();
+        let h = Hhc::new(3).unwrap();
+        let u = h.node(0x01, 0b001).unwrap();
+        let v = h.node(0x3C, 0b100).unwrap();
+        // Round-robin: two misses, then one hit on each worker.
+        let a = ask(&mut router, u, v).unwrap();
+        for _ in 0..3 {
+            assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        }
+        let warm = router.metrics().construction;
+        assert_eq!(warm.family_hits, 2, "both workers hit their own tier");
+        assert_eq!(warm.l2_hits + warm.l2_misses, 0, "no L2 attached");
+        router.flush_caches();
+        for _ in 0..2 {
+            assert_eq!(
+                ask(&mut router, u, v).unwrap(),
+                a,
+                "flushing never changes answers"
+            );
+        }
+        let c = router.metrics().construction;
+        assert_eq!(c.queries, 6);
+        assert_eq!(c.family_hits, 2, "both workers constructed again");
     }
 
     fn workload_pairs(h: &Hhc, n: usize) -> Vec<(NodeId, NodeId)> {

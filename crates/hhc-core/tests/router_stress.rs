@@ -93,7 +93,7 @@ fn churning_faults_under_concurrent_queries() {
     // everything it planted before exiting.
     let stop = Arc::new(AtomicBool::new(false));
     let feed = {
-        let shared = Arc::clone(router.shared_cache());
+        let live = Arc::clone(router.live_faults());
         let stop = Arc::clone(&stop);
         let targets = targets.clone();
         std::thread::spawn(move || {
@@ -103,15 +103,15 @@ fn churning_faults_under_concurrent_queries() {
             while !stop.load(Ordering::Acquire) {
                 let w = targets[xorshift(&mut state) as usize % targets.len()];
                 if planted.insert(w) {
-                    shared.add_fault(w);
+                    live.add_fault(w);
                 } else {
-                    shared.clear_fault(w);
+                    live.clear_fault(w);
                     planted.remove(&w);
                 }
                 events += 1;
             }
             for w in planted {
-                shared.clear_fault(w);
+                live.clear_fault(w);
             }
             events
         })

@@ -260,7 +260,7 @@ fn golden_stats_on_hhc3_and_q11() {
         ),
         (
             RouteStrategy::MultipathRandom,
-            (2514, 2514, 31840, 30996, 7056193090938455049),
+            (2514, 2514, 31840, 30996, 4436197461108731965),
         ),
     ];
     for (strategy, pin) in pins {
