@@ -100,14 +100,15 @@ pub struct PathBuilder {
     qdims: Vec<u32>,
     qnodes: Vec<u128>,
     qoffsets: Vec<u32>,
-    // Case B: selection and plan arena.
+    // Case B (see `case_b`), plain and rebuilt alike: D, the rotation
+    // base order and its sort keys; the plan arena, each plan written the
+    // first time selection reaches it; the selection as arena ranges, in
+    // family order.
     d_positions: Vec<u32>,
     gd: Vec<u32>,
     keyed: Vec<(u64, u32)>,
-    rot_sel: Vec<usize>,
-    det_sel: Vec<u32>,
-    plan_pos: Vec<u32>,
-    plan_off: Vec<u32>,
+    arena: Vec<u32>,
+    sel: Vec<(u32, u32)>,
     // Case B: fan bookkeeping (targets, per-plan segment indices, flow
     // networks).
     src_targets: Vec<u128>,
@@ -120,18 +121,12 @@ pub struct PathBuilder {
     // `family_cache`): the replayed entry's, or computed once for a
     // fresh construction.
     span: u64,
-    // Fault-avoiding scratch (see `avoid`): the listed live faults,
-    // survivor snapshot, per-path blocked flags, the full candidate-plan
-    // arena with its selection state, priority order and current
-    // selection.
+    // Fault-avoiding scratch (see `avoid`): the listed live faults (the
+    // case-B core reads them when rebuilding), survivor snapshot and
+    // per-path blocked flags.
     avoid_faults: Vec<NodeId>,
     avoid_tmp: PathSet,
     avoid_blocked: Vec<bool>,
-    avoid_cand_pos: Vec<u32>,
-    avoid_cand_off: Vec<u32>,
-    avoid_priority: Vec<u32>,
-    avoid_state: Vec<u8>,
-    avoid_sel: Vec<u32>,
     // The one family tier a query consults (see `family_cache`).
     tier: Tier,
     // Observability: monotone counters plus opt-in per-query timing.
@@ -399,37 +394,32 @@ fn construct_into(
         }
     }
 
-    let result = if same {
-        same_cube_into(hhc, u, v, out, scratch, want_trace)
+    // Case A always uses exactly one external loop; case B lists its
+    // rotations first, then its detours.
+    let (trace, nr, nd) = if same {
+        (same_cube_into(hhc, u, v, out, scratch, want_trace)?, 0, 1)
     } else {
-        case_b::cross_cube_into(hhc, u, v, order, out, scratch, want_trace)
+        let nr = case_b::cross_cube_into(hhc, u, v, order, None, out, scratch)?;
+        let trace = want_trace.then(|| case_b::cross_cube_trace(scratch, nr));
+        (trace, nr as u64, (out.len() - nr) as u64)
     };
-    if result.is_ok() {
-        // Plan selections are read back from the scratch the case-B core
-        // just filled; case A always uses exactly one external loop.
-        let (nr, nd) = if same {
-            (0, 1)
-        } else {
-            (scratch.rot_sel.len() as u64, scratch.det_sel.len() as u64)
-        };
-        // The store's canonicalising pass computes the span; an inert
-        // tier leaves it to one pass here.
-        let stored = scratch.tier.cache.store(key, hhc.m(), mask, out, nr, nd);
-        scratch.span = stored.unwrap_or_else(|| family_cache::family_span(hhc.m(), mask, out));
-        let m = &mut scratch.metrics;
-        m.queries += 1;
-        if same {
-            m.same_cube += 1;
-        } else {
-            m.cross_cube += 1;
-        }
-        m.rotation_plans += nr;
-        m.detour_plans += nd;
-        if let Some(t0) = t0 {
-            m.timing.record_ns(t0.elapsed().as_nanos() as u64);
-        }
+    // The store's canonicalising pass computes the span; an inert tier
+    // leaves it to one pass here.
+    let stored = scratch.tier.cache.store(key, hhc.m(), mask, out, nr, nd);
+    scratch.span = stored.unwrap_or_else(|| family_cache::family_span(hhc.m(), mask, out));
+    let m = &mut scratch.metrics;
+    m.queries += 1;
+    if same {
+        m.same_cube += 1;
+    } else {
+        m.cross_cube += 1;
     }
-    result
+    m.rotation_plans += nr;
+    m.detour_plans += nd;
+    if let Some(t0) = t0 {
+        m.timing.record_ns(t0.elapsed().as_nanos() as u64);
+    }
+    Ok(trace)
 }
 
 /// Case A: both nodes in the same son-cube.
