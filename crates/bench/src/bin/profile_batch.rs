@@ -1,8 +1,7 @@
 //! Quick throughput profiler for the batch engine: measures the per-pair
 //! loop, the scratch-reusing core, and both batch entry points on the
-//! acceptance workload (random HHC(5) pairs), plus the metered batch
-//! path (counters on, timing off — the zero-cost claim) and a replay of
-//! the exact fan queries the construction issues. Uses a min-over-repeats
+//! acceptance workload (random HHC(5) pairs), plus a replay of the exact
+//! fan queries the construction issues. Uses a min-over-repeats
 //! protocol so a noisy host does not swamp the numbers; this is the
 //! canonical batch-engine measurement.
 //!
@@ -104,23 +103,11 @@ fn run_cache_section(
     for w in make_workloads(h, total, pool) {
         let n = w.pairs.len() as f64;
         let measure = |cfg: CacheConfig, repeats: usize| {
-            let (sets, report) = batch::construct_many_serial_metered_with(
-                h,
-                &w.pairs,
-                CrossingOrder::Gray,
-                false,
-                cfg,
-            )
-            .unwrap();
+            let (sets, report) =
+                batch::construct_many_serial(h, &w.pairs, CrossingOrder::Gray, cfg).unwrap();
             let secs = min_time(repeats, || {
-                let out = batch::construct_many_serial_metered_with(
-                    h,
-                    &w.pairs,
-                    CrossingOrder::Gray,
-                    false,
-                    cfg,
-                )
-                .unwrap();
+                let out =
+                    batch::construct_many_serial(h, &w.pairs, CrossingOrder::Gray, cfg).unwrap();
                 std::hint::black_box(&out);
             });
             (sets, report, secs * 1e9 / n)
@@ -202,18 +189,13 @@ fn main() {
             std::hint::black_box(&set);
         }
     });
+    let cfg = CacheConfig::default();
     let serial = min_time(repeats, || {
-        let out = batch::construct_many_serial(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let out = batch::construct_many_serial(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
         std::hint::black_box(&out);
     });
     let rayon = min_time(repeats, || {
-        let out = batch::construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
-        std::hint::black_box(&out);
-    });
-    // Counters on, timing off: the claimed ~zero-cost metrics mode.
-    let metered = min_time(repeats, || {
-        let out =
-            batch::construct_many_serial_metered(&h, &pairs, CrossingOrder::Gray, false).unwrap();
+        let out = batch::construct_many(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
         std::hint::black_box(&out);
     });
 
@@ -258,11 +240,6 @@ fn main() {
         per_pair / rayon
     );
     println!(
-        "batched_metered {:8.1} us/pair  ({:+.1}% vs serial)",
-        metered * 1e6 / n,
-        (metered / serial - 1.0) * 100.0
-    );
-    println!(
         "fan replay      {:8.1} us/pair ({} queries, {:.1} us/call)",
         fan * 1e6 / n,
         queries.len(),
@@ -272,7 +249,7 @@ fn main() {
     // --- Family-cache comparison -------------------------------------
     println!();
     println!(
-        "cache section: {} pairs per workload (serial metered batch)",
+        "cache section: {} pairs per workload (serial batch)",
         pair_count
     );
     let rows = run_cache_section(&h, repeats, pair_count, pool, mode);
@@ -307,7 +284,6 @@ fn main() {
     o.f64("core_us", core * 1e6 / n);
     o.f64("batched_serial_us", serial * 1e6 / n);
     o.f64("batched_rayon_us", rayon * 1e6 / n);
-    o.f64("batched_metered_us", metered * 1e6 / n);
     let row_objs: Vec<String> = rows
         .iter()
         .map(|r| {

@@ -25,13 +25,13 @@ pub fn run() {
     // One workspace across the whole sweep: scratch reuse plus one
     // accumulated construction-metrics sidecar for every pair examined.
     let mut ws = Workspace::new();
-    ws.enable_timing(true);
+    ws.builder.enable_timing(true);
     for m in 1..=6u32 {
         let h = Hhc::new(m).unwrap();
         // Per-m cache effectiveness from metric deltas: the workspace
         // counters are cumulative across the sweep, so subtract the
         // snapshot taken before this m's constructions.
-        let before = ws.metrics().construction;
+        let before = ws.builder.metrics().construction;
         let (est, mode) = if m <= wide::EXHAUSTIVE_MAX_M {
             let est = wide::exhaustive_with(&h, &mut ws).expect("m within the exhaustive guard");
             (est, "exhaustive")
@@ -54,7 +54,7 @@ pub fn run() {
                 "adversarial+sampled",
             )
         };
-        let after = ws.metrics().construction;
+        let after = ws.builder.metrics().construction;
         let queries = after.queries - before.queries;
         let hits = after.family_hits - before.family_hits;
         let hit_pct = if queries > 0 {
@@ -73,5 +73,5 @@ pub fn run() {
         ]);
     }
     t.emit("t4_wide_diameter");
-    util::write_metrics_sidecar("t4_wide_diameter", &ws.metrics().to_json());
+    util::write_metrics_sidecar("t4_wide_diameter", &ws.builder.metrics().to_json());
 }

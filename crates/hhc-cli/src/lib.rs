@@ -22,7 +22,7 @@
 
 use hhc_core::disjoint::ConstructionCase;
 use hhc_core::{
-    batch, bounds, collectives, disjoint, verify, wide, CrossingOrder, Hhc, NodeId, Workspace,
+    bounds, collectives, disjoint, verify, wide, CrossingOrder, Hhc, NodeId, Workspace,
 };
 use std::fmt::Write as _;
 
@@ -521,7 +521,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 CrossingOrder::Gray
             };
             let mut ws = Workspace::new();
-            ws.enable_timing(metrics);
+            ws.builder.enable_timing(metrics);
             let paths = if avoid.is_empty() {
                 let paths = ws
                     .construct(&h, u, v, order)
@@ -570,7 +570,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 let _ = writeln!(out, "  P{i} len {:2}: {}", p.len() - 1, hops.join(" -> "));
             }
             if metrics {
-                let _ = writeln!(out, "metrics: {}", ws.metrics().to_json());
+                let _ = writeln!(out, "metrics: {}", ws.builder.metrics().to_json());
             }
         }
         Command::Wide {
@@ -580,7 +580,7 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
         } => {
             let h = net(m)?;
             let mut ws = Workspace::new();
-            ws.enable_timing(metrics);
+            ws.builder.enable_timing(metrics);
             let est = if m <= wide::EXHAUSTIVE_MAX_M {
                 wide::exhaustive_with(&h, &mut ws)
             } else {
@@ -596,15 +596,18 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
                 h.diameter()
             );
             if metrics {
-                let _ = writeln!(out, "metrics: {}", ws.metrics().to_json());
+                let _ = writeln!(out, "metrics: {}", ws.builder.metrics().to_json());
             }
         }
         Command::Stats { m, pairs, seed } => {
             let h = net(m)?;
-            let pair_list = workloads::sampling::random_pairs(&h, pairs, seed);
-            let (_, report) =
-                batch::construct_many_serial_metered(&h, &pair_list, CrossingOrder::Gray, true)
+            let mut ws = Workspace::new();
+            ws.builder.enable_timing(true);
+            for (u, v) in workloads::sampling::random_pairs(&h, pairs, seed) {
+                ws.construct(&h, u, v, CrossingOrder::Gray)
                     .map_err(|e| CliError(e.to_string()))?;
+            }
+            let report = ws.builder.metrics();
             let c = &report.construction;
             let _ = writeln!(
                 out,

@@ -9,10 +9,18 @@
 //!
 //! * [`construct_many_serial`] runs a pair list through one
 //!   [`PathBuilder`] on the current thread;
-//! * [`construct_many`] fans the list out over rayon with one
-//!   `PathBuilder` per worker (`map_init`), preserving input order;
+//! * [`construct_many`] splits the list into one contiguous chunk per
+//!   rayon worker, runs each chunk through its own `PathBuilder`, and
+//!   concatenates the results in input order;
 //! * [`Workspace`] bundles a [`PathSet`], a [`PathBuilder`] and a
 //!   [`VerifyScratch`] for callers with their own loop structure.
+//!
+//! Both batch entry points take the builders' family-cache configuration
+//! and return the [`MetricsReport`] the builders accumulated, merged
+//! across chunks. Every builder counts unconditionally, so the report
+//! costs nothing extra. Per-query timing stays off; a caller that wants
+//! it loops over a [`Workspace`] whose `builder` has
+//! [`PathBuilder::enable_timing`] on.
 //!
 //! All entry points are thin wrappers over the same construction core as
 //! `disjoint::disjoint_paths`, so batched results are node-for-node
@@ -54,12 +62,6 @@ impl Workspace {
             builder: PathBuilder::with_caches(cfg),
             ..Workspace::default()
         }
-    }
-
-    /// Replaces the builder's family cache; see
-    /// [`PathBuilder::set_cache_config`].
-    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.builder.set_cache_config(cfg);
     }
 
     /// Constructs the `m + 1` disjoint paths for one pair into the owned
@@ -125,120 +127,28 @@ impl Workspace {
         }
         Ok(max)
     }
-
-    /// Turns per-query wall-clock timing on or off for this workspace's
-    /// builder; see [`PathBuilder::enable_timing`].
-    pub fn enable_timing(&mut self, on: bool) {
-        self.builder.enable_timing(on);
-    }
-
-    /// Effort snapshot of this workspace's builder; see
-    /// [`PathBuilder::metrics`].
-    pub fn metrics(&self) -> MetricsReport {
-        self.builder.metrics()
-    }
-
-    /// Zeroes the builder's counters; see [`PathBuilder::reset_metrics`].
-    pub fn reset_metrics(&mut self) {
-        self.builder.reset_metrics();
-    }
 }
 
 /// Constructs the disjoint-path family for every pair, in input order,
-/// fanning out over rayon with one [`PathBuilder`] per worker thread.
+/// with one [`PathBuilder`] per rayon worker: the pair list is split into
+/// one contiguous chunk per worker, so each chunk's builder and its
+/// counters can be recovered after the parallel section and merged.
 ///
 /// Node-for-node identical to calling
-/// [`disjoint_paths`](crate::disjoint::disjoint_paths) per pair; the
-/// first error (e.g. an equal-nodes pair) aborts the batch.
+/// [`disjoint_paths`](crate::disjoint::disjoint_paths) per pair, for
+/// every `cfg`; the first error in input order (e.g. an equal-nodes
+/// pair) aborts the batch.
 pub fn construct_many(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],
     order: CrossingOrder,
-) -> Result<Vec<PathSet>, HhcError> {
-    construct_many_with(hhc, pairs, order, CacheConfig::default())
-}
-
-/// [`construct_many`] with an explicit per-worker family-cache capacity
-/// (each rayon worker owns its cache — no locks on the hot path).
-/// Results are byte-identical for every `cfg`, including
-/// [`CacheConfig::disabled`].
-pub fn construct_many_with(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    cfg: CacheConfig,
-) -> Result<Vec<PathSet>, HhcError> {
-    pairs
-        .par_iter()
-        .map_init(
-            || (PathBuilder::with_caches(cfg), PathSet::new()),
-            |(scratch, tmp), &(u, v)| {
-                disjoint_paths_into(hhc, u, v, order, tmp, scratch)?;
-                // Cloning the warm arena sizes the output exactly; building
-                // into a cold PathSet would pay growth reallocations per pair.
-                Ok(tmp.clone())
-            },
-        )
-        .collect()
-}
-
-/// [`construct_many`] on the current thread only: one scratch, no
-/// thread fan-out. This isolates the allocation-reuse win from the
-/// parallelism win (and is what single-threaded callers should use).
-pub fn construct_many_serial(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-) -> Result<Vec<PathSet>, HhcError> {
-    let mut scratch = PathBuilder::new();
-    let mut tmp = PathSet::new();
-    pairs
-        .iter()
-        .map(|&(u, v)| {
-            disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut scratch)?;
-            Ok(tmp.clone())
-        })
-        .collect()
-}
-
-/// [`construct_many_with`] additionally returning the [`MetricsReport`]
-/// accumulated across every worker. Results are node-for-node identical
-/// to [`construct_many_with`]; `timed` enables per-query wall-clock
-/// timing (see [`PathBuilder::enable_timing`] for its cost), and the
-/// merged report's `family_hits` counter exposes the aggregate hit rate.
-///
-/// The pair list is split into one contiguous chunk per rayon worker so
-/// each chunk's builder — and its counters — can be recovered after the
-/// parallel section and merged (plain `map_init` scratch is unrecoverable
-/// once the iterator finishes).
-pub fn construct_many_metered_with(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    timed: bool,
     cfg: CacheConfig,
 ) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    if pairs.is_empty() {
-        return Ok((Vec::new(), MetricsReport::default()));
-    }
-    let workers = rayon::current_num_threads().max(1);
-    let chunk_len = pairs.len().div_ceil(workers);
+    let chunk_len = pairs.len().div_ceil(rayon::current_num_threads()).max(1);
     let chunks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk_len).collect();
     let per_chunk: Vec<Result<(Vec<PathSet>, MetricsReport), HhcError>> = chunks
         .par_iter()
-        .map(|chunk| {
-            let mut scratch = PathBuilder::with_caches(cfg);
-            scratch.enable_timing(timed);
-            let mut tmp = PathSet::new();
-            let sets = chunk
-                .iter()
-                .map(|&(u, v)| {
-                    disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut scratch)?;
-                    Ok(tmp.clone())
-                })
-                .collect::<Result<Vec<PathSet>, HhcError>>()?;
-            Ok((sets, scratch.metrics()))
-        })
+        .map(|chunk| construct_many_serial(hhc, chunk, order, cfg))
         .collect();
     let mut out = Vec::with_capacity(pairs.len());
     let mut report = MetricsReport::default();
@@ -250,37 +160,27 @@ pub fn construct_many_metered_with(
     Ok((out, report))
 }
 
-/// [`construct_many_serial`] additionally returning the single builder's
-/// [`MetricsReport`].
-pub fn construct_many_serial_metered(
+/// [`construct_many`] on the current thread only: one builder, no
+/// thread fan-out. This isolates the allocation-reuse win from the
+/// parallelism win (and is what single-threaded callers should use).
+pub fn construct_many_serial(
     hhc: &Hhc,
     pairs: &[(NodeId, NodeId)],
     order: CrossingOrder,
-    timed: bool,
-) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    construct_many_serial_metered_with(hhc, pairs, order, timed, CacheConfig::default())
-}
-
-/// [`construct_many_serial_metered`] with an explicit family-cache
-/// capacity.
-pub fn construct_many_serial_metered_with(
-    hhc: &Hhc,
-    pairs: &[(NodeId, NodeId)],
-    order: CrossingOrder,
-    timed: bool,
     cfg: CacheConfig,
 ) -> Result<(Vec<PathSet>, MetricsReport), HhcError> {
-    let mut scratch = PathBuilder::with_caches(cfg);
-    scratch.enable_timing(timed);
+    let mut builder = PathBuilder::with_caches(cfg);
     let mut tmp = PathSet::new();
     let sets = pairs
         .iter()
         .map(|&(u, v)| {
-            disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut scratch)?;
+            disjoint_paths_into(hhc, u, v, order, &mut tmp, &mut builder)?;
+            // Cloning the warm arena sizes the output exactly; building
+            // into a cold PathSet would pay growth reallocations per pair.
             Ok(tmp.clone())
         })
         .collect::<Result<Vec<PathSet>, HhcError>>()?;
-    Ok((sets, scratch.metrics()))
+    Ok((sets, builder.metrics()))
 }
 
 #[cfg(test)]
@@ -314,8 +214,9 @@ mod tests {
     fn batch_matches_per_pair() {
         let (h, pairs) = pairs_m3();
         for order in [CrossingOrder::Gray, CrossingOrder::Sorted] {
-            let batched = construct_many(&h, &pairs, order).unwrap();
-            let serial = construct_many_serial(&h, &pairs, order).unwrap();
+            let cfg = CacheConfig::default();
+            let (batched, _) = construct_many(&h, &pairs, order, cfg).unwrap();
+            let (serial, _) = construct_many_serial(&h, &pairs, order, cfg).unwrap();
             assert_eq!(batched.len(), pairs.len());
             for (i, &(u, v)) in pairs.iter().enumerate() {
                 let single = disjoint_paths(&h, u, v, order).unwrap();
@@ -330,8 +231,15 @@ mod tests {
         let h = Hhc::new(2).unwrap();
         let u = h.node(1, 1).unwrap();
         let v = h.node(2, 0).unwrap();
-        let err = construct_many(&h, &[(u, v), (v, v)], CrossingOrder::Gray);
-        assert_eq!(err, Err(HhcError::EqualNodes));
+        for run in [construct_many, construct_many_serial] {
+            let err = run(
+                &h,
+                &[(u, v), (v, v)],
+                CrossingOrder::Gray,
+                CacheConfig::default(),
+            );
+            assert_eq!(err, Err(HhcError::EqualNodes));
+        }
     }
 
     #[test]
@@ -356,22 +264,17 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let h = Hhc::new(2).unwrap();
-        assert_eq!(construct_many(&h, &[], CrossingOrder::Gray), Ok(Vec::new()));
+        for run in [construct_many, construct_many_serial] {
+            let empty = run(&h, &[], CrossingOrder::Gray, CacheConfig::default());
+            assert_eq!(empty, Ok((Vec::new(), MetricsReport::default())));
+        }
     }
 
     #[test]
-    fn metered_matches_unmetered_and_conserves_counters() {
+    fn merged_reports_conserve_counters() {
         let (h, pairs) = pairs_m3();
-        let plain = construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
-        let (metered, report) = construct_many_metered_with(
-            &h,
-            &pairs,
-            CrossingOrder::Gray,
-            false,
-            CacheConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(metered, plain);
+        let cfg = CacheConfig::default();
+        let (_, report) = construct_many(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
         let c = &report.construction;
         assert_eq!(c.queries, pairs.len() as u64);
         assert_eq!(c.same_cube + c.cross_cube, c.queries);
@@ -386,54 +289,26 @@ mod tests {
             c.rotation_plans + c.detour_plans,
             c.cross_cube * h.degree() as u64 + c.same_cube
         );
-        // Timing disabled: no samples recorded.
+        // Batch builders do not time queries.
         assert_eq!(c.timing.count(), 0);
 
-        let (serial, sreport) =
-            construct_many_serial_metered(&h, &pairs, CrossingOrder::Gray, true).unwrap();
-        assert_eq!(serial, plain);
+        let (_, sreport) = construct_many_serial(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
         assert_eq!(sreport.construction.queries, c.queries);
         assert_eq!(sreport.construction.cross_cube, c.cross_cube);
-        // Timing enabled: one sample per query.
-        assert_eq!(sreport.construction.timing.count(), pairs.len() as u64);
-    }
-
-    #[test]
-    fn metered_empty_and_error_paths() {
-        let h = Hhc::new(2).unwrap();
-        let (sets, report) = construct_many_metered_with(
-            &h,
-            &[],
-            CrossingOrder::Gray,
-            false,
-            CacheConfig::default(),
-        )
-        .unwrap();
-        assert!(sets.is_empty());
-        assert_eq!(report, MetricsReport::default());
-        let u = h.node(1, 1).unwrap();
-        let err = construct_many_metered_with(
-            &h,
-            &[(u, u)],
-            CrossingOrder::Gray,
-            false,
-            CacheConfig::default(),
-        );
-        assert!(matches!(err, Err(HhcError::EqualNodes)));
     }
 
     #[test]
     fn workspace_surfaces_metrics() {
         let h = Hhc::new(3).unwrap();
         let mut ws = Workspace::new();
-        ws.enable_timing(true);
+        ws.builder.enable_timing(true);
         let u = h.node(0x00, 0b000).unwrap();
         let v = h.node(0x2B, 0b101).unwrap(); // cross-cube
         let w = h.node(0x00, 0b111).unwrap(); // same cube as u
         ws.construct(&h, u, v, CrossingOrder::Gray).unwrap();
         ws.construct_and_verify(&h, u, w, CrossingOrder::Gray)
             .unwrap();
-        let m = ws.metrics();
+        let m = ws.builder.metrics();
         assert_eq!(m.construction.queries, 2);
         assert_eq!(m.construction.cross_cube, 1);
         assert_eq!(m.construction.same_cube, 1);
@@ -442,9 +317,9 @@ mod tests {
         assert!(m.solver.bfs_passes > 0);
         // Failed queries leave the counters untouched.
         assert!(ws.construct(&h, u, u, CrossingOrder::Gray).is_err());
-        assert_eq!(ws.metrics().construction.queries, 2);
-        ws.reset_metrics();
-        assert_eq!(ws.metrics(), MetricsReport::default());
+        assert_eq!(ws.builder.metrics().construction.queries, 2);
+        ws.builder.reset_metrics();
+        assert_eq!(ws.builder.metrics(), MetricsReport::default());
     }
 
     #[test]
@@ -460,7 +335,8 @@ mod tests {
             (h.node(0x1234, 7).unwrap(), h.node(0x8765, 2).unwrap()),
             (h.node(0xBEEF, 9).unwrap(), h.node(0xBEF0, 9).unwrap()),
         ];
-        let sets = construct_many_serial(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let (sets, _) =
+            construct_many_serial(&h, &pairs, CrossingOrder::Gray, CacheConfig::default()).unwrap();
         let mut scratch = VerifyScratch::default();
         for (set, &(u, v)) in sets.iter().zip(&pairs) {
             verify_disjoint_paths_into(&h, u, v, set, &mut scratch).unwrap();

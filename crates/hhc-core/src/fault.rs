@@ -7,11 +7,11 @@
 //! the faults once per query and tests each against the cached family's
 //! cube-offset span before it probes any node (see `disjoint::avoid`).
 //! The trait stays object-safe — callers hand the engine a
-//! `&dyn FaultOracle` and keep whatever representation suits their hot
-//! path: a hash set, the sorted [`FaultSet`], or a dense bitmap.
-//! `netsim` re-exports this trait as its `FaultLookup` and [`FaultSet`]
-//! under the same name, so one fault set serves both the simulator's
-//! selection layer and the construction engine without conversion.
+//! `&dyn FaultOracle` and keep whatever representation suits them: a
+//! hash set, or the sorted [`FaultSet`]. `netsim` re-exports
+//! [`FaultSet`] under the same name, and its selection layer takes the
+//! same `&dyn FaultOracle`, so one fault set serves both the simulator
+//! and the construction engine without conversion.
 
 use crate::node::NodeId;
 use std::collections::HashSet;

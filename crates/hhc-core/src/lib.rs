@@ -68,11 +68,7 @@ pub mod topology;
 pub mod verify;
 pub mod wide;
 
-pub use batch::{
-    construct_many, construct_many_metered_with, construct_many_serial,
-    construct_many_serial_metered, construct_many_serial_metered_with, construct_many_with,
-    Workspace,
-};
+pub use batch::{construct_many, construct_many_serial, Workspace};
 pub use disjoint::family_cache::{
     CacheConfig, L2Config, SharedFamilyCache, DEFAULT_FAMILY_CACHE_CAPACITY,
 };

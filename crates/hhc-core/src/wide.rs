@@ -10,10 +10,10 @@
 //! Every sweep comes in two forms: a convenience entry point that owns
 //! its [`Workspace`], and a `_with` variant taking a caller-owned one so
 //! batch drivers can reuse scratch across sweeps and read the
-//! accumulated [construction metrics](crate::batch::Workspace::metrics)
-//! afterwards. Infeasible requests (an exhaustive sweep on a network too
-//! large to enumerate) are reported as [`HhcError::Unsupported`], never
-//! panics.
+//! accumulated [construction metrics](crate::PathBuilder::metrics) off
+//! its `builder` afterwards. Infeasible requests (an exhaustive sweep on
+//! a network too large to enumerate) are reported as
+//! [`HhcError::Unsupported`], never panics.
 //!
 //! # Panics
 //!
@@ -242,7 +242,7 @@ mod tests {
         let b = adversarial_with(&h, &mut ws).unwrap();
         assert_eq!(a, exhaustive(&h).unwrap());
         assert_eq!(b, adversarial(&h).unwrap());
-        let m = ws.metrics();
+        let m = ws.builder.metrics();
         assert_eq!(m.construction.queries, a.pairs + b.pairs);
     }
 }

@@ -66,13 +66,13 @@ proptest! {
         }
         // The warm default-config workspace replayed later reps from its
         // family cache; the disabled one never did.
-        let hits = |i: usize| workspaces[i].metrics().construction.family_hits;
+        let hits = |i: usize| workspaces[i].builder.metrics().construction.family_hits;
         prop_assert_eq!(hits(0), 0, "disabled cache must never hit");
         prop_assert!(hits(1) >= ((reps - 1) * pool.len()) as u64, "warm cache must replay repeats");
     }
 
-    /// Batch entry points with explicit configs agree with each other
-    /// and with the unconfigured defaults.
+    /// The batch entry point answers identically under every cache
+    /// config, and its merged report conserves the counters.
     #[test]
     fn batch_configs_agree(
         m in 1u32..=3,
@@ -88,14 +88,12 @@ proptest! {
         // Repeat the pool to create cache hits inside one batch call.
         let pairs: Vec<(NodeId, NodeId)> = pool.iter().copied().cycle().take(pool.len() * 3).collect();
 
-        let default = batch::construct_many(&h, &pairs, CrossingOrder::Gray).unwrap();
+        let (default, _) =
+            batch::construct_many(&h, &pairs, CrossingOrder::Gray, CacheConfig::default()).unwrap();
         for cfg in configs() {
-            let got = batch::construct_many_with(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
+            let (got, report) =
+                batch::construct_many(&h, &pairs, CrossingOrder::Gray, cfg).unwrap();
             prop_assert_eq!(&got, &default);
-            let (metered, report) =
-                batch::construct_many_metered_with(&h, &pairs, CrossingOrder::Gray, false, cfg)
-                    .unwrap();
-            prop_assert_eq!(&metered, &default);
             let c = &report.construction;
             prop_assert_eq!(c.queries, pairs.len() as u64);
             // Conservation laws hold with or without cache replays.
@@ -150,10 +148,10 @@ fn large_m_repeated_pairs_identical() {
             }
         }
         assert_eq!(
-            warm.metrics().construction.family_hits,
+            warm.builder.metrics().construction.family_hits,
             2 * pool.len() as u64,
             "reps 2 and 3 must replay"
         );
-        assert_eq!(off.metrics().construction.family_hits, 0);
+        assert_eq!(off.builder.metrics().construction.family_hits, 0);
     }
 }

@@ -218,13 +218,13 @@ fn adversarial_fault_triggers_reroute_and_recovers() {
             continue;
         }
         let faults: HashSet<NodeId> = [fault].into_iter().collect();
-        let before = ws.metrics().construction.fault_reroutes;
+        let before = ws.builder.metrics().construction.fault_reroutes;
         let (outcome, set) = ws
             .construct_avoiding(&h, u, v, CrossingOrder::Gray, &faults)
             .unwrap();
         let got = set.to_paths();
         assert!(outcome.rerouted, "family through {fault:?} must reroute");
-        assert_eq!(ws.metrics().construction.fault_reroutes, before + 1);
+        assert_eq!(ws.builder.metrics().construction.fault_reroutes, before + 1);
         // One fault can block at most one plain path, so the survivor
         // floor is m; the rebuild may recover all m + 1.
         assert!(got.len() >= h.m() as usize, "{} paths", got.len());

@@ -1,6 +1,7 @@
 //! Static (queue-free) fault-tolerance analysis — experiment F3.
 //!
-//! For a pair `(u, v)` and a fault set `F` (with `u, v ∉ F`):
+//! For a pair `(u, v)` and a fault set `F` (with `u, v ∉ F`), given as
+//! a `&dyn` [`FaultOracle`]:
 //!
 //! * **single-path** delivery succeeds iff the deterministic route avoids
 //!   `F`;
@@ -11,10 +12,9 @@
 //! * **ground truth** reachability (any path at all) comes from BFS on
 //!   the materialised graph, for calibration on small networks.
 
-use crate::faults::FaultLookup;
 use crate::net::{Network, RouteScratch};
 use crate::strategy::path_blocked;
-use hhc_core::NodeId;
+use hhc_core::{FaultOracle, NodeId};
 
 /// Outcome of the static delivery analysis for one (pair, fault set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,11 +32,11 @@ pub struct DeliveryOutcome {
 /// # Panics
 /// Panics if `u == v` or either endpoint is faulty (the model protects
 /// the communicating pair).
-pub fn analyze<N: Network + ?Sized, F: FaultLookup + ?Sized>(
+pub fn analyze<N: Network + ?Sized>(
     net: &N,
     u: NodeId,
     v: NodeId,
-    faults: &F,
+    faults: &dyn FaultOracle,
 ) -> DeliveryOutcome {
     analyze_with(net, u, v, faults, &mut RouteScratch::new())
 }
@@ -48,11 +48,11 @@ pub fn analyze<N: Network + ?Sized, F: FaultLookup + ?Sized>(
 /// # Panics
 ///
 /// Same contract as [`analyze`]: `u ≠ v` and both endpoints alive.
-pub fn analyze_with<N: Network + ?Sized, F: FaultLookup + ?Sized>(
+pub fn analyze_with<N: Network + ?Sized>(
     net: &N,
     u: NodeId,
     v: NodeId,
-    faults: &F,
+    faults: &dyn FaultOracle,
     scratch: &mut RouteScratch,
 ) -> DeliveryOutcome {
     assert_ne!(u, v);

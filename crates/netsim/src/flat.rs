@@ -37,7 +37,7 @@
 //! order, so they produce **byte-identical [`SimStats`]** — enforced by
 //! the `flat_equivalence` test suite and the `profile_sim` bench.
 
-use crate::faults::{FaultAction, FaultEvent, FaultFlags, FaultLookup};
+use crate::faults::{FaultAction, FaultEvent, FaultSet};
 use crate::net::{LinkTable, Network, RouteScratch};
 use crate::packet::FlatPacket;
 use crate::sim::{DeliveryRecord, SimConfig, Switching};
@@ -618,7 +618,15 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     let mut calendar = EventCalendar::new(busy + 1);
     let mut landed: Vec<CalEntry> = Vec::new();
     let mut route_scratch = RouteScratch::with_route_cache(route_cache);
-    let mut faults = FaultFlags::from_set(fault_set, n_nodes);
+    // Addresses outside the network are ignored, here and when an event
+    // applies: no packet can reach them, and keeping them out keeps the
+    // set's fault count honest for the fault-avoiding construction.
+    let in_network = |v: NodeId| v.raw() < n_nodes as u128;
+    let mut faults: FaultSet = fault_set
+        .iter()
+        .copied()
+        .filter(|&v| in_network(v))
+        .collect();
     // Timed fault events switch the run into dynamic mode: the arrival
     // index space covers *all* addresses (so the sampler's index stream
     // is invariant under churn) and arrivals at currently-faulty
@@ -633,7 +641,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     // ascending address order; with no faults ranks are addresses.
     let healthy: Option<Vec<u32>> = (!dynamic && !faults.is_empty()).then(|| {
         (0..n_nodes as u32)
-            .filter(|&raw| !faults.is_faulty(NodeId::from_raw(raw as u128)))
+            .filter(|&raw| !faults.contains(NodeId::from_raw(raw as u128)))
             .collect()
     });
     let n_healthy = healthy.as_ref().map_or(n_nodes, Vec::len);
@@ -648,7 +656,12 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
         while next_event < events.len() && events[next_event].cycle <= cycle {
             let ev = events[next_event];
             next_event += 1;
-            faults.set(ev.node, ev.action == FaultAction::Fail);
+            if in_network(ev.node) {
+                match ev.action {
+                    FaultAction::Fail => faults.insert(ev.node),
+                    FaultAction::Recover => faults.remove(ev.node),
+                };
+            }
         }
 
         // Phase 1: injection (disabled during drain). Only the sources
@@ -663,7 +676,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
                 // The labelled block gives every rejected attempt a
                 // single exit that still advances the sampler.
                 'attempt: {
-                    if dynamic && faults.is_faulty(src) {
+                    if dynamic && faults.contains(src) {
                         // The source is down right now: its arrival is
                         // suppressed (no RNG draws beyond the sampler
                         // advance, so the arrival stream stays invariant
@@ -674,7 +687,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
                         stats.self_addressed += 1;
                         break 'attempt;
                     };
-                    if faults.is_faulty(dst) {
+                    if faults.contains(dst) {
                         stats.dropped_dst_faulty += 1;
                         break 'attempt;
                     }

@@ -31,7 +31,7 @@ pub mod sim;
 pub mod stats;
 pub mod strategy;
 
-pub use faults::{FaultAction, FaultEvent, FaultFlags, FaultLookup, FaultSet};
+pub use faults::{FaultAction, FaultEvent, FaultSet};
 pub use flat::{EngineConfig, Fidelity, LinkStoreMode, RouteArena};
 pub use hhc_core::CacheConfig;
 pub use net::{CubeNet, LinkTable, Network, RouteScratch};

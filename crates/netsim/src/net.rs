@@ -7,9 +7,8 @@
 //! services the strategies need — a deterministic single route and the
 //! family of internally node-disjoint routes.
 
-use crate::faults::FaultLookup;
 use hhc_core::{
-    CacheConfig, CrossingOrder, Hhc, MetricsReport, NodeId, Path, PathBuilder, PathSet,
+    CacheConfig, CrossingOrder, FaultOracle, Hhc, MetricsReport, NodeId, Path, PathBuilder, PathSet,
 };
 use hypercube::Cube;
 use workloads::AddressSpace;
@@ -195,7 +194,7 @@ pub trait Network: AddressSpace {
         &self,
         src: NodeId,
         dst: NodeId,
-        faults: &dyn FaultLookup,
+        faults: &dyn FaultOracle,
         scratch: &'s mut RouteScratch,
     ) -> &'s PathSet {
         let mut avoid = std::mem::take(&mut scratch.avoid_set);
@@ -272,7 +271,7 @@ impl Network for Hhc {
         &self,
         src: NodeId,
         dst: NodeId,
-        faults: &dyn FaultLookup,
+        faults: &dyn FaultOracle,
         scratch: &'s mut RouteScratch,
     ) -> &'s PathSet {
         hhc_core::disjoint_paths_avoiding_into(

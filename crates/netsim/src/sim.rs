@@ -40,10 +40,10 @@ use workloads::Pattern;
 /// Largest network (in address bits) the engine accepts. 20 bits admits
 /// HHC(4) (2^20 ≈ 1M nodes) and its matching cube Q_20. The bound is
 /// set by the dense per-node structures that remain after the lazy link
-/// store: the CSR link-table offsets, the fault-flag table, and the
-/// pattern/arrival index space — all linear in node count, ~10 bytes per
-/// node at 20 bits. Raising it further is a memory budget question, not
-/// an algorithmic one.
+/// store: the CSR link-table offsets, the healthy-source index of a run
+/// with static faults, and the pattern/arrival index space — all linear
+/// in node count, under 10 bytes per node at 20 bits. Raising it further
+/// is a memory budget question, not an algorithmic one.
 pub(crate) const MAX_ADDRESS_BITS: u32 = 20;
 
 /// Switching discipline: how a multi-flit packet crosses a link chain.
@@ -120,8 +120,8 @@ pub enum SimError {
     /// The network exceeds [`Simulator::MAX_ADDRESS_BITS`] address bits
     /// (currently 20, i.e. up to HHC(4)/Q_20 at 2^20 nodes). Even with
     /// the lazy link store the engine keeps a few dense per-node tables
-    /// (CSR link offsets, fault flags), so the address space must stay
-    /// materialisable.
+    /// (CSR link offsets, the healthy-source index), so the address space
+    /// must stay materialisable.
     NetworkTooLarge {
         /// Address bits of the offending network.
         address_bits: u32,
@@ -540,6 +540,9 @@ mod fault_event_tests {
         // assertions below are structural (who may inject, what gets
         // dropped), not count comparisons.
         let noop = sim(vec![fail(1_000_000, 0)]).run_traced(cfg());
+        // HHC(2) has 64 addresses: an event outside them is ignored.
+        let outside = sim(vec![fail(0, 64), fail(0, 1 << 100)]).run(cfg());
+        assert_eq!(outside, noop.0);
         let down = sim(vec![fail(0, 0), fail(1_000_000, 0)]).run_traced(cfg());
         let churn = sim(vec![fail(0, 0), recover(100, 0)]).run_traced(cfg());
 

@@ -2,7 +2,9 @@
 //!
 //! Strategies are pure: given the network, a pair and the fault set they
 //! return a full route or `None` (unroutable). The simulator charges an
-//! unroutable packet as a drop at injection time.
+//! unroutable packet as a drop at injection time. The fault set is a
+//! `&dyn` [`FaultOracle`], the trait the fault-avoiding construction
+//! takes, so [`Strategy::FaultFree`] hands it on unchanged.
 //!
 //! ```
 //! use hhc_core::Hhc;
@@ -19,9 +21,8 @@
 //! assert_eq!(route.last(), Some(&v));
 //! ```
 
-use crate::faults::FaultLookup;
 use crate::net::{Network, RouteScratch};
-use hhc_core::{NodeId, Path};
+use hhc_core::{FaultOracle, NodeId, Path};
 use rand::Rng;
 
 /// How sources pick routes.
@@ -58,47 +59,42 @@ pub enum Strategy {
 impl Strategy {
     /// Selects a route from `src` to `dst` (`src ≠ dst`), or `None` if the
     /// strategy cannot route around the faults. Allocates a fresh scratch
-    /// per call; loops should use [`Strategy::select_with`].
-    pub fn select<N: Network + ?Sized, F: FaultLookup + ?Sized, R: Rng>(
+    /// per call; loops should use [`Strategy::select_into`].
+    pub fn select<N: Network + ?Sized, R: Rng>(
         &self,
         net: &N,
         src: NodeId,
         dst: NodeId,
-        faults: &F,
+        faults: &dyn FaultOracle,
         rng: &mut R,
-    ) -> Option<Path> {
-        self.select_with(net, src, dst, faults, rng, &mut RouteScratch::new())
-    }
-
-    /// [`Strategy::select`] with caller-owned route scratch: the disjoint
-    /// family is built into the scratch's buffers and only the chosen
-    /// route is copied out. Identical routes and RNG draw sequence.
-    pub fn select_with<N: Network + ?Sized, F: FaultLookup + ?Sized, R: Rng>(
-        &self,
-        net: &N,
-        src: NodeId,
-        dst: NodeId,
-        faults: &F,
-        rng: &mut R,
-        scratch: &mut RouteScratch,
     ) -> Option<Path> {
         let mut out = Vec::new();
-        self.select_into(net, src, dst, faults, rng, scratch, &mut out)
-            .then_some(out)
+        self.select_into(
+            net,
+            src,
+            dst,
+            faults,
+            rng,
+            &mut RouteScratch::new(),
+            &mut out,
+        )
+        .then_some(out)
     }
 
-    /// [`Strategy::select_with`] writing the chosen route into `out`
-    /// (cleared first); returns whether a route was selected. The
+    /// [`Strategy::select`] with caller-owned route scratch, writing the
+    /// chosen route into `out` (cleared first); returns whether a route
+    /// was selected. The disjoint family is built into the scratch's
+    /// buffers and only the chosen route is copied out. The
     /// allocation-free form the simulator's injection loop uses — one
     /// route buffer lives for the whole run. Same routes, same RNG draw
-    /// sequence as the allocating forms (which delegate here).
+    /// sequence as [`Strategy::select`] (which delegates here).
     #[allow(clippy::too_many_arguments)]
-    pub fn select_into<N: Network + ?Sized, F: FaultLookup + ?Sized, R: Rng>(
+    pub fn select_into<N: Network + ?Sized, R: Rng>(
         &self,
         net: &N,
         src: NodeId,
         dst: NodeId,
-        faults: &F,
+        faults: &dyn FaultOracle,
         rng: &mut R,
         scratch: &mut RouteScratch,
         out: &mut Vec<NodeId>,
@@ -148,8 +144,7 @@ impl Strategy {
                 routed
             }
             Strategy::FaultFree => {
-                let shim = OracleShim(faults);
-                let paths = net.disjoint_routes_avoiding_into(src, dst, &shim, scratch);
+                let paths = net.disjoint_routes_avoiding_into(src, dst, faults, scratch);
                 if paths.is_empty() {
                     false
                 } else {
@@ -183,28 +178,8 @@ impl Strategy {
     }
 }
 
-/// Adapts a generic `F: FaultLookup + ?Sized` borrow into a sized value
-/// that coerces to `&dyn FaultLookup` — the form
-/// [`Network::disjoint_routes_avoiding_into`] (and through it the
-/// construction layer) accepts.
-struct OracleShim<'a, F: ?Sized>(&'a F);
-
-impl<F: FaultLookup + ?Sized> FaultLookup for OracleShim<'_, F> {
-    fn is_faulty(&self, v: NodeId) -> bool {
-        self.0.is_faulty(v)
-    }
-
-    fn fault_count(&self) -> usize {
-        self.0.fault_count()
-    }
-
-    fn list_faults(&self, out: &mut Vec<NodeId>) {
-        self.0.list_faults(out)
-    }
-}
-
 /// Whether any node of `path` (endpoints included) is faulty.
-pub fn path_blocked<F: FaultLookup + ?Sized>(path: &[NodeId], faults: &F) -> bool {
+pub fn path_blocked(path: &[NodeId], faults: &dyn FaultOracle) -> bool {
     path.iter().any(|&v| faults.is_faulty(v))
 }
 
@@ -248,11 +223,9 @@ mod tests {
         let (h, u, v, mut rng) = setup();
         let all = h.disjoint_paths(u, v).unwrap();
         let mut chosen = std::collections::HashSet::new();
-        // One scratch for the whole loop (`select` allocates per call).
-        let mut scratch = RouteScratch::new();
         for _ in 0..100 {
             let p = Strategy::MultipathRandom
-                .select_with(&h, u, v, &FaultSet::default(), &mut rng, &mut scratch)
+                .select(&h, u, v, &FaultSet::default(), &mut rng)
                 .unwrap();
             assert!(all.contains(&p));
             chosen.insert(p);
@@ -276,10 +249,9 @@ mod tests {
     fn valiant_walks_are_valid_and_varied() {
         let (h, u, v, mut rng) = setup();
         let mut lengths = std::collections::HashSet::new();
-        let mut scratch = RouteScratch::new();
         for _ in 0..50 {
             let w = Strategy::Valiant
-                .select_with(&h, u, v, &FaultSet::default(), &mut rng, &mut scratch)
+                .select(&h, u, v, &FaultSet::default(), &mut rng)
                 .unwrap();
             assert_eq!(*w.first().unwrap(), u);
             assert_eq!(*w.last().unwrap(), v);
@@ -302,11 +274,8 @@ mod tests {
         let (h, u, v, mut rng) = setup();
         let direct = h.route(u, v).unwrap();
         let faults: FaultSet = [direct[1]].into_iter().collect();
-        let mut scratch = RouteScratch::new();
         for _ in 0..20 {
-            if let Some(w) =
-                Strategy::Valiant.select_with(&h, u, v, &faults, &mut rng, &mut scratch)
-            {
+            if let Some(w) = Strategy::Valiant.select(&h, u, v, &faults, &mut rng) {
                 assert!(!path_blocked(&w, &faults));
             }
         }
@@ -459,10 +428,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let d = crate::net::Network::disjoint_routes(&q, u, v);
         let faults: HashSet<_> = d[..3].iter().map(|p| p[1]).collect();
-        let mut scratch = RouteScratch::new();
         for _ in 0..20 {
             let p = Strategy::FaultFree
-                .select_with(&q, u, v, &faults, &mut rng, &mut scratch)
+                .select(&q, u, v, &faults, &mut rng)
                 .expect("three of six survivors remain");
             assert!(!path_blocked(&p, &faults));
             assert!(d.contains(&p), "default impl must return family members");

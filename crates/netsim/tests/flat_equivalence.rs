@@ -301,6 +301,57 @@ fn golden_stats_on_hhc3_and_q11() {
     );
 }
 
+/// Static faults: a seeded initial fault set installed with
+/// [`Simulator::with_faults`], pinned for the three strategies that read
+/// it at route selection. The set also holds one address outside
+/// HHC(3)'s 2^11, which the engine ignores. Each case cross-checks the
+/// reference engine live, as the fault-free pins above do.
+#[test]
+fn golden_static_faults_on_hhc3() {
+    let h = Hhc::new(3).unwrap();
+    let mut faults = workloads::random_fault_set(&h, 8, &[], &mut StdRng::seed_from_u64(0xFA17));
+    faults.insert(NodeId::from_raw(1 << 11 | 5));
+    let cfg = SimConfig {
+        cycles: 40,
+        drain_cycles: 2000,
+        inject_rate: 0.03,
+        seed: 0x5EED,
+        sample_every: 25,
+        ..SimConfig::default()
+    };
+    let pins: [(RouteStrategy, Pin); 3] = [
+        (
+            RouteStrategy::SinglePath,
+            (2323, 2323, 25237, 24703, 14679649289819703055),
+        ),
+        (
+            RouteStrategy::FaultAdaptive,
+            (2412, 2412, 30643, 29816, 14073127870874716669),
+        ),
+        (
+            RouteStrategy::FaultFree,
+            (2412, 2412, 30686, 29858, 14687655673621057868),
+        ),
+    ];
+    for (strategy, pin) in pins {
+        let run = |engine| {
+            Simulator::new(&h, Pattern::UniformRandom, strategy)
+                .with_faults(faults.clone())
+                .with_engine(engine)
+                .run(cfg)
+        };
+        let stats = run(EngineConfig::default());
+        assert!(stats.delivered > 0 && stats.dropped_dst_faulty > 0);
+        let reference = run(EngineConfig::reference());
+        assert_eq!(
+            mask_materialised(stats.clone(), &reference),
+            reference,
+            "HHC(3) engine variants diverged under faults ({strategy:?})"
+        );
+        check_pin(&format!("hhc3_faults_{strategy:?}"), &stats, pin);
+    }
+}
+
 /// The backpressure deadlock is the most order-sensitive behaviour the
 /// engine has (a buffer cycle wedges or not depending on exact service
 /// order). The wedge must reproduce, and the lazy store must agree with
