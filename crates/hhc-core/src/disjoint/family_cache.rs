@@ -1,4 +1,4 @@
-//! The family cache: bounded, lock-striped maps of canonical
+//! The family cache: bounded, lock-striped maps of hop-coded
 //! disjoint-path families.
 //!
 //! `HHC(m)` is vertex-transitive under cube-field translation: for any
@@ -12,11 +12,24 @@
 //! translated by `Xu`, and one cached solve serves all `2^{2^m}`
 //! translated instances of its signature.
 //!
+//! ## Hop-coded entries
+//!
+//! Every edge of `HHC(m)` flips exactly one address bit: bit `i < m` on
+//! the internal edge of dimension `i`, bit `m + Y` on the external edge
+//! at node field `Y`. Translation does not change which bit a hop
+//! flips, and every path of a family starts at `u`. So an entry stores,
+//! per path, one byte per hop (the bit it flips, below `m + 2^m ≤ 70`)
+//! and a `u16` end offset; a replay decodes the hops from the query's
+//! own `u`. An HHC(5) family of about 265 hops is about 280 bytes
+//! where its 260 node words are 4,160.
+//!
 //! Entries also carry the rotation/detour plan counts of the cached
 //! family so metric conservation laws (`rotation_plans + detour_plans =
 //! degree × cross_cube + same_cube`) survive cache replays, and the
 //! family's cube-offset **span**: the OR of `Xw ⊕ Xu` over its nodes
-//! (`2^m ≤ 64` positions, so one word). Translation leaves offsets
+//! (`2^m ≤ 64` positions, so one word). It is the OR of the cube bits
+//! the family's external hops flip: each path starts at offset 0, so a
+//! bit's first flip on a path sets it. Translation leaves offsets
 //! unchanged, so one span serves every replay of the entry. A fault `w`
 //! can lie on the replayed family only if `(Xw ⊕ Xu) & !span == 0`; the
 //! fault-avoiding layer tests each live fault against it before it
@@ -44,11 +57,11 @@
 //! bounded two-generation map ("hot" and "cold"):
 //!
 //! * A probe takes its stripe's read lock, looks in hot then cold and,
-//!   on a hit, copies the entry's node slab straight into the caller's
+//!   on a hit, decodes the entry's hops straight into the caller's
 //!   [`PathSet`] while the lock is held — no clone, no allocation.
 //!   Readers never block each other.
-//! * A store canonicalises its entry outside the lock, then takes the
-//!   write lock for one insert. When the hot map is full it becomes the
+//! * A store encodes its entry outside the lock, then takes the write
+//!   lock for one insert. When the hot map is full it becomes the
 //!   cold map and the previous cold generation is dropped. A key that is
 //!   already present keeps its entry: racing writers of one key carry
 //!   identical bytes, because construction is deterministic.
@@ -61,13 +74,14 @@
 //! bookkeeping on the hot path.
 
 use super::CrossingOrder;
+use crate::node::NodeId;
 use crate::pathset::PathSet;
 use std::collections::HashMap;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default hot-generation capacity of a private tier. An HHC(5) family
-/// entry is a few kilobytes, so the default bounds a builder's own tier
-/// at single-digit megabytes while covering typical repeated-pattern
+/// entry is about 280 bytes of hops, so the default bounds a builder's
+/// own tier at under a megabyte while covering typical repeated-pattern
 /// workloads.
 pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 1024;
 
@@ -76,8 +90,8 @@ pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 1024;
 pub const DEFAULT_L2_SHARDS: usize = 16;
 
 /// Default hot-generation capacity per L2 stripe. With the default 16
-/// stripes this bounds the L2 at `2 × 16 × 1024` entries — a few tens
-/// of megabytes of HHC(5) families, shared by every worker.
+/// stripes this bounds the L2 at `2 × 16 × 1024` entries — about ten
+/// megabytes of HHC(5) families, shared by every worker.
 pub const DEFAULT_L2_SHARD_CAPACITY: usize = 1024;
 
 /// Capacity of the private tier a [`PathBuilder`](crate::PathBuilder)
@@ -169,9 +183,8 @@ pub(crate) type Replayed = (u64, u64, u64);
 
 /// The cube-offset span of `set`, a family of `HHC(m)` whose source
 /// cube field `Xu` sits in `mask = Xu << m`: the OR over its nodes of
-/// `Xw ⊕ Xu`. [`FamilyEntry::canonical`] computes the same word in its
-/// canonicalising pass; this is for families an inert tier does not
-/// store.
+/// `Xw ⊕ Xu`. [`FamilyEntry::encode`] computes the same word from the
+/// hops; this is for families an inert tier does not store.
 pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet) -> u64 {
     let or = set
         .iter()
@@ -180,46 +193,53 @@ pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet) -> u64 {
     (or >> m) as u64
 }
 
-/// One cached canonical family: the CSR path set for `Xu = 0`, plus the
-/// plan counts it was built from and its cube-offset span.
+/// One cached family as hop codes (see the module docs), plus the plan
+/// counts it was built from and its cube-offset span.
 #[derive(Debug)]
 pub(crate) struct FamilyEntry {
-    nodes: Box<[u128]>,
-    offsets: Box<[u32]>,
+    /// Per hop, the address bit it flips.
+    hops: Box<[u8]>,
+    /// Per path, the end of its hops in `hops`.
+    ends: Box<[u16]>,
     rotations: u64,
     detours: u64,
     span: u64,
 }
 
 impl FamilyEntry {
-    /// Canonicalises `set` (a fresh construction on `HHC(m)` for some
-    /// pair with translation mask `mask`) to `Xu = 0` by XOR-ing `mask`
-    /// back out, OR-ing the canonical words into the span on the way.
-    pub(crate) fn canonical(
-        m: u32,
-        mask: u128,
-        set: &PathSet,
-        rotations: u64,
-        detours: u64,
-    ) -> Self {
-        let mut nodes = Vec::with_capacity(set.total_nodes());
-        let mut offsets = Vec::with_capacity(set.len() + 1);
-        offsets.push(0u32);
-        let mut or = 0u128;
+    /// Encodes `set`, a fresh construction on `HHC(m)` whose paths all
+    /// start at the query's source, as the bits its hops flip, OR-ing
+    /// the external hops' cube bits into the span on the way.
+    pub(crate) fn encode(m: u32, set: &PathSet, rotations: u64, detours: u64) -> Self {
+        let mut hops = Vec::with_capacity(set.total_nodes() - set.len());
+        let mut ends = Vec::with_capacity(set.len());
+        let mut span = 0u64;
         for path in set.iter() {
-            nodes.extend(path.iter().map(|v| {
-                let w = v.raw() ^ mask;
-                or |= w;
-                w
+            debug_assert_eq!(path.first(), set.path(0).first(), "paths share a source");
+            hops.extend(path.windows(2).map(|w| {
+                let flip = w[0].raw() ^ w[1].raw();
+                debug_assert!(flip.is_power_of_two(), "a hop flips exactly one bit");
+                let h = flip.trailing_zeros();
+                if h >= m {
+                    span |= 1 << (h - m);
+                }
+                h as u8
             }));
-            offsets.push(nodes.len() as u32);
+            ends.push(u16::try_from(hops.len()).expect("a family has under 2^16 hops"));
         }
+        debug_assert!(
+            set.is_empty() || {
+                let mask = set.path(0)[0].raw() >> m << m;
+                span == family_span(m, mask, set)
+            },
+            "the hops' span is the node pass's"
+        );
         FamilyEntry {
-            nodes: nodes.into_boxed_slice(),
-            offsets: offsets.into_boxed_slice(),
+            hops: hops.into_boxed_slice(),
+            ends: ends.into_boxed_slice(),
             rotations,
             detours,
-            span: (or >> m) as u64,
+            span,
         }
     }
 
@@ -228,13 +248,13 @@ impl FamilyEntry {
         self.span
     }
 
-    /// Appends the family translated by `mask` to `out` and returns its
-    /// plan counts and span — byte-identical to what the construction
-    /// that stored it produced, by the equivariance argument of the
-    /// module docs.
+    /// Appends the family decoded from the query's source `u` to `out`
+    /// and returns its plan counts and span — byte-identical to what
+    /// constructing the query's pair produces, by the equivariance
+    /// argument of the module docs.
     #[inline]
-    pub(crate) fn replay(&self, mask: u128, out: &mut PathSet) -> Replayed {
-        out.extend_csr_xor(&self.nodes, &self.offsets, mask);
+    pub(crate) fn replay(&self, u: NodeId, out: &mut PathSet) -> Replayed {
+        out.extend_hops(u, &self.hops, &self.ends);
         (self.rotations, self.detours, self.span)
     }
 }
@@ -296,7 +316,7 @@ fn fold_mix(key: u128) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The family cache: lock-striped two-generation maps of canonical
+/// The family cache: lock-striped two-generation maps of hop-coded
 /// families; see the module docs. Used two ways — a builder's private
 /// one-stripe tier, or the shared L2 every router worker attaches.
 ///
@@ -380,33 +400,31 @@ impl SharedFamilyCache {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// On a hit, appends the cached family translated by `mask` to
-    /// `out` and returns its plan counts and span — byte-identical to
-    /// what the construction that stored it produced, by the
+    /// On a hit, appends the cached family decoded from the query's
+    /// source `u` to `out` and returns its plan counts and span —
+    /// byte-identical to what a construction from `u` produces, by the
     /// equivariance argument of the module docs. Holds the stripe's read
-    /// lock for the copy; allocates nothing once `out` has grown to the
-    /// family's size.
+    /// lock for the decode; allocates nothing once `out` has grown to
+    /// the family's size.
     #[inline]
-    pub(crate) fn replay(&self, key: u128, mask: u128, out: &mut PathSet) -> Option<Replayed> {
+    pub(crate) fn replay(&self, key: u128, u: NodeId, out: &mut PathSet) -> Option<Replayed> {
         if self.shard_capacity == 0 {
             return None;
         }
         self.read(self.stripe_of(key))
             .get(key)
-            .map(|e| e.replay(mask, out))
+            .map(|e| e.replay(u, out))
     }
 
-    /// Stores the family in `set` (a fresh construction on `HHC(m)`
-    /// under translation `mask`) canonicalised to `Xu = 0`, and returns
-    /// the span the canonicalising pass computed (`None` on an inert
-    /// tier). The entry is built before the stripe's write lock is
-    /// taken; under the lock the store is one insert, with a generation
-    /// sweep when the hot map is full.
+    /// Stores the family in `set` (a fresh construction on `HHC(m)`) as
+    /// hop codes, and returns the span the encoding pass computed
+    /// (`None` on an inert tier). The entry is built before the stripe's
+    /// write lock is taken; under the lock the store is one insert, with
+    /// a generation sweep when the hot map is full.
     pub(crate) fn store(
         &self,
         key: u128,
         m: u32,
-        mask: u128,
         set: &PathSet,
         rotations: u64,
         detours: u64,
@@ -414,7 +432,7 @@ impl SharedFamilyCache {
         if self.shard_capacity == 0 {
             return None;
         }
-        let entry = FamilyEntry::canonical(m, mask, set, rotations, detours);
+        let entry = FamilyEntry::encode(m, set, rotations, detours);
         let span = entry.span();
         self.write(self.stripe_of(key)).insert(key, entry);
         Some(span)
@@ -424,22 +442,26 @@ impl SharedFamilyCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::NodeId;
+    use crate::disjoint::{disjoint_paths_into, PathBuilder};
+    use crate::topology::Hhc;
+    use std::collections::HashSet;
     use std::sync::Arc;
 
-    /// The span of [`two_path_set`] stored as a family of HHC(1) under
-    /// an even mask: canonical cube offsets 0, 1 and 6.
-    const SPAN: u64 = 0b111;
+    /// The fixture's network, HHC(3).
+    const M: u32 = 3;
 
-    fn two_path_set() -> PathSet {
+    /// The span of [`family`]: its paths reach cube offsets 0–3 of 8.
+    const SPAN: u64 = 0b0000_1111;
+
+    /// A constructed HHC(3) family (caches off) from `(0x01, 000)` to
+    /// `(0x03, 001)`, and its source.
+    fn family() -> (PathSet, NodeId) {
+        let h = Hhc::new(M).unwrap();
+        let (u, v) = (h.node(0x01, 0b000).unwrap(), h.node(0x03, 0b001).unwrap());
         let mut set = PathSet::new();
-        for p in [[5u128, 7, 9], [5, 6, 9]] {
-            for raw in p {
-                set.push_node(NodeId::from_raw(raw));
-            }
-            set.finish_path();
-        }
-        set
+        let mut b = PathBuilder::with_caches(CacheConfig::disabled());
+        disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut set, &mut b).unwrap();
+        (set, u)
     }
 
     fn one_stripe(capacity: usize) -> SharedFamilyCache {
@@ -447,6 +469,20 @@ mod tests {
             shards: 1,
             shard_capacity: capacity,
         })
+    }
+
+    /// Bytes of hops and end offsets the tier holds.
+    fn payload_bytes(tier: &SharedFamilyCache) -> usize {
+        (0..tier.stripes.len())
+            .map(|i| {
+                let map = tier.read(i);
+                map.hot
+                    .values()
+                    .chain(map.cold.values())
+                    .map(|e| e.hops.len() + 2 * e.ends.len())
+                    .sum::<usize>()
+            })
+            .sum()
     }
 
     #[test]
@@ -469,18 +505,79 @@ mod tests {
             shards: 4,
             shard_capacity: 8,
         });
-        // As a family of HHC(1): cube field = raw >> 1.
-        let set = two_path_set();
-        assert_eq!(l2.store(1, 1, 4, &set, 2, 1), Some(SPAN));
-        // Replaying with a different mask translates node-wise.
+        let h = Hhc::new(M).unwrap();
+        let (set, u) = family();
+        assert_eq!(l2.store(1, M, &set, 2, 1), Some(SPAN));
+        // Replaying from a translated source translates node-wise.
+        let t = 0b1011u128 << M;
         let mut out = PathSet::new();
-        let (nr, nd, span) = l2.replay(1, 8, &mut out).unwrap();
+        let (nr, nd, span) = l2.replay(1, NodeId(u.raw() ^ t), &mut out).unwrap();
         assert_eq!((nr, nd, span), (2, 1, SPAN));
-        assert_eq!(family_span(1, 4, &set), span, "both span passes agree");
-        let expect: Vec<u128> = [5u128, 7, 9, 5, 6, 9].iter().map(|r| r ^ 4 ^ 8).collect();
+        let mask = h.cube_field(u) << M;
+        assert_eq!(family_span(M, mask, &set), span, "both span passes agree");
+        let expect: Vec<u128> = set.iter().flatten().map(|v| v.raw() ^ t).collect();
         let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(got, expect);
-        assert!(l2.replay(2, 0, &mut PathSet::new()).is_none());
+        let v = set.path(0).last().unwrap();
+        let mut direct = PathSet::new();
+        let mut b = PathBuilder::with_caches(CacheConfig::disabled());
+        let (tu, tv) = (NodeId(u.raw() ^ t), NodeId(v.raw() ^ t));
+        disjoint_paths_into(&h, tu, tv, CrossingOrder::Gray, &mut direct, &mut b).unwrap();
+        assert_eq!(
+            out, direct,
+            "a replay is the translated pair's construction"
+        );
+        assert!(l2.replay(2, u, &mut PathSet::new()).is_none());
+    }
+
+    #[test]
+    fn hop_entries_are_a_byte_per_hop() {
+        // A seeded sample of HHC(5) families, both orders, constructed
+        // with caches off and stored in a private tier: each entry holds
+        // one byte per hop and two per path, at most 1/15 of the 16 B
+        // per node a replay writes.
+        let h = Hhc::new(5).unwrap();
+        let tier = SharedFamilyCache::private(CacheConfig {
+            family_capacity: 1024,
+        });
+        let mut b = PathBuilder::with_caches(CacheConfig::disabled());
+        let (mut set, mut out) = (PathSet::new(), PathSet::new());
+        let mut keys = HashSet::new();
+        let (mut hops, mut paths, mut replayed) = (0, 0, 0);
+        let mut state = 0x5EED_0005_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..200 {
+            let u = h.node(next() as u32 as u128, next() as u32 % 32).unwrap();
+            let v = h.node(next() as u32 as u128, next() as u32 % 32).unwrap();
+            if u == v {
+                continue;
+            }
+            let dx = h.cube_field(u) ^ h.cube_field(v);
+            for order in [CrossingOrder::Gray, CrossingOrder::Sorted] {
+                disjoint_paths_into(&h, u, v, order, &mut set, &mut b).unwrap();
+                let key = family_key(5, dx, h.node_field(u), h.node_field(v), order);
+                tier.store(key, 5, &set, 0, 0);
+                if keys.insert(key) {
+                    hops += set.total_nodes() - set.len();
+                    paths += set.len();
+                }
+                out.clear();
+                tier.replay(key, u, &mut out).expect("stored");
+                assert_eq!(out, set);
+                replayed += out.total_nodes();
+            }
+        }
+        let bytes = payload_bytes(&tier);
+        assert_eq!(bytes, hops + 2 * paths);
+        assert!(
+            15 * bytes <= 16 * replayed,
+            "{bytes} B of hops for {replayed} nodes replayed"
+        );
     }
 
     #[test]
@@ -493,13 +590,14 @@ mod tests {
             shards: 2,
             shard_capacity: 8,
         });
+        let (set, u) = family();
         let mut out = PathSet::new();
         for key in 0..32u128 {
-            assert!(l2.replay(key, 0, &mut out).is_none(), "cold tier misses");
-            l2.store(key, 1, 0, &two_path_set(), key as u64, 0);
+            assert!(l2.replay(key, u, &mut out).is_none(), "cold tier misses");
+            l2.store(key, M, &set, key as u64, 0);
             out.clear();
             assert_eq!(
-                l2.replay(key, 0, &mut out).expect("store is visible"),
+                l2.replay(key, u, &mut out).expect("store is visible"),
                 (key as u64, 0, SPAN)
             );
             out.clear();
@@ -511,24 +609,26 @@ mod tests {
         // After a flush, replays must stop returning dropped entries,
         // and a later store of the same key must be served again.
         let l2 = one_stripe(8);
-        l2.store(7, 1, 0, &two_path_set(), 1, 0);
+        let (set, u) = family();
+        l2.store(7, M, &set, 1, 0);
         let mut out = PathSet::new();
-        assert!(l2.replay(7, 0, &mut out).is_some());
+        assert!(l2.replay(7, u, &mut out).is_some());
         l2.flush();
         out.clear();
-        assert!(l2.replay(7, 0, &mut out).is_none(), "flush is visible");
-        l2.store(7, 1, 0, &two_path_set(), 2, 0);
-        assert_eq!(l2.replay(7, 0, &mut out), Some((2, 0, SPAN)));
+        assert!(l2.replay(7, u, &mut out).is_none(), "flush is visible");
+        l2.store(7, M, &set, 2, 0);
+        assert_eq!(l2.replay(7, u, &mut out), Some((2, 0, SPAN)));
     }
 
     #[test]
     fn disabled_tier_is_inert() {
+        let (set, u) = family();
         for tier in [
             SharedFamilyCache::new(L2Config::disabled()),
             SharedFamilyCache::private(CacheConfig::disabled()),
         ] {
-            assert_eq!(tier.store(1, 1, 0, &two_path_set(), 0, 1), None);
-            assert!(tier.replay(1, 0, &mut PathSet::new()).is_none());
+            assert_eq!(tier.store(1, M, &set, 0, 1), None);
+            assert!(tier.replay(1, u, &mut PathSet::new()).is_none());
             assert!(tier.is_empty());
         }
     }
@@ -537,9 +637,9 @@ mod tests {
     fn shard_capacity_bounds_entries() {
         let cap = 4;
         let l2 = one_stripe(cap);
-        let set = two_path_set();
+        let (set, _) = family();
         for key in 0..10 * cap as u128 {
-            l2.store(key, 1, 0, &set, 1, 0);
+            l2.store(key, M, &set, 1, 0);
         }
         assert!(
             l2.len() <= 2 * cap,
@@ -551,9 +651,9 @@ mod tests {
     fn cold_generation_still_replays() {
         let cap = 2;
         let l2 = one_stripe(cap);
-        let set = two_path_set();
+        let (set, u) = family();
         for key in 0..cap as u128 + 1 {
-            l2.store(key, 1, 0, &set, key as u64, 0);
+            l2.store(key, M, &set, key as u64, 0);
         }
         // Keys 0 and 1 were swept to the cold generation by the third
         // store; every key must still replay.
@@ -561,7 +661,7 @@ mod tests {
         for key in 0..cap as u128 + 1 {
             out.clear();
             assert_eq!(
-                l2.replay(key, 0, &mut out),
+                l2.replay(key, u, &mut out),
                 Some((key as u64, 0, SPAN)),
                 "key {key} must survive the generation sweep"
             );
@@ -573,29 +673,30 @@ mod tests {
         // Replaying a cold entry leaves it cold: the next sweep drops it
         // even though it was just hit.
         let l2 = one_stripe(1);
-        let set = two_path_set();
-        l2.store(0, 1, 0, &set, 0, 0);
-        l2.store(1, 1, 0, &set, 1, 0);
+        let (set, u) = family();
+        l2.store(0, M, &set, 0, 0);
+        l2.store(1, M, &set, 1, 0);
         let mut out = PathSet::new();
         assert!(
-            l2.replay(0, 0, &mut out).is_some(),
+            l2.replay(0, u, &mut out).is_some(),
             "0 is cold, still served"
         );
-        l2.store(2, 1, 0, &set, 2, 0);
+        l2.store(2, M, &set, 2, 0);
         assert!(
-            l2.replay(0, 0, &mut out).is_none(),
+            l2.replay(0, u, &mut out).is_none(),
             "0 was swept, not promoted"
         );
-        assert!(l2.replay(1, 0, &mut out).is_some());
+        assert!(l2.replay(1, u, &mut out).is_some());
         assert_eq!(l2.len(), 2);
     }
 
     #[test]
     fn second_store_of_a_key_keeps_the_first() {
         let l2 = one_stripe(4);
-        l2.store(3, 1, 0, &two_path_set(), 1, 0);
-        l2.store(3, 1, 0, &two_path_set(), 9, 9);
-        assert_eq!(l2.replay(3, 0, &mut PathSet::new()), Some((1, 0, SPAN)));
+        let (set, u) = family();
+        l2.store(3, M, &set, 1, 0);
+        l2.store(3, M, &set, 9, 9);
+        assert_eq!(l2.replay(3, u, &mut PathSet::new()), Some((1, 0, SPAN)));
         assert_eq!(l2.len(), 1);
     }
 
@@ -607,7 +708,7 @@ mod tests {
             shards: 2,
             shard_capacity: 16,
         }));
-        let set = two_path_set();
+        let (set, u) = family();
         let writers: Vec<_> = (0..2)
             .map(|t| {
                 let l2 = Arc::clone(&l2);
@@ -615,7 +716,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..50u128 {
                         for key in 0..24u128 {
-                            l2.store(key, 1, 0, &set, key as u64, round as u64 % 7 + t);
+                            l2.store(key, M, &set, key as u64, round as u64 % 7 + t);
                         }
                     }
                 })
@@ -630,9 +731,9 @@ mod tests {
                     for round in 0..200u128 {
                         let key = round % 24;
                         out.clear();
-                        if let Some((nr, _, _)) = l2.replay(key, 0, &mut out) {
+                        if let Some((nr, _, _)) = l2.replay(key, u, &mut out) {
                             assert_eq!(nr, key as u64, "payload matches key");
-                            assert_eq!(out.len(), 2, "stored family has two paths");
+                            assert_eq!(out.len(), M as usize + 1, "stored family has m + 1 paths");
                             hits += 1;
                         }
                     }
@@ -650,7 +751,7 @@ mod tests {
         let mut out = PathSet::new();
         for key in 0..24u128 {
             out.clear();
-            assert!(l2.replay(key, 0, &mut out).is_some());
+            assert!(l2.replay(key, u, &mut out).is_some());
         }
     }
 }

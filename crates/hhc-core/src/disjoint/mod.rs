@@ -137,6 +137,7 @@ pub struct PathBuilder {
 /// A builder's family tier: a private one-stripe cache of its own, or a
 /// shared L2 attached in its place. A hit on the first counts as
 /// `family_hits`, a hit or miss on the second as `l2_hits`/`l2_misses`.
+#[derive(Clone)]
 struct Tier {
     cache: Arc<SharedFamilyCache>,
     attached: bool,
@@ -197,6 +198,15 @@ impl PathBuilder {
     /// attached L2.
     pub(crate) fn family_tier(&self) -> &Arc<SharedFamilyCache> {
         &self.tier.cache
+    }
+
+    /// A builder with fresh scratch and zeroed counters on this
+    /// builder's family tier, private or attached alike.
+    pub(crate) fn fresh(&self) -> PathBuilder {
+        PathBuilder {
+            tier: self.tier.clone(),
+            ..PathBuilder::default()
+        }
     }
 
     /// Turns per-query wall-clock timing on or off (off by default).
@@ -355,18 +365,17 @@ fn construct_into(
 
     // Family tier: the construction is equivariant under cube-field
     // translation (plan selection reads only dx/Yu/Yv/m/order; assembly
-    // threads cube fields through XORs), so families are cached for the
-    // canonical source cube X = 0 and replayed translated by Xu, from
-    // the builder's one tier (private or attached). Entries are
-    // canonical families stored by some exact construction, so a replay
-    // is byte-identical to constructing here. Traced queries bypass the
+    // threads cube fields through XORs), so a family is cached once per
+    // translation class, as the address bits its hops flip, and replayed
+    // from u, from the builder's one tier (private or attached). Entries
+    // are families stored by some exact construction, so a replay is
+    // byte-identical to constructing here. Traced queries bypass the
     // tier — a replay has no plan internals to report.
     let dx = hhc.cube_field(u) ^ hhc.cube_field(v);
     let key = family_cache::family_key(hhc.m(), dx, hhc.node_field(u), hhc.node_field(v), order);
-    let mask = hhc.cube_field(u) << hhc.m();
     let attached = scratch.tier.attached;
     if !want_trace {
-        let replayed = scratch.tier.cache.replay(key, mask, out);
+        let replayed = scratch.tier.cache.replay(key, u, out);
         let m = &mut scratch.metrics;
         if let Some((nr, nd, span)) = replayed {
             scratch.span = span;
@@ -403,10 +412,11 @@ fn construct_into(
         let trace = want_trace.then(|| case_b::cross_cube_trace(scratch, nr));
         (trace, nr as u64, (out.len() - nr) as u64)
     };
-    // The store's canonicalising pass computes the span; an inert tier
-    // leaves it to one pass here.
-    let stored = scratch.tier.cache.store(key, hhc.m(), mask, out, nr, nd);
-    scratch.span = stored.unwrap_or_else(|| family_cache::family_span(hhc.m(), mask, out));
+    // The store's encoding pass computes the span; an inert tier leaves
+    // it to one pass here.
+    let stored = scratch.tier.cache.store(key, hhc.m(), out, nr, nd);
+    scratch.span = stored
+        .unwrap_or_else(|| family_cache::family_span(hhc.m(), hhc.cube_field(u) << hhc.m(), out));
     let m = &mut scratch.metrics;
     m.queries += 1;
     if same {

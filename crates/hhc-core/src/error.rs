@@ -25,6 +25,10 @@ pub enum HhcError {
     /// parameter scale (e.g. an exhaustive sweep over a network too large
     /// to enumerate). The message names the operation and its limit.
     Unsupported(String),
+    /// A [`Router`](crate::Router) worker panicked while answering the
+    /// batch this query belonged to, before it reached this query. The
+    /// worker goes on serving with fresh scratch.
+    WorkerPanicked,
 }
 
 impl std::fmt::Display for HhcError {
@@ -40,6 +44,7 @@ impl std::fmt::Display for HhcError {
                 write!(f, "refusing to materialise HHC(m={m}) (> 2^20 nodes)")
             }
             HhcError::Unsupported(what) => write!(f, "unsupported: {what}"),
+            HhcError::WorkerPanicked => write!(f, "a router worker panicked before this query"),
         }
     }
 }

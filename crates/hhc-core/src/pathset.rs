@@ -11,6 +11,18 @@
 
 use crate::node::NodeId;
 
+/// Bit `h` of an address word, for every hop code `h` (see
+/// [`PathSet::extend_hops`]).
+static HOP_BIT: [u128; 128] = {
+    let mut bits = [0u128; 128];
+    let mut h = 0;
+    while h < 128 {
+        bits[h] = 1 << h;
+        h += 1;
+    }
+    bits
+};
+
 /// The legacy owned-path shape: one `Vec` of nodes per path.
 pub type Path = Vec<NodeId>;
 
@@ -95,29 +107,38 @@ impl PathSet {
         self.offsets.push(self.nodes.len() as u32);
     }
 
-    /// Last node pushed so far, if any (endpoint of the open path, or of
-    /// the last sealed path when nothing is pending).
-    pub fn last_node(&self) -> Option<NodeId> {
-        self.nodes.last().copied()
-    }
-
     /// Appends a whole path from a slice.
     pub fn push_path(&mut self, path: &[NodeId]) {
         self.nodes.extend_from_slice(path);
         self.finish_path();
     }
 
-    /// Appends a whole CSR block (raw node words plus a full offsets
-    /// table with its leading `0`), XOR-translating every node by
-    /// `mask`. One capacity check per buffer instead of one per node —
-    /// this is the family-cache replay path of both tiers, where the
-    /// block is a cached canonical family and `mask` is the cube-field
-    /// translation.
-    pub(crate) fn extend_csr_xor(&mut self, nodes: &[u128], offsets: &[u32], mask: u128) {
+    /// Appends one path per entry of `ends`, each starting at `start`.
+    /// Path `i` takes the hops `hops[ends[i - 1]..ends[i]]` (from `0` for
+    /// the first), and hop code `h` flips address bit `h`. This is the
+    /// family-cache replay path of both tiers: the hops are a cached
+    /// family and `start` is the query's source. One capacity check for
+    /// the whole family; each hop is one table load and one XOR.
+    pub(crate) fn extend_hops(&mut self, start: NodeId, hops: &[u8], ends: &[u16]) {
         let base = self.nodes.len() as u32;
-        self.nodes
-            .extend(nodes.iter().map(|&raw| NodeId::from_raw(raw ^ mask)));
-        self.offsets.extend(offsets[1..].iter().map(|&o| base + o));
+        self.nodes.reserve(hops.len() + ends.len());
+        let mut from = 0;
+        for &end in ends {
+            let mut w = start.raw();
+            self.nodes.push(start);
+            // Codes are below m + 2^m ≤ 70; the mask drops the bounds
+            // check.
+            self.nodes.extend(hops[from..end as usize].iter().map(|&h| {
+                w ^= HOP_BIT[usize::from(h) & 127];
+                NodeId(w)
+            }));
+            from = end as usize;
+        }
+        self.offsets.extend(
+            ends.iter()
+                .zip(1u32..)
+                .map(|(&end, i)| base + u32::from(end) + i),
+        );
     }
 
     /// Converts to the legacy `Vec<Path>` shape (allocates per path).
@@ -192,6 +213,15 @@ mod tests {
         assert_eq!(set.path(0), &[] as &[NodeId]);
         assert_eq!(set.path(1), &[id(9)]);
         assert_eq!(set.max_len(), 0);
+    }
+
+    #[test]
+    fn extend_hops_decodes_every_path_from_the_start() {
+        let mut set = PathSet::from_paths(&[vec![id(9)]]);
+        set.extend_hops(id(0b100), &[0, 1, 69], &[2, 3]);
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.path(1), &[id(0b100), id(0b101), id(0b111)]);
+        assert_eq!(set.path(2), &[id(0b100), id(0b100 | 1 << 69)]);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! ## Steady-state allocation discipline
 //!
 //! The serving hot path performs **no per-query heap allocation** once
-//! warm: an L2 hit takes one stripe's read lock and copies the entry's
-//! nodes straight into reused scratch while holding it. The batch
+//! warm: an L2 hit takes one stripe's read lock and decodes the entry's
+//! hops straight into reused scratch while holding it. The batch
 //! plumbing is pooled to match — `Batch` buffers (pairs in, results
 //! out) cycle `Router` → worker → `Router` through the existing
 //! channels and are recycled from a free list, and a whole batch's
@@ -79,6 +79,7 @@ use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::{CacheConfig, Path};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
@@ -292,6 +293,10 @@ pub struct LiveFaults {
     /// held; readers pair it with the set via `snapshot_into`.
     generation: AtomicU64,
     faults: RwLock<FaultSet>,
+    /// Test-only worker fault injection: every worker panics on these
+    /// pairs.
+    #[cfg(test)]
+    panic_on: std::sync::Mutex<Vec<(NodeId, NodeId)>>,
 }
 
 impl LiveFaults {
@@ -471,7 +476,9 @@ impl Router {
     /// pairs are split into contiguous chunks, one per worker, answered
     /// concurrently, and reassembled in submission order. Equivalent to
     /// answering each pair serially under a fixed fault set. With a
-    /// warm `out`, allocation-free end to end.
+    /// warm `out`, allocation-free end to end. If a worker panics, the
+    /// query it was answering and the rest of its chunk report
+    /// [`HhcError::WorkerPanicked`].
     pub fn query_many_into(&mut self, pairs: &[(NodeId, NodeId)], out: &mut QueryBatchResult) {
         out.begin(pairs.len());
         if pairs.is_empty() {
@@ -501,7 +508,8 @@ impl Router {
     ///
     /// # Errors
     /// The construction error for the pair, exactly as the serial
-    /// avoiding entry point reports it.
+    /// avoiding entry point reports it, or [`HhcError::WorkerPanicked`]
+    /// if the worker panicked on it.
     pub fn query_into(
         &mut self,
         u: NodeId,
@@ -583,24 +591,44 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
     let mut local_gen = faults.snapshot_into(&mut local_faults);
     while let Ok(mut batch) = rx.recv() {
         batch.result.clear();
-        for &(u, v) in &batch.pairs {
-            // Epoch fast path: one atomic load per query; the fault set
-            // is re-copied only when an event moved the generation.
-            if faults.generation() != local_gen {
-                local_gen = faults.snapshot_into(&mut local_faults);
+        let answered = catch_unwind(AssertUnwindSafe(|| {
+            for &(u, v) in &batch.pairs {
+                #[cfg(test)]
+                if faults.panic_on.lock().unwrap().contains(&(u, v)) {
+                    panic!("injected worker panic");
+                }
+                // Epoch fast path: one atomic load per query; the fault
+                // set is re-copied only when an event moved the
+                // generation.
+                if faults.generation() != local_gen {
+                    local_gen = faults.snapshot_into(&mut local_faults);
+                }
+                match disjoint_paths_avoiding_into(
+                    &hhc,
+                    u,
+                    v,
+                    order,
+                    &local_faults,
+                    &mut out,
+                    &mut builder,
+                ) {
+                    Ok(_) => batch.result.push_ok(&out),
+                    Err(e) => batch.result.push_err(e),
+                }
             }
-            match disjoint_paths_avoiding_into(
-                &hhc,
-                u,
-                v,
-                order,
-                &local_faults,
-                &mut out,
-                &mut builder,
-            ) {
-                Ok(_) => batch.result.push_ok(&out),
-                Err(e) => batch.result.push_err(e),
+        }));
+        // A panic fails the rest of its batch, never the caller, who
+        // waits for every batch it sent. The worker goes on with a
+        // fresh builder on the same tier; the failed batch's counters
+        // are dropped with the old one. Nothing else the closure
+        // touched needs repair: every construction clears `out` first,
+        // the fault snapshot is replaced whole, and the batch result
+        // gets a slot for each query left unanswered.
+        if answered.is_err() {
+            for _ in batch.result.len()..batch.pairs.len() {
+                batch.result.push_err(HhcError::WorkerPanicked);
             }
+            builder = builder.fresh();
         }
         // This batch's counters go home with it.
         batch.report = builder.metrics();
@@ -838,6 +866,61 @@ mod tests {
         let c = router.metrics().construction;
         assert_eq!(c.queries, 6);
         assert_eq!(c.family_hits, 2, "both workers constructed again");
+    }
+
+    #[test]
+    fn a_worker_panic_fails_its_batch_and_never_hangs() {
+        // A panicking worker must not hang its caller (without a
+        // per-batch catch_unwind it does, from 2 workers up), so the
+        // calls run on their own thread and the test waits for each
+        // under a timeout.
+        use crate::disjoint::disjoint_paths_avoiding;
+        use std::time::Duration;
+        let h = Hhc::new(3).unwrap();
+        let pairs = workload_pairs(&h, 48);
+        let hooks = [pairs[5], pairs[30]];
+        let oracle = |&(u, v): &(NodeId, NodeId)| -> Owned {
+            disjoint_paths_avoiding(&h, u, v, CrossingOrder::Gray, &FaultSet::default())
+                .map(|(paths, _)| paths)
+        };
+        for threads in [1, 2, 4] {
+            let (tx, rx) = mpsc::channel();
+            let sent = pairs.clone();
+            let caller = std::thread::spawn(move || {
+                let mut router = Router::new(3, cfg(threads)).unwrap();
+                let faults = Arc::clone(router.live_faults());
+                faults.panic_on.lock().unwrap().extend(hooks);
+                let _ = tx.send(ask_many(&mut router, &sent));
+                let _ = tx.send(vec![ask(&mut router, hooks[0].0, hooks[0].1)]);
+                faults.panic_on.lock().unwrap().clear();
+                let _ = tx.send(ask_many(&mut router, &sent));
+            });
+            let next = || {
+                rx.recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{threads} workers: a call never returned"))
+            };
+            // A chunk fails from its first hooked pair on; every other
+            // answer is the oracle's.
+            let chunk = pairs.len().div_ceil(threads);
+            let failed = |i: usize| (i / chunk * chunk..=i).any(|j| hooks.contains(&pairs[j]));
+            for (i, got) in next().iter().enumerate() {
+                if failed(i) {
+                    assert_eq!(
+                        got,
+                        &Err(HhcError::WorkerPanicked),
+                        "{threads} workers, {i}"
+                    );
+                } else {
+                    assert_eq!(got, &oracle(&pairs[i]), "{threads} workers, {i}");
+                }
+            }
+            assert_eq!(next(), vec![Err(HhcError::WorkerPanicked)]);
+            let healed = next();
+            for (i, got) in healed.iter().enumerate() {
+                assert_eq!(got, &oracle(&pairs[i]), "{threads} workers, healed {i}");
+            }
+            caller.join().expect("the calling thread ran to completion");
+        }
     }
 
     fn workload_pairs(h: &Hhc, n: usize) -> Vec<(NodeId, NodeId)> {

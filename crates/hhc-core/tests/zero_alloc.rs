@@ -10,7 +10,7 @@
 //!   builder with no L2 attached keeps for itself;
 //! * **L2 hit** — a builder built with its private tier enabled, then
 //!   attached to an L2 in its place: every query probes the shared tier
-//!   and copies the entry's slab into the caller's scratch under the
+//!   and decodes the entry's hops into the caller's scratch under the
 //!   stripe's read lock;
 //! * **L2 hit under non-intersecting faults** — same, plus a live
 //!   fault the replayed family doesn't touch, held in the router's
@@ -120,8 +120,8 @@ fn hit_paths_do_not_allocate() {
     }
 
     // --- L2 hit path: with the L2 attached in place of the private
-    // tier, every query probes a shared stripe and copies straight out
-    // of the slab. ---
+    // tier, every query probes a shared stripe and decodes straight
+    // out of the entry's hops. ---
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let mut warmer = PathBuilder::with_caches(CacheConfig::enabled());
     warmer.attach_shared_cache(Arc::clone(&l2));
