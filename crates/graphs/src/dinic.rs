@@ -1,10 +1,10 @@
 //! Dinic's maximum-flow algorithm.
 //!
-//! Used as the exact engine behind two baselines:
-//! * [`crate::vertex_disjoint`] — Menger-optimal internally vertex-disjoint
-//!   path sets on materialised networks (the comparator in Table T3);
-//! * the disjoint *fan* construction inside a son-cube
-//!   (`hypercube::fan`), where the graph has at most `2^m ≤ 64` nodes.
+//! The exact engine behind [`crate::vertex_disjoint`]: Menger-optimal
+//! internally vertex-disjoint path sets on materialised networks (the
+//! comparator in Table T3). The son-cube fans of `hypercube::fan` run
+//! their own word-parallel solver and report its effort as
+//! [`DinicStats`].
 //!
 //! Complexity is `O(V^2 E)` in general and `O(E sqrt(V))` on unit-capacity
 //! networks, which is all this suite ever feeds it.
@@ -21,25 +21,22 @@ struct Arc {
     rev: ArcId,
 }
 
-/// Effort counters accumulated by a [`Dinic`] instance across solves.
+/// Effort counters accumulated by a [`Dinic`] instance across solves
+/// (also the effort vocabulary of `hypercube::fan`'s solver).
 ///
-/// Counters are monotone until [`Dinic::reset_stats`]; they survive
-/// [`Dinic::rewind`]/[`Dinic::reset_caps`] so a reused network (the fan
-/// engine) reports totals across all of its queries. Incrementing them
-/// is a plain `u64` add on paths that already do comparable work, so
-/// they stay unconditionally enabled.
+/// Counters are monotone until [`Dinic::reset_stats`]. Incrementing
+/// them is a plain `u64` add on paths that already do comparable work,
+/// so they stay unconditionally enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DinicStats {
-    /// Level-graph BFS passes (one per Dinic phase, one per unit path in
-    /// [`Dinic::max_flow_unit`]).
+    /// Level-graph BFS passes (one per Dinic phase; one per augmenting
+    /// path search in the fan solver).
     pub bfs_passes: u64,
     /// Augmenting paths pushed (each carries ≥ 1 unit of flow).
     pub augmentations: u64,
-    /// Arc-slot mutations recorded for rewind (augment steps, seeded
-    /// units and capacity overrides), duplicates included.
+    /// Arc mutations: one per augmenting-path arc, plus, in the fan
+    /// solver, one per seeded unit's arc and per capacity override.
     pub arcs_touched: u64,
-    /// Slots restored by [`Dinic::rewind`].
-    pub slots_rewound: u64,
     /// Lazy CSR flattens triggered by solving after edge insertion.
     pub csr_rebuilds: u64,
 }
@@ -50,7 +47,6 @@ impl DinicStats {
         self.bfs_passes += other.bfs_passes;
         self.augmentations += other.augmentations;
         self.arcs_touched += other.arcs_touched;
-        self.slots_rewound += other.slots_rewound;
         self.csr_rebuilds += other.csr_rebuilds;
     }
 }
@@ -62,8 +58,7 @@ pub struct Dinic {
     arcs: Vec<Arc>,
     /// Flattened adjacency: node `v`'s arc ids occupy
     /// `csr_arcs[csr_start[v] .. csr_start[v + 1]]`. Rebuilt lazily when
-    /// arcs were added since the last solve, so repeated re-solves of one
-    /// network (the fan engine's reuse pattern) pay the flatten once.
+    /// arcs were added since the last solve.
     csr_arcs: Vec<ArcId>,
     csr_start: Vec<u32>,
     csr_dirty: bool,
@@ -74,11 +69,6 @@ pub struct Dinic {
     iter: Vec<u32>,
     /// Reused BFS queue (plain Vec + head index; no per-phase allocation).
     queue: Vec<u32>,
-    /// Forward-arc slots (`arc id / 2`) whose capacities changed since the
-    /// last rewind/reset — lets a re-solve restore only what moved.
-    touched: Vec<u32>,
-    /// Arc that discovered each node in the last unit-augmenting BFS.
-    parent: Vec<ArcId>,
     /// Monotone effort counters; see [`DinicStats`].
     stats: DinicStats,
 }
@@ -97,8 +87,6 @@ impl Dinic {
             level: vec![NO_LEVEL; n],
             iter: vec![0; n],
             queue: Vec::with_capacity(n),
-            touched: Vec::new(),
-            parent: vec![0; n],
             stats: DinicStats::default(),
         }
     }
@@ -208,7 +196,6 @@ impl Dinic {
                     self.arcs[aid as usize].cap -= got;
                     let rev = self.arcs[aid as usize].rev;
                     self.arcs[rev as usize].cap += got;
-                    self.touched.push(aid >> 1);
                     self.stats.arcs_touched += 1;
                     return got;
                 }
@@ -226,9 +213,8 @@ impl Dinic {
     }
 
     /// [`Dinic::max_flow`], but stops as soon as `limit` units have been
-    /// pushed. When the caller knows the max-flow value in advance (e.g.
-    /// a fan query whose sink capacity equals the target count), passing
-    /// it skips the final phase — a full-graph BFS plus an exhausted DFS
+    /// pushed. When the caller knows the max-flow value in advance,
+    /// passing it skips the final phase — a full-graph BFS plus an exhausted DFS
     /// whose only job is proving no augmenting path remains.
     pub fn max_flow_limited(&mut self, s: u32, t: u32, limit: u32) -> u32 {
         assert_ne!(s, t, "source and sink must differ");
@@ -249,131 +235,6 @@ impl Dinic {
             }
         }
         total
-    }
-
-    /// Shortest-augmenting-path solver pushing **one unit per path**, up
-    /// to `limit` units: repeat { BFS for a shortest residual `s → t`
-    /// path, augment it by 1 } until `t` is unreachable or the limit is
-    /// hit. Returns the units pushed.
-    ///
-    /// On unit-bottleneck networks (every augmenting path has residual
-    /// capacity 1 — e.g. vertex-split disjoint-path models) this computes
-    /// the same flow value as [`Dinic::max_flow`] with far less machinery
-    /// per unit: each BFS stops the moment `t` is discovered and the
-    /// augmenting path falls out of the parent arcs, with no per-phase
-    /// cursor resets or exhausted-DFS sweeps. On general networks it is
-    /// still exact but needs one BFS per flow unit — use
-    /// [`Dinic::max_flow`] there.
-    pub fn max_flow_unit(&mut self, s: u32, t: u32, limit: u32) -> u32 {
-        assert_ne!(s, t, "source and sink must differ");
-        if self.csr_dirty {
-            self.rebuild_csr();
-        }
-        let mut total = 0u32;
-        while total < limit {
-            self.stats.bfs_passes += 1;
-            self.level.fill(NO_LEVEL);
-            self.level[s as usize] = 0;
-            self.queue.clear();
-            self.queue.push(s);
-            let mut head = 0;
-            let mut found = false;
-            'bfs: while head < self.queue.len() {
-                let v = self.queue[head];
-                head += 1;
-                let (a, b) = (
-                    self.csr_start[v as usize] as usize,
-                    self.csr_start[v as usize + 1] as usize,
-                );
-                for &aid in &self.csr_arcs[a..b] {
-                    let arc = &self.arcs[aid as usize];
-                    if arc.cap > 0 && self.level[arc.to as usize] == NO_LEVEL {
-                        self.level[arc.to as usize] = 1;
-                        self.parent[arc.to as usize] = aid;
-                        if arc.to == t {
-                            found = true;
-                            break 'bfs;
-                        }
-                        self.queue.push(arc.to);
-                    }
-                }
-            }
-            if !found {
-                break;
-            }
-            let mut v = t;
-            while v != s {
-                let aid = self.parent[v as usize];
-                self.arcs[aid as usize].cap -= 1;
-                let rev = self.arcs[aid as usize].rev;
-                self.arcs[rev as usize].cap += 1;
-                self.touched.push(aid >> 1);
-                self.stats.arcs_touched += 1;
-                v = self.arcs[rev as usize].to;
-            }
-            self.stats.augmentations += 1;
-            total += 1;
-        }
-        total
-    }
-
-    /// Sets the capacity of forward arc `id` and zeroes its reverse,
-    /// erasing any flow previously pushed through it. Together with
-    /// [`Dinic::reset_caps`] this lets one network be re-solved many
-    /// times with varying terminal capacities (the fan engine's reuse
-    /// pattern) instead of being rebuilt per query.
-    pub fn set_cap(&mut self, id: ArcId, cap: u32) {
-        let rev = self.arcs[id as usize].rev;
-        self.arcs[id as usize].cap = cap;
-        self.arcs[rev as usize].cap = 0;
-        self.touched.push(id >> 1);
-        self.stats.arcs_touched += 1;
-    }
-
-    /// Pushes one unit of flow through arc `id` directly, bypassing the
-    /// solver. The caller asserts that a valid (extendable-to-maximum)
-    /// flow results — e.g. seeding a known-trivial augmenting path before
-    /// [`Dinic::max_flow_limited`] finishes the rest.
-    pub fn force_unit(&mut self, id: ArcId) {
-        debug_assert!(self.arcs[id as usize].cap > 0, "forcing a saturated arc");
-        let rev = self.arcs[id as usize].rev;
-        self.arcs[id as usize].cap -= 1;
-        self.arcs[rev as usize].cap += 1;
-        self.touched.push(id >> 1);
-        self.stats.arcs_touched += 1;
-    }
-
-    /// Forward-arc slots (`arc id / 2`) modified since the last
-    /// [`Dinic::rewind`]/[`Dinic::reset_caps`], possibly with duplicates.
-    /// Every arc carrying nonzero flow appears here — a decomposition can
-    /// scan this instead of every arc in the network.
-    pub fn touched_slots(&self) -> &[u32] {
-        &self.touched
-    }
-
-    /// [`Dinic::reset_caps`] restricted to the touched slots: restores
-    /// forward arc `2i` to `caps[i]` (reverse to 0) for every modified
-    /// slot only — O(arcs moved by the last solve) instead of O(arcs).
-    pub fn rewind(&mut self, caps: &[u32]) {
-        debug_assert_eq!(caps.len() * 2, self.arcs.len(), "one cap per forward arc");
-        while let Some(slot) = self.touched.pop() {
-            let i = slot as usize;
-            self.arcs[2 * i].cap = caps[i];
-            self.arcs[2 * i + 1].cap = 0;
-            self.stats.slots_rewound += 1;
-        }
-    }
-
-    /// Restores every forward arc `2i` to capacity `caps[i]` (and its
-    /// reverse to 0), i.e. rewinds the network to an unsolved state.
-    /// `caps` must have one entry per `add_edge` call, in call order.
-    pub fn reset_caps(&mut self, caps: &[u32]) {
-        assert_eq!(caps.len() * 2, self.arcs.len(), "one cap per forward arc");
-        for (i, &cap) in caps.iter().enumerate() {
-            self.arcs[2 * i].cap = cap;
-            self.arcs[2 * i + 1].cap = 0;
-        }
-        self.touched.clear();
     }
 
     /// All arcs leaving `v` that carry positive flow, as `(arc_id, head)`.
@@ -479,133 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_caps_allows_resolving() {
-        // Solve, rewind, re-solve with a different terminal capacity.
-        let mut d = Dinic::new(4);
-        let a = d.add_edge(0, 1, 2);
-        let b = d.add_edge(1, 3, 2);
-        let c = d.add_edge(2, 3, 1);
-        let e = d.add_edge(0, 2, 1);
-        assert_eq!(d.max_flow(0, 3), 3);
-        d.reset_caps(&[2, 2, 1, 1]);
-        assert_eq!(d.max_flow(0, 3), 3);
-        d.reset_caps(&[2, 2, 1, 1]);
-        d.set_cap(b, 1); // throttle the main route
-        assert_eq!(d.max_flow(0, 3), 2);
-        let _ = (a, c, e);
-    }
-
-    #[test]
-    fn set_cap_erases_prior_flow() {
-        let mut d = Dinic::new(2);
-        let a = d.add_edge(0, 1, 5);
-        assert_eq!(d.max_flow(0, 1), 5);
-        assert_eq!(d.flow_on(a), 5);
-        d.set_cap(a, 3);
-        assert_eq!(d.flow_on(a), 0);
-        assert_eq!(d.max_flow(0, 1), 3);
-    }
-
-    #[test]
-    fn unit_solver_matches_dinic_on_unit_networks() {
-        // Vertex-split 6-cycle plus chords: compare against max_flow on
-        // identical copies.
-        let build = || {
-            let mut d = Dinic::new(8);
-            d.add_edge(0, 1, 1);
-            d.add_edge(0, 2, 1);
-            d.add_edge(0, 3, 1);
-            d.add_edge(1, 4, 1);
-            d.add_edge(2, 4, 1);
-            d.add_edge(2, 5, 1);
-            d.add_edge(3, 5, 1);
-            d.add_edge(4, 7, 1);
-            d.add_edge(5, 7, 1);
-            d.add_edge(1, 6, 1);
-            d.add_edge(6, 7, 1);
-            d
-        };
-        let mut a = build();
-        let mut b = build();
-        assert_eq!(a.max_flow(0, 7), b.max_flow_unit(0, 7, u32::MAX));
-    }
-
-    #[test]
-    fn unit_solver_needs_residual_rerouting() {
-        // The greedy shortest path must be partially undone through
-        // reverse arcs to reach the optimum of 2.
-        let mut d = Dinic::new(4);
-        d.add_edge(0, 1, 1);
-        d.add_edge(0, 2, 1);
-        d.add_edge(1, 2, 1);
-        d.add_edge(1, 3, 1);
-        d.add_edge(2, 3, 1);
-        assert_eq!(d.max_flow_unit(0, 3, u32::MAX), 2);
-    }
-
-    #[test]
-    fn unit_solver_respects_limit() {
-        let mut d = Dinic::new(4);
-        d.add_edge(0, 1, 2);
-        d.add_edge(1, 3, 2);
-        d.add_edge(0, 2, 3);
-        d.add_edge(2, 3, 3);
-        assert_eq!(d.max_flow_unit(0, 3, 3), 3);
-        assert_eq!(d.max_flow(0, 3), 2);
-    }
-
-    #[test]
-    fn rewind_matches_full_reset() {
-        let caps = [2u32, 2, 1, 1];
-        let mut d = Dinic::new(4);
-        d.add_edge(0, 1, 2);
-        d.add_edge(1, 3, 2);
-        d.add_edge(2, 3, 1);
-        d.add_edge(0, 2, 1);
-        for _ in 0..3 {
-            assert_eq!(d.max_flow(0, 3), 3);
-            d.rewind(&caps);
-            // After rewind every forward arc is back at its default and
-            // carries no flow.
-            for i in 0..caps.len() {
-                assert_eq!(d.flow_on(2 * i as ArcId), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn touched_slots_cover_all_flow_arcs() {
-        let mut d = Dinic::new(4);
-        d.add_edge(0, 1, 1);
-        d.add_edge(0, 2, 1);
-        d.add_edge(1, 2, 1);
-        d.add_edge(1, 3, 1);
-        d.add_edge(2, 3, 1);
-        assert_eq!(d.max_flow(0, 3), 2);
-        let touched: std::collections::HashSet<u32> = d.touched_slots().iter().copied().collect();
-        for slot in 0..5u32 {
-            if d.flow_on(2 * slot) > 0 {
-                assert!(touched.contains(&slot), "flow arc {slot} not recorded");
-            }
-        }
-    }
-
-    #[test]
-    fn force_unit_seeds_flow() {
-        // Seed the direct edge, then let the solver finish the rest.
-        let mut d = Dinic::new(4);
-        let direct = d.add_edge(0, 3, 1);
-        d.add_edge(0, 1, 1);
-        d.add_edge(1, 3, 1);
-        d.add_edge(0, 2, 1);
-        d.add_edge(2, 3, 1);
-        d.force_unit(direct);
-        assert_eq!(d.flow_on(direct), 1);
-        assert_eq!(d.max_flow_limited(0, 3, 2), 2);
-        assert_eq!(d.flow_on(direct), 1);
-    }
-
-    #[test]
     fn limited_flow_stops_at_limit() {
         let mut d = Dinic::new(4);
         d.add_edge(0, 1, 2);
@@ -658,29 +392,8 @@ mod tests {
         assert!(s.bfs_passes >= 2, "bfs_passes = {}", s.bfs_passes);
         assert!(s.augmentations >= 2);
         assert!(s.arcs_touched >= 4);
-        assert_eq!(s.slots_rewound, 0);
-        d.rewind(&[2, 2, 1, 1]);
-        let s = d.stats();
-        assert!(s.slots_rewound >= 4);
-        // Counters survive rewind; reset_stats zeroes them.
-        assert!(s.augmentations >= 2);
         d.reset_stats();
         assert_eq!(d.stats(), DinicStats::default());
-    }
-
-    #[test]
-    fn unit_solver_counts_one_bfs_per_unit() {
-        let mut d = Dinic::new(4);
-        d.add_edge(0, 1, 1);
-        d.add_edge(0, 2, 1);
-        d.add_edge(1, 3, 1);
-        d.add_edge(2, 3, 1);
-        assert_eq!(d.max_flow_unit(0, 3, u32::MAX), 2);
-        let s = d.stats();
-        // One BFS per unit pushed plus the final failed pass.
-        assert_eq!(s.augmentations, 2);
-        assert_eq!(s.bfs_passes, 3);
-        assert_eq!(s.arcs_touched, 4);
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Batch construction engine: many-pair disjoint-path construction with
 //! reused scratch.
 //!
-//! A single `disjoint_paths` query allocates its working buffers and two
-//! max-flow fan networks from scratch. Batch workloads — experiments,
-//! the simulator, wide-diameter sweeps, benchmarks — issue thousands to
-//! millions of queries against one network, where that per-query setup
-//! dominates. This module amortises it:
+//! A single `disjoint_paths` query allocates its working buffers, two
+//! fan scratches and a family tier from scratch, and stores its family
+//! there. Batch workloads — experiments, the simulator, wide-diameter
+//! sweeps, benchmarks — issue thousands to millions of queries against
+//! one network, where that per-query setup is a large share of the
+//! work. This module amortises it:
 //!
 //! * [`construct_many_serial`] runs a pair list through one
 //!   [`PathBuilder`] on the current thread;

@@ -33,7 +33,8 @@
 //! Inside the source cube, the plans that do not leave through `u`'s
 //! external edge start at distinct coordinates; a disjoint *fan* from
 //! `Yu` to those coordinates (Menger's fan lemma, computed exactly by
-//! max-flow on the ≤ 2^m-node son-cube) provides internally disjoint
+//! `hypercube::fan`'s word-parallel unit max-flow on the son-cube, whose
+//! node sets are one word for `m ≤ 6`) provides internally disjoint
 //! stubs. Symmetrically in the target cube. Since all other cube sets are
 //! disjoint, the full paths are internally vertex-disjoint by
 //! construction.
@@ -282,7 +283,7 @@ pub(super) fn cross_cube_into(
                     .expect("fan lemma: m distinct targets in Q_m");
                 true
             }
-            // Faulty coordinates are excluded from the flow network.
+            // Faulty coordinates are excluded from the fans.
             Some(_) => {
                 let served_src = fan_paths_avoiding(
                     &cube,

@@ -72,11 +72,24 @@
 //! Each stripe holds at most `2 × shard_capacity` entries: bounded
 //! memory, amortised O(1), approximately LRU, with no per-entry
 //! bookkeeping on the hot path.
+//!
+//! ## Second-sighting admission (the shared L2)
+//!
+//! A family seen once is never replayed, so the L2 stores a miss on its
+//! key's second sighting. Each stripe keeps a direct-mapped table of
+//! `shard_capacity` 64-bit key fingerprints (TinyLFU's doorkeeper): a
+//! miss swaps its fingerprint into its slot, lock-free, and is stored
+//! only if that fingerprint was already there. A colliding key evicts
+//! it, so a sighting can be forgotten but not invented (barring a 64-bit
+//! fingerprint collision, which only stores an exact entry early).
+//! [`SharedFamilyCache::flush`] clears the table. A private tier has no
+//! doorkeeper and stores every construction.
 
 use super::CrossingOrder;
 use crate::node::NodeId;
 use crate::pathset::PathSet;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Default hot-generation capacity of a private tier. An HHC(5) family
@@ -89,9 +102,11 @@ pub const DEFAULT_FAMILY_CACHE_CAPACITY: usize = 1024;
 /// internally).
 pub const DEFAULT_L2_SHARDS: usize = 16;
 
-/// Default hot-generation capacity per L2 stripe. With the default 16
+/// Default hot-generation capacity per L2 stripe, and the length of the
+/// stripe's sightings table (see the module docs). With the default 16
 /// stripes this bounds the L2 at `2 × 16 × 1024` entries — about ten
-/// megabytes of HHC(5) families, shared by every worker.
+/// megabytes of HHC(5) families, shared by every worker — and holds
+/// `16 × 1024` fingerprints in 128 KiB.
 pub const DEFAULT_L2_SHARD_CAPACITY: usize = 1024;
 
 /// Capacity of the private tier a [`PathBuilder`](crate::PathBuilder)
@@ -326,28 +341,42 @@ fn fold_mix(key: u128) -> u64 {
 #[derive(Debug)]
 pub struct SharedFamilyCache {
     stripes: Box<[RwLock<FamilyMap>]>,
+    /// Stripe `i`'s key fingerprints (0 = empty) in
+    /// `sightings[i × shard_capacity ..][.. shard_capacity]`; empty in a
+    /// private tier. See the module docs.
+    sightings: Box<[AtomicU64]>,
     stripe_mask: usize,
     shard_capacity: usize,
 }
 
 impl SharedFamilyCache {
+    /// A shared tier, with the second-sighting doorkeeper.
     pub fn new(cfg: L2Config) -> Self {
+        SharedFamilyCache::build(cfg, cfg.shard_capacity)
+    }
+
+    /// A builder's private tier: one stripe of `cfg.family_capacity`,
+    /// no doorkeeper.
+    pub(crate) fn private(cfg: CacheConfig) -> Self {
+        let cfg = L2Config {
+            shards: 1,
+            shard_capacity: cfg.family_capacity,
+        };
+        SharedFamilyCache::build(cfg, 0)
+    }
+
+    fn build(cfg: L2Config, sightings_per_stripe: usize) -> Self {
         let n = cfg.shards.max(1).next_power_of_two();
         SharedFamilyCache {
             stripes: (0..n)
                 .map(|_| RwLock::new(FamilyMap::new(cfg.shard_capacity)))
                 .collect(),
+            sightings: (0..n * sightings_per_stripe)
+                .map(|_| AtomicU64::new(0))
+                .collect(),
             stripe_mask: n - 1,
             shard_capacity: cfg.shard_capacity,
         }
-    }
-
-    /// A builder's private tier: one stripe of `cfg.family_capacity`.
-    pub(crate) fn private(cfg: CacheConfig) -> Self {
-        SharedFamilyCache::new(L2Config {
-            shards: 1,
-            shard_capacity: cfg.family_capacity,
-        })
     }
 
     /// Number of shards (power of two).
@@ -370,19 +399,40 @@ impl SharedFamilyCache {
         self.len() == 0
     }
 
-    /// Drops every cached entry in every shard. Exists for the
-    /// full-rebuild-on-fault baseline ablation
+    /// Drops every cached entry in every shard, and every recorded
+    /// sighting. Exists for the full-rebuild-on-fault baseline ablation
     /// ([`Router::flush_caches`](crate::Router::flush_caches)); the
     /// serving path never needs it.
     pub fn flush(&self) {
         for i in 0..self.stripes.len() {
             self.write(i).clear();
         }
+        for slot in self.sightings.iter() {
+            slot.store(0, Ordering::Relaxed);
+        }
     }
 
     #[inline]
     fn stripe_of(&self, key: u128) -> usize {
         (fold_mix(key) >> 32) as usize & self.stripe_mask
+    }
+
+    /// Records a sighting of `key`, a miss, and returns whether its
+    /// fingerprint already held the key's slot of its stripe's table:
+    /// the doorkeeper of second-sighting admission (see the module
+    /// docs). Lock-free; `false` on a tier without a table. `Relaxed`
+    /// suffices: a fingerprint publishes no other data, and a race only
+    /// stores an exact entry one sighting early or late.
+    pub(crate) fn sighted_before(&self, key: u128) -> bool {
+        if self.sightings.is_empty() {
+            return false;
+        }
+        let mix = fold_mix(key);
+        let slot = (mix as u32 as usize) % self.shard_capacity;
+        let fingerprint = mix | 1;
+        self.sightings[self.stripe_of(key) * self.shard_capacity + slot]
+            .swap(fingerprint, Ordering::Relaxed)
+            == fingerprint
     }
 
     // A writer that panicked mid-insert left its map consistent (a

@@ -85,15 +85,14 @@ pub struct ConstructionTrace {
 
 /// Reusable scratch for the construction engine: every intermediate
 /// buffer a single `disjoint_paths` query needs, including the two
-/// max-flow fan networks inside the terminal son-cubes. Constructing a
+/// fan solvers' scratch for the terminal son-cubes. Constructing a
 /// `PathBuilder` is cheap; feeding the same one to many queries (see
 /// [`crate::batch`]) makes each query allocation-free after warm-up,
 /// which is where the batch engine's throughput comes from.
 ///
 /// A `PathBuilder` carries no query state between calls — results are
 /// only ever written to the caller's [`PathSet`] — so one scratch may
-/// serve pairs of different `m` interleaved (the fan networks rebuild
-/// lazily when `m` changes).
+/// serve pairs of different `m` interleaved.
 #[derive(Default)]
 pub struct PathBuilder {
     // Case A: son-cube family in CSR form, pre-lift.
@@ -109,8 +108,8 @@ pub struct PathBuilder {
     keyed: Vec<(u64, u32)>,
     arena: Vec<u32>,
     sel: Vec<(u32, u32)>,
-    // Case B: fan bookkeeping (targets, per-plan segment indices, flow
-    // networks).
+    // Case B: fan bookkeeping (targets, per-plan segment indices, fan
+    // scratch).
     src_targets: Vec<u128>,
     tgt_targets: Vec<u128>,
     seg_src: Vec<u32>,
@@ -231,7 +230,7 @@ impl PathBuilder {
         }
     }
 
-    /// Zeroes every counter (scratch buffers and fan networks untouched).
+    /// Zeroes every counter (scratch buffers untouched).
     pub fn reset_metrics(&mut self) {
         self.metrics.reset();
         self.src_fan.reset_metrics();
@@ -412,9 +411,16 @@ fn construct_into(
         let trace = want_trace.then(|| case_b::cross_cube_trace(scratch, nr));
         (trace, nr as u64, (out.len() - nr) as u64)
     };
-    // The store's encoding pass computes the span; an inert tier leaves
-    // it to one pass here.
-    let stored = scratch.tier.cache.store(key, hhc.m(), out, nr, nd);
+    // An attached L2 stores a family on its key's second sighting (see
+    // `family_cache`); a private tier stores every construction. The
+    // store's encoding pass computes the span; a family left unstored
+    // gets it from one pass here.
+    let cache = &scratch.tier.cache;
+    let stored = if !attached || cache.sighted_before(key) {
+        cache.store(key, hhc.m(), out, nr, nd)
+    } else {
+        None
+    };
     scratch.span = stored
         .unwrap_or_else(|| family_cache::family_span(hhc.m(), hhc.cube_field(u) << hhc.m(), out));
     let m = &mut scratch.metrics;

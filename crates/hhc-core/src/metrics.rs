@@ -128,7 +128,7 @@ pub struct MetricsReport {
     pub src_fan: FanMetrics,
     /// Fan engine serving the target cube (`Yv` → plan exit coordinates).
     pub tgt_fan: FanMetrics,
-    /// Max-flow solver counters summed over both fan networks.
+    /// Max-flow solver counters summed over both fan engines.
     pub solver: DinicStats,
 }
 
@@ -179,7 +179,6 @@ impl MetricsReport {
             fo.u64("queries", f.queries);
             fo.u64("targets_requested", f.targets_requested);
             fo.u64("seeded_direct", f.seeded_direct);
-            fo.u64("network_builds", f.network_builds);
             fo.u64("fast_path", f.fast_path);
             fo.finish()
         };
@@ -189,8 +188,6 @@ impl MetricsReport {
         so.u64("bfs_passes", self.solver.bfs_passes);
         so.u64("augmentations", self.solver.augmentations);
         so.u64("arcs_touched", self.solver.arcs_touched);
-        so.u64("slots_rewound", self.solver.slots_rewound);
-        so.u64("csr_rebuilds", self.solver.csr_rebuilds);
         o.raw("solver", &so.finish());
         o.finish()
     }

@@ -748,8 +748,9 @@ mod tests {
     #[test]
     fn l2_promotes_across_workers() {
         // A repeated pair answered by many single queries round-robins
-        // across workers; after the first solve every other query hits
-        // the shared tier, which is the only tier a worker consults.
+        // across workers; once the second solve has stored it (its
+        // second sighting) every other query hits the shared tier,
+        // which is the only tier a worker consults.
         let mut router = Router::new(3, cfg(4)).unwrap();
         let h = Hhc::new(3).unwrap();
         let u = h.node(0x00, 0b000).unwrap();
@@ -760,9 +761,56 @@ mod tests {
         }
         let c = router.metrics().construction;
         assert_eq!(c.queries, 8);
-        assert_eq!(c.l2_misses, 1, "only the first query constructs");
+        assert_eq!(c.l2_misses, 2, "only the first two queries construct");
         assert_eq!(c.family_hits, 0, "no worker probes a cache of its own");
-        assert_eq!(c.l2_hits, 7);
+        assert_eq!(c.l2_hits, 6);
+    }
+
+    #[test]
+    fn l2_stores_a_family_on_its_second_sighting() {
+        let mut router = Router::new(3, cfg(2)).unwrap();
+        let h = Hhc::new(3).unwrap();
+        let u = h.node(0x01, 0b001).unwrap();
+        let v = h.node(0x3C, 0b100).unwrap();
+        let a = ask(&mut router, u, v).unwrap();
+        assert!(router.shared_cache().is_empty(), "a first sighting");
+        assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        assert_eq!(router.shared_cache().len(), 1, "stored on the second");
+        assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        let c = router.metrics().construction;
+        assert_eq!((c.l2_misses, c.l2_hits), (2, 1), "replayed on the third");
+    }
+
+    #[test]
+    fn l2_keeps_no_family_seen_once() {
+        // 1,000 pairs of distinct cube offsets have distinct family
+        // keys: each is a first sighting, so nothing is stored.
+        let mut router = Router::new(4, cfg(2)).unwrap();
+        let h = Hhc::new(4).unwrap();
+        let pairs: Vec<_> = (1..=1000u128)
+            .map(|dx| (h.node(0, 0b0000).unwrap(), h.node(dx, 0b0101).unwrap()))
+            .collect();
+        assert!(ask_many(&mut router, &pairs).iter().all(Result::is_ok));
+        assert_eq!(router.shared_cache().len(), 0);
+        let c = router.metrics().construction;
+        assert_eq!((c.l2_misses, c.l2_hits), (1000, 0));
+    }
+
+    #[test]
+    fn flush_forgets_sightings() {
+        let mut router = Router::new(3, cfg(1)).unwrap();
+        let h = Hhc::new(3).unwrap();
+        let u = h.node(0x01, 0b001).unwrap();
+        let v = h.node(0x3C, 0b100).unwrap();
+        let a = ask(&mut router, u, v).unwrap();
+        router.flush_caches();
+        assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        assert!(
+            router.shared_cache().is_empty(),
+            "the first sighting after a flush stores nothing"
+        );
+        assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        assert_eq!(router.shared_cache().len(), 1);
     }
 
     #[test]
@@ -824,12 +872,14 @@ mod tests {
         let u = h.node(0x01, 0b001).unwrap();
         let v = h.node(0x3C, 0b100).unwrap();
         let a = ask(&mut router, u, v).unwrap();
+        assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        assert_eq!(router.shared_cache().len(), 1, "the second sighting stored");
         router.flush_caches();
         assert!(router.shared_cache().is_empty());
         let b = ask(&mut router, u, v).unwrap();
         assert_eq!(a, b, "flushing never changes answers");
         let c = router.metrics().construction;
-        assert_eq!(c.family_hits + c.l2_hits, 0, "the L2 was cold both times");
+        assert_eq!(c.family_hits + c.l2_hits, 0, "the L2 was cold every time");
     }
 
     #[test]

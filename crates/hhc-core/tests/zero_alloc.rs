@@ -125,9 +125,20 @@ fn hit_paths_do_not_allocate() {
     let l2 = Arc::new(SharedFamilyCache::new(L2Config::enabled()));
     let mut warmer = PathBuilder::with_caches(CacheConfig::enabled());
     warmer.attach_shared_cache(Arc::clone(&l2));
-    for &(u, v) in &queries {
-        disjoint_paths_avoiding_into(&h, u, v, CrossingOrder::Gray, &empty, &mut out, &mut warmer)
+    // Two passes: the L2 stores a family on its second sighting.
+    for _ in 0..2 {
+        for &(u, v) in &queries {
+            disjoint_paths_avoiding_into(
+                &h,
+                u,
+                v,
+                CrossingOrder::Gray,
+                &empty,
+                &mut out,
+                &mut warmer,
+            )
             .unwrap();
+        }
     }
     let mut reader = PathBuilder::with_caches(CacheConfig::enabled());
     reader.attach_shared_cache(Arc::clone(&l2));

@@ -2,19 +2,29 @@
 //! pairwise vertex-disjoint except at the source.
 //!
 //! Menger's fan lemma guarantees a fan to any `k ≤ n` distinct targets.
-//! The HHC construction needs fans only *inside a son-cube* (`Q_m`, at most
-//! `2^m ≤ 64` nodes for every supported `m`), so an exact max-flow
-//! formulation is both simple and effectively free; it also returns a
-//! *minimum total length* fan, because each augmenting BFS phase of Dinic
-//! saturates shortest augmenting paths first on this unit-capacity network.
+//! The HHC construction needs fans only *inside a son-cube* (`Q_m`,
+//! `m ≤ 6`), so fans are solved exactly by unit max-flow, and for
+//! `n ≤ 6` only: a node set of `Q_n` is then one `u64`.
 //!
-//! Flow model: vertex split (`x_in → x_out`, capacity 1; source unbounded),
-//! each cube edge in both directions with capacity 1, and one arc
-//! `t_out → sink` per target. Max-flow equals the fan size; extraction
-//! walks positive-flow arcs from the source.
+//! Flow model: vertex split (`in(v) → out(v)`, capacity 1; the source
+//! unbounded), each cube edge in both directions with capacity 1, and
+//! one arc `out(t) → sink` per target. Max-flow equals the fan size;
+//! extraction walks the flow from the source.
+//!
+//! The network is implicit. Its flow is one word per dimension `d` (bit
+//! `v` set when a unit flows `v → v ⊕ 2^d`) plus one word each for the
+//! vertex and terminal arcs, and the residual BFS moves whole node sets:
+//! a step along `d` is a masked block swap, so a BFS level costs `O(n)`
+//! word operations. The solver is Edmonds–Karp, one unit per shortest
+//! augmenting path, and it augments exactly the path a queue BFS over
+//! the explicit network finds (see `augment`), so its fans, served flags
+//! and effort counters are those of that explicit solve.
 
 use crate::cube::{Cube, CubeError, Node};
-use graphs::{ArcId, Dinic};
+use graphs::DinicStats;
+
+/// Largest cube a fan is solved in: its node sets fit one `u64`.
+const MAX_DIM: u32 = 6;
 
 /// Errors from fan construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,7 +35,7 @@ pub enum FanError {
     BadTargets,
     /// More targets than the cube's connectivity can support.
     TooManyTargets { targets: usize, dim: u32 },
-    /// Fans are computed by flow on the materialised cube; `n ≤ 16` only.
+    /// Fans are solved on node sets of one word; `n ≤ 6` only.
     CubeTooLarge(u32),
     /// The source of a fault-avoiding fan is itself forbidden.
     SourceForbidden,
@@ -39,7 +49,9 @@ impl std::fmt::Display for FanError {
             FanError::TooManyTargets { targets, dim } => {
                 write!(f, "{targets} targets exceed connectivity {dim}")
             }
-            FanError::CubeTooLarge(n) => write!(f, "fan computation limited to n ≤ 16, got {n}"),
+            FanError::CubeTooLarge(n) => {
+                write!(f, "fan computation limited to n ≤ {MAX_DIM}, got {n}")
+            }
             FanError::SourceForbidden => write!(f, "fan source is forbidden"),
         }
     }
@@ -67,8 +79,6 @@ pub struct FanMetrics {
     /// Targets adjacent to the source whose direct edge was seeded,
     /// bypassing the solver (counts fast-path targets too).
     pub seeded_direct: u64,
-    /// Flow networks (re)built because the cube dimension changed.
-    pub network_builds: u64,
     /// Queries answered by the combinatorial neighbour-fan fast path
     /// (all targets adjacent to the source; no solver).
     pub fast_path: u64,
@@ -86,77 +96,43 @@ impl FanMetrics {
         self.queries += other.queries;
         self.targets_requested += other.targets_requested;
         self.seeded_direct += other.seeded_direct;
-        self.network_builds += other.network_builds;
         self.fast_path += other.fast_path;
     }
 }
 
-#[inline]
-fn v_in(v: u32) -> u32 {
-    2 * v
-}
-#[inline]
-fn v_out(v: u32) -> u32 {
-    2 * v + 1
-}
-
 const UNSET: u32 = u32::MAX;
 
-/// Reusable state for [`fan_paths_into`]: the vertex-split flow network
-/// for one cube dimension, capacity/flow rewind tables, and the output
-/// arena. Building the network is the dominant cost of a fan query;
-/// keeping it across queries (the batch engine's per-thread scratch
-/// pattern) turns each query into a capacity reset plus one small
-/// max-flow, with zero steady-state allocation.
+/// Reusable state for [`fan_paths_into`]: the target index and the
+/// output arena, plus effort counters. The solver's flow and BFS levels
+/// are a few words on the stack, so a query allocates nothing once the
+/// arena has grown to its size.
 pub struct FanScratch {
-    /// Cube dimension the network was built for (`UNSET` = not built).
-    dim: u32,
-    dinic: Option<Dinic>,
-    /// Default capacity per forward arc, in `add_edge` order.
-    default_caps: Vec<u32>,
-    /// Arc `v_in(v) → v_out(v)` per node.
-    vertex_arc: Vec<ArcId>,
-    /// Arc `v_out(v) → v_in(v ⊕ 2^dim)` at index `v·n + dim`.
-    edge_arc: Vec<ArcId>,
-    /// Arc `v_out(v) → sink` per node (default capacity 0).
-    terminal_arc: Vec<ArcId>,
     /// Per-call: index of each node in `targets`, or `UNSET`.
-    target_idx: Vec<u32>,
-    /// Per-call: remaining decomposable flow per forward arc.
-    rem: Vec<u32>,
+    target_idx: [u32; 1 << MAX_DIM],
     /// Decomposition output in discovery order (flat CSR).
     tmp_nodes: Vec<Node>,
     tmp_offsets: Vec<u32>,
     /// `path_of_target[i]` = index into `tmp_offsets` of target `i`'s path.
     path_of_target: Vec<u32>,
-    /// Per-call canonicalisation: `(target ⊕ s, original index)`, sorted.
-    canon: Vec<(Node, u32)>,
-    /// Per-call: the sorted canonical targets as a plain node slice.
-    canon_nodes: Vec<Node>,
-    /// Per-call: canonical-order path indices being remapped.
-    pot_tmp: Vec<u32>,
+    /// Per-call canonicalisation: `targets[i] ⊕ s`.
+    canon: Vec<Node>,
     /// Monotone effort counters; see [`FanMetrics`].
     metrics: FanMetrics,
+    /// Monotone solver counters, across every dimension; see
+    /// [`FanScratch::solver_stats`].
+    solver: DinicStats,
 }
 
 impl FanScratch {
     pub fn new() -> Self {
         FanScratch {
-            dim: UNSET,
-            dinic: None,
-            default_caps: Vec::new(),
-            vertex_arc: Vec::new(),
-            edge_arc: Vec::new(),
-            terminal_arc: Vec::new(),
-            target_idx: Vec::new(),
-            rem: Vec::new(),
+            target_idx: [UNSET; 1 << MAX_DIM],
             tmp_nodes: Vec::new(),
             tmp_offsets: Vec::new(),
             path_of_target: Vec::new(),
             canon: Vec::new(),
-            canon_nodes: Vec::new(),
-            pot_tmp: Vec::new(),
             metrics: FanMetrics::default(),
+            solver: DinicStats::default(),
         }
     }
 
@@ -166,18 +142,22 @@ impl FanScratch {
         self.metrics
     }
 
-    /// Zeroes the effort counters (network and solver state untouched).
+    /// Zeroes the effort and solver counters.
     pub fn reset_metrics(&mut self) {
         self.metrics = FanMetrics::default();
-        if let Some(d) = self.dinic.as_mut() {
-            d.reset_stats();
-        }
+        self.solver = DinicStats::default();
     }
 
-    /// Counters of the underlying max-flow solver, accumulated across
-    /// every query since the network was built (default if never built).
-    pub fn solver_stats(&self) -> graphs::DinicStats {
-        self.dinic.as_ref().map(|d| d.stats()).unwrap_or_default()
+    /// Counters of the max-flow solver, accumulated across every query
+    /// since construction or the last [`FanScratch::reset_metrics`], in
+    /// the terms of a Dinic unit solve on the explicit network: one BFS
+    /// pass per augmenting-path search (the last one fails unless the
+    /// fan is complete), one augmentation per path, and one touched arc
+    /// per augmenting-path arc, per seeded direct-edge arc and per
+    /// capacity override (the source, each forbidden node, each open
+    /// terminal).
+    pub fn solver_stats(&self) -> DinicStats {
+        self.solver
     }
 
     /// Number of fan paths produced by the last [`fan_paths_into`] call.
@@ -204,46 +184,6 @@ impl FanScratch {
         );
         &self.tmp_nodes[a..b]
     }
-
-    /// Builds (or rebuilds) the flow network for dimension `n`.
-    fn ensure_network(&mut self, n: u32) {
-        if self.dim == n {
-            return;
-        }
-        let num = 1u32 << n;
-        let sink = 2 * num;
-        let mut d = Dinic::new(sink as usize + 1);
-        self.default_caps.clear();
-        self.vertex_arc.clear();
-        self.edge_arc.clear();
-        self.edge_arc.resize((num * n.max(1)) as usize, UNSET);
-        self.terminal_arc.clear();
-        for v in 0..num {
-            self.vertex_arc.push(d.add_edge(v_in(v), v_out(v), 1));
-            self.default_caps.push(1);
-        }
-        for v in 0..num {
-            for dim in 0..n {
-                // Add each undirected edge once, as two directed arcs.
-                let w = v ^ (1u32 << dim);
-                if v < w {
-                    self.edge_arc[(v * n + dim) as usize] = d.add_edge(v_out(v), v_in(w), 1);
-                    self.default_caps.push(1);
-                    self.edge_arc[(w * n + dim) as usize] = d.add_edge(v_out(w), v_in(v), 1);
-                    self.default_caps.push(1);
-                }
-            }
-        }
-        // A terminal arc per node, default capacity 0: per-call target
-        // sets just raise their own arcs to 1.
-        for v in 0..num {
-            self.terminal_arc.push(d.add_edge(v_out(v), sink, 0));
-            self.default_caps.push(0);
-        }
-        self.dinic = Some(d);
-        self.dim = n;
-        self.metrics.network_builds += 1;
-    }
 }
 
 impl Default for FanScratch {
@@ -256,10 +196,10 @@ impl Default for FanScratch {
 /// vertex-disjoint except at `s`. Paths are returned in target order
 /// (`paths[i]` ends at `targets[i]`).
 ///
-/// Requires `targets.len() ≤ n` (fan lemma bound) and `n ≤ 16`
-/// (the cube is materialised as a flow network of `2^{n+1} + 1` nodes).
+/// Requires `targets.len() ≤ n` (fan lemma bound) and `n ≤ 6` (a node
+/// set of the cube is one word).
 ///
-/// Allocates the flow network per call; hot paths should hold a
+/// Allocates its scratch and output per call; hot paths should hold a
 /// [`FanScratch`] and call [`fan_paths_into`] instead.
 ///
 /// # Examples
@@ -279,8 +219,8 @@ pub fn fan_paths(cube: &Cube, s: Node, targets: &[Node]) -> Result<Vec<Vec<Node>
 }
 
 /// [`fan_paths`] writing into caller-owned buffers: the fan is computed
-/// inside `scratch` and read back through [`FanScratch::path`]. After the
-/// first call at a given dimension, subsequent calls allocate nothing.
+/// inside `scratch` and read back through [`FanScratch::path`]. Once the
+/// output arena has grown to a query's size, calls allocate nothing.
 ///
 /// # Panics
 ///
@@ -303,7 +243,7 @@ pub fn fan_paths_into(
         write_direct_fan(s, targets, scratch);
         return Ok(());
     }
-    let flow = solve_dinic(n, s, targets, 0, scratch);
+    let flow = solve(n, s, targets, 0, scratch);
     assert_eq!(
         flow as usize,
         targets.len(),
@@ -315,7 +255,7 @@ pub fn fan_paths_into(
 
 /// [`fan_paths_into`] restricted to the fault-free subcube: nodes whose
 /// bit is set in `forbidden` are excluded from the flow network (their
-/// vertex capacity is zeroed), so no returned path visits them.
+/// vertex capacity is zero), so no returned path visits them.
 ///
 /// Unlike the plain entry points this is *best-effort*: forbidden nodes
 /// can disconnect targets from the source, so instead of asserting the
@@ -329,8 +269,8 @@ pub fn fan_paths_into(
 /// fault-avoiding construction calls this rarely (only on queries whose
 /// plain family is actually blocked), so it is not a hot path.
 ///
-/// `forbidden` is a bitmask over node labels, so this entry point is
-/// limited to `n ≤ 6` (64 nodes) — every HHC son-cube qualifies.
+/// `forbidden` is a bitmask over node labels, one word like every node
+/// set of the solver.
 pub fn fan_paths_avoiding(
     cube: &Cube,
     s: Node,
@@ -338,9 +278,6 @@ pub fn fan_paths_avoiding(
     forbidden: u64,
     scratch: &mut FanScratch,
 ) -> Result<usize, FanError> {
-    if cube.dim() > 6 {
-        return Err(FanError::CubeTooLarge(cube.dim()));
-    }
     if is_forbidden(forbidden, s) {
         return Err(FanError::SourceForbidden);
     }
@@ -354,7 +291,7 @@ pub fn fan_paths_avoiding(
         write_direct_fan(s, targets, scratch);
         return Ok(targets.len());
     }
-    Ok(solve_dinic(n, s, targets, forbidden, scratch) as usize)
+    Ok(solve(n, s, targets, forbidden, scratch) as usize)
 }
 
 /// Input validation shared by every fan entry point. On success the
@@ -367,7 +304,7 @@ fn validate_and_index(
     scratch: &mut FanScratch,
 ) -> Result<u32, FanError> {
     let n = cube.dim();
-    if n > 16 {
+    if n > MAX_DIM {
         return Err(FanError::CubeTooLarge(n));
     }
     cube.check(s)?;
@@ -387,8 +324,7 @@ fn validate_and_index(
 
     // Duplicate/source detection doubles as the target index used by the
     // flow decomposition.
-    scratch.target_idx.clear();
-    scratch.target_idx.resize(1usize << n, UNSET);
+    scratch.target_idx[..1 << n].fill(UNSET);
     for (i, &t) in targets.iter().enumerate() {
         if t == s || scratch.target_idx[t as usize] != UNSET {
             return Err(FanError::BadTargets);
@@ -406,8 +342,8 @@ fn all_adjacent(s: Node, targets: &[Node]) -> bool {
 }
 
 /// Whether `v`'s bit is set in the `forbidden` mask. Labels ≥ 64 are
-/// never forbidden, which keeps the shift in range for the plain entry
-/// points' larger cubes and for a source not yet validated.
+/// never forbidden, which keeps the shift in range for a source not yet
+/// validated.
 #[inline]
 fn is_forbidden(forbidden: u64, v: Node) -> bool {
     v < 64 && forbidden >> v & 1 == 1
@@ -417,7 +353,7 @@ fn is_forbidden(forbidden: u64, v: Node) -> bool {
 /// unique minimum fan is the star of direct edges — exactly what the flow
 /// formulation returns after seeding (each target's vertex capacity is
 /// consumed by its own terminal unit, so no seeded edge is ever rerouted).
-/// Writing it directly skips the solver, and even network construction.
+/// Writing it directly skips the solver.
 fn write_direct_fan(s: Node, targets: &[Node], scratch: &mut FanScratch) {
     for (i, &t) in targets.iter().enumerate() {
         scratch.tmp_nodes.push(s);
@@ -429,102 +365,232 @@ fn write_direct_fan(s: Node, targets: &[Node], scratch: &mut FanScratch) {
     scratch.metrics.fast_path += 1;
 }
 
+/// `LOW_HALF[d]`: the nodes of `Q_6` whose bit `d` is clear.
+const LOW_HALF: [u64; MAX_DIM as usize] = [
+    0x5555_5555_5555_5555,
+    0x3333_3333_3333_3333,
+    0x0f0f_0f0f_0f0f_0f0f,
+    0x00ff_00ff_00ff_00ff,
+    0x0000_ffff_0000_ffff,
+    0x0000_0000_ffff_ffff,
+];
+
+/// The node set `{v ⊕ 2^d : v ∈ set}`: one masked block swap.
+#[inline]
+fn flip(set: u64, d: u32) -> u64 {
+    let (low, width) = (LOW_HALF[d as usize], 1u32 << d);
+    (set & low) << width | (set >> width) & low
+}
+
+/// A unit flow on the implicit vertex-split `Q_n`, as node sets.
+#[derive(Default)]
+struct Flow {
+    /// `edge[d]`: the nodes `v` with a unit on the arc `v → v ⊕ 2^d`.
+    edge: [u64; MAX_DIM as usize],
+    /// Nodes other than the source with a unit through `in(v) → out(v)`.
+    vertex: u64,
+    /// Targets with a unit on `out(t) → sink`.
+    terminal: u64,
+}
+
+/// The dimension of the first arc out of `v` (beyond its vertex arc)
+/// for which `ok` holds, in the explicit network's arc order: across
+/// the set bits of `v` from the highest down, then across the clear
+/// bits from the lowest up.
+#[inline]
+fn first_edge(n: u32, v: u32, ok: impl Fn(u32) -> bool) -> u32 {
+    (0..n)
+        .rev()
+        .filter(|&d| v >> d & 1 == 1)
+        .chain((0..n).filter(|&d| v >> d & 1 == 0))
+        .find(|&d| ok(d))
+        .expect("a kept node has a kept successor (bug)")
+}
+
+/// One Edmonds–Karp step: finds a shortest augmenting path from
+/// `in(s)` to the sink and pushes a unit along it; returns `false` when
+/// no target with spare terminal capacity (`open & !flow.terminal`) is
+/// reachable.
+///
+/// The forward pass builds the BFS levels as node sets. From in-copies
+/// the residual arcs are the vertex arcs with capacity left (`vertex`
+/// below: never through a `blocked` node, always through the source)
+/// and the reverses of units flowing in; from out-copies they are the
+/// reverses of vertex units and the edge arcs without a unit. The
+/// backward pass keeps, per level, the nodes with a residual arc into
+/// the next level's kept nodes; the last level keeps its open targets.
+///
+/// The path is the one a queue BFS over the explicit network takes:
+/// there the sink's discoverer is the first open target of the last
+/// level in queue order, and a node's discoverer is the first node of
+/// the previous level with an arc into it. A node with an arc into a
+/// kept node is kept, and the children of a node that is not kept are
+/// not kept, so the first kept node of each level is the first kept
+/// successor, in arc order, of the first kept node of the one before.
+/// The walk below takes exactly those successors, from `in(s)` on, and
+/// never backtracks.
+fn augment(
+    n: u32,
+    s: u32,
+    blocked: u64,
+    open: u64,
+    flow: &mut Flow,
+    stats: &mut DinicStats,
+) -> bool {
+    stats.bfs_passes += 1;
+    let vertex = !(flow.vertex | blocked) | 1 << s;
+    let sinks = open & !flow.terminal;
+    // Level `k` holds in-copies for even `k` and out-copies for odd
+    // `k`; a node's copy joins one level at most.
+    let mut levels = [0u64; 2 << MAX_DIM];
+    levels[0] = 1 << s;
+    let (mut seen_in, mut seen_out) = (1u64 << s, 0u64);
+    let mut last = 0;
+    loop {
+        let from = levels[last];
+        let mut next;
+        if last % 2 == 0 {
+            next = from & vertex;
+            for d in 0..n {
+                next |= flip(from, d) & flow.edge[d as usize];
+            }
+            next &= !seen_out;
+            seen_out |= next;
+        } else {
+            next = from & flow.vertex;
+            for d in 0..n {
+                next |= flip(from & !flow.edge[d as usize], d);
+            }
+            next &= !(seen_in | blocked);
+            seen_in |= next;
+        }
+        if next == 0 {
+            return false;
+        }
+        last += 1;
+        levels[last] = next;
+        if last % 2 == 1 && next & sinks != 0 {
+            break;
+        }
+    }
+
+    levels[last] &= sinks;
+    for k in (0..last).rev() {
+        let kept = levels[k + 1];
+        let mut into = 0;
+        if k % 2 == 0 {
+            into |= kept & vertex;
+            for d in 0..n {
+                into |= flip(kept & flow.edge[d as usize], d);
+            }
+        } else {
+            into |= kept & flow.vertex;
+            for d in 0..n {
+                into |= flip(kept, d) & !flow.edge[d as usize];
+            }
+        }
+        levels[k] &= into;
+    }
+
+    let mut v = s;
+    for k in 0..last {
+        let kept = levels[k + 1];
+        let is_kept = |w: u32| kept >> w & 1 == 1;
+        if k % 2 == 0 {
+            if vertex >> v & 1 == 1 && is_kept(v) {
+                if v != s {
+                    flow.vertex |= 1 << v;
+                }
+            } else {
+                // Cancel a unit flowing `w → v`.
+                let d = first_edge(n, v, |d| {
+                    let w = v ^ 1 << d;
+                    flow.edge[d as usize] >> w & 1 == 1 && is_kept(w)
+                });
+                v ^= 1 << d;
+                flow.edge[d as usize] &= !(1 << v);
+            }
+        } else if flow.vertex >> v & 1 == 1 && is_kept(v) {
+            flow.vertex &= !(1 << v);
+        } else {
+            let d = first_edge(n, v, |d| {
+                flow.edge[d as usize] >> v & 1 == 0 && is_kept(v ^ 1 << d)
+            });
+            flow.edge[d as usize] |= 1 << v;
+            v ^= 1 << d;
+        }
+    }
+    flow.terminal |= 1 << v;
+    stats.augmentations += 1;
+    stats.arcs_touched += last as u64 + 1;
+    true
+}
+
 /// The solver: removes the `forbidden` nodes from the network, seeds
-/// direct edges, runs unit max-flow, and decomposes the flow into the
+/// direct edges, augments unit paths, and decomposes the flow into the
 /// output arena. Returns the max-flow value (= targets served); unserved
 /// targets keep `path_of_target == UNSET`. Requires
 /// [`validate_and_index`] to have set up `target_idx` for exactly this
 /// `(s, targets)` query, `targets` non-empty and `s` not forbidden.
-fn solve_dinic(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScratch) -> u32 {
-    scratch.ensure_network(n);
-    let num = 1u32 << n;
-    let sink = 2 * num;
-    let s32 = s as u32;
-    let d = scratch.dinic.as_mut().expect("network built");
-    // Undo only what the previous query moved (O(arcs on its augmenting
-    // paths)) rather than rewriting every capacity in the network.
-    d.rewind(&scratch.default_caps);
-    d.set_cap(scratch.vertex_arc[s as usize], u32::MAX / 2);
-    // Remove every forbidden node from the network by zeroing its
-    // vertex-split arc: no flow (hence no fan path) can pass through it.
-    let mut f = forbidden;
-    while f != 0 {
-        let v = f.trailing_zeros();
-        f &= f - 1;
-        if v < num {
-            d.set_cap(scratch.vertex_arc[v as usize], 0);
-        }
-    }
-    let mut want = 0u32;
-    for &t in targets {
-        if !is_forbidden(forbidden, t) {
-            d.set_cap(scratch.terminal_arc[t as usize], 1);
-            want += 1;
-        }
-    }
+fn solve(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScratch) -> u32 {
+    let s = s as u32;
+    let blocked = forbidden & u64::MAX >> (64 - (1 << n));
+    // Targets with terminal capacity: every one that is not forbidden.
+    let open = targets
+        .iter()
+        .filter(|&&t| !is_forbidden(forbidden, t))
+        .fold(0u64, |acc, &t| acc | 1 << t);
+    let want = open.count_ones();
+    let stats = &mut scratch.solver;
+    // Capacity overrides, as the explicit network counts them: the
+    // source's unbounded vertex arc, each blocked node's vertex arc and
+    // each open terminal arc.
+    stats.arcs_touched += 1 + blocked.count_ones() as u64 + want as u64;
 
     // Seed every served target adjacent to `s` with its direct edge. A
     // target is never an interior node of any fan path (its vertex
     // capacity is consumed by its own terminal unit), so the direct edge
     // is compatible with — and no longer than — some maximum fan of the
     // fault-free subcube; the solver only has to route the remaining
-    // targets. Forbidden targets are skipped: forcing a unit through a
-    // zeroed vertex arc would corrupt the flow.
+    // targets. Forbidden targets are skipped: they have no capacity.
+    let mut flow = Flow::default();
     let mut seeded = 0u32;
     for &t in targets {
-        let t32 = t as u32;
-        let diff = t32 ^ s32;
-        if diff.count_ones() == 1 && !is_forbidden(forbidden, t) {
-            let dim = diff.trailing_zeros();
-            d.force_unit(scratch.vertex_arc[s as usize]);
-            d.force_unit(scratch.edge_arc[(s32 * n + dim) as usize]);
-            d.force_unit(scratch.vertex_arc[t as usize]);
-            d.force_unit(scratch.terminal_arc[t as usize]);
+        let t = t as u32;
+        let diff = t ^ s;
+        if diff.count_ones() == 1 && open >> t & 1 == 1 {
+            flow.edge[diff.trailing_zeros() as usize] |= 1 << s;
+            flow.vertex |= 1 << t;
+            flow.terminal |= 1 << t;
             seeded += 1;
         }
     }
+    // Four arcs per seeded unit: the source's vertex arc, the edge, the
+    // target's vertex arc and its terminal arc.
+    stats.arcs_touched += 4 * seeded as u64;
     scratch.metrics.seeded_direct += seeded as u64;
 
-    // The terminal arcs cap the flow at `want`, so the solver can stop
-    // there instead of running a final no-progress phase to prove it.
-    // Every augmenting path here has bottleneck 1 (the terminal arcs),
-    // which is exactly the regime the unit solver is built for. Faults
+    // The open terminals cap the flow at `want`, so the solver stops
+    // there instead of running a final search that proves it. Faults
     // may cut targets off, so the flow value is the answer; the plain
     // entry points assert the fan-lemma value themselves.
-    let flow = if want > seeded {
-        seeded + d.max_flow_unit(v_in(s32), sink, want - seeded)
-    } else {
-        seeded
-    };
-
-    // Decompose: remaining flow per forward arc (the network is simple,
-    // so an arc is uniquely determined by its endpoints), then walk.
-    // Every arc with nonzero flow is in the solver's touched set, so
-    // only those slots need reading.
-    scratch.rem.clear();
-    scratch.rem.resize(scratch.default_caps.len(), 0);
-    for &slot in d.touched_slots() {
-        scratch.rem[slot as usize] = d.flow_on(2 * slot);
+    let mut value = seeded;
+    while value < want && augment(n, s, blocked, open, &mut flow, stats) {
+        value += 1;
     }
+
+    // Decompose: walk each unit from the source, ending at a target
+    // whose terminal unit is still unread (a target is never a
+    // through-node: its vertex capacity is 1), else leaving along the
+    // lowest dimension with an unread edge unit.
     scratch.path_of_target.resize(targets.len(), UNSET);
-    let take = |rem: &mut Vec<u32>, aid: ArcId| -> bool {
-        let slot = &mut rem[(aid / 2) as usize];
-        if *slot > 0 {
-            *slot -= 1;
-            true
-        } else {
-            false
-        }
-    };
-    for p in 0..flow {
-        scratch.tmp_nodes.push(s);
-        let mut cur = s32;
+    for p in 0..value {
+        scratch.tmp_nodes.push(Node::from(s));
+        let mut cur = s;
         loop {
-            let _ = take(&mut scratch.rem, scratch.vertex_arc[cur as usize]);
-            // Terminate here if this node's terminal arc still carries flow
-            // (a target is never a through-node: its vertex capacity is 1).
             let t_idx = scratch.target_idx[cur as usize];
-            if t_idx != UNSET && take(&mut scratch.rem, scratch.terminal_arc[cur as usize]) {
+            if t_idx != UNSET && flow.terminal >> cur & 1 == 1 {
+                flow.terminal &= !(1 << cur);
                 assert_eq!(
                     scratch.path_of_target[t_idx as usize], UNSET,
                     "target reached twice"
@@ -533,22 +599,23 @@ fn solve_dinic(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut 
                 scratch.tmp_offsets.push(scratch.tmp_nodes.len() as u32);
                 break;
             }
-            let next = (0..n)
-                .find(|&dim| take(&mut scratch.rem, scratch.edge_arc[(cur * n + dim) as usize]))
-                .map(|dim| cur ^ (1u32 << dim))
+            let d = (0..n)
+                .find(|&d| flow.edge[d as usize] >> cur & 1 == 1)
                 .expect("flow decomposition stuck (bug)");
-            scratch.tmp_nodes.push(next as Node);
-            cur = next;
+            flow.edge[d as usize] &= !(1 << cur);
+            cur ^= 1 << d;
+            scratch.tmp_nodes.push(Node::from(cur));
         }
     }
-    flow
+    value
 }
 
 /// [`fan_paths_into`] solved in translation-canonical form.
 ///
-/// The query is canonicalised by XOR-translating the source to 0 and
-/// sorting the targets — an automorphism of `Q_n`, so the canonical
-/// solution maps back exactly. Results are read back through
+/// The query is canonicalised by XOR-translating the source to 0 — an
+/// automorphism of `Q_n`, so the canonical solution maps back exactly.
+/// The solver's path to a target does not depend on the order of the
+/// targets. Results are read back through
 /// [`FanScratch::path`] in original target order, exactly as with
 /// [`fan_paths_into`].
 ///
@@ -574,41 +641,26 @@ pub fn fan_paths_canonical(
         return Ok(());
     }
 
-    // Canonicalise: translate the source to 0 and sort the targets.
-    // `canon[j] = (sorted canonical target, its original index)`.
+    // Solve the translated query from source 0, with `target_idx`
+    // re-indexed for the translated labels; then translate every arena
+    // node back.
+    scratch.target_idx[..1 << n].fill(UNSET);
     scratch.canon.clear();
     for (i, &t) in targets.iter().enumerate() {
-        scratch.canon.push((t ^ s, i as u32));
+        scratch.canon.push(t ^ s);
+        scratch.target_idx[(t ^ s) as usize] = i as u32;
     }
-    scratch.canon.sort_unstable();
-
-    // Solve the canonical query: re-index `target_idx` for the
-    // translated labels, then run the ordinary solver from source 0.
-    scratch.target_idx.fill(UNSET);
-    scratch.canon_nodes.clear();
-    for (j, &(ct, _)) in scratch.canon.iter().enumerate() {
-        scratch.canon_nodes.push(ct);
-        scratch.target_idx[ct as usize] = j as u32;
-    }
-    let canon_nodes = std::mem::take(&mut scratch.canon_nodes);
-    let flow = solve_dinic(n, 0, &canon_nodes, 0, scratch);
+    let canon = std::mem::take(&mut scratch.canon);
+    let flow = solve(n, 0, &canon, 0, scratch);
     assert_eq!(
         flow as usize,
         targets.len(),
         "fan lemma violated: flow {flow} < {} targets (bug)",
         targets.len()
     );
-    scratch.canon_nodes = canon_nodes;
-
-    // De-canonicalise: translate every arena node back, and remap
-    // `path_of_target` from canonical (sorted) indices to original ones.
+    scratch.canon = canon;
     for x in &mut scratch.tmp_nodes {
         *x ^= s;
-    }
-    scratch.pot_tmp.clear();
-    scratch.pot_tmp.extend_from_slice(&scratch.path_of_target);
-    for (j, &(_, i)) in scratch.canon.iter().enumerate() {
-        scratch.path_of_target[i as usize] = scratch.pot_tmp[j];
     }
     Ok(())
 }
@@ -707,8 +759,8 @@ mod tests {
 
     #[test]
     fn rejects_big_cube() {
-        let q = Cube::new(17).unwrap();
-        assert_eq!(fan_paths(&q, 0, &[1]), Err(FanError::CubeTooLarge(17)));
+        let q = Cube::new(7).unwrap();
+        assert_eq!(fan_paths(&q, 0, &[1]), Err(FanError::CubeTooLarge(7)));
     }
 
     #[test]
@@ -736,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn metrics_count_queries_and_builds() {
+    fn metrics_count_queries_and_solves() {
         let q = Cube::new(4).unwrap();
         let mut sc = FanScratch::new();
         let s = 0u128;
@@ -748,25 +800,40 @@ mod tests {
         assert_eq!(m.targets_requested, 5);
         // All 4 neighbours seed directly; the far target seeds nothing.
         assert_eq!(m.seeded_direct, 4);
-        // The all-neighbour query took the combinatorial fast path, so
-        // only the far query forced a network build.
+        // The all-neighbour query took the combinatorial fast path; the
+        // far query needed the solver: one BFS, one augmentation.
         assert_eq!(m.fast_path, 1);
-        assert_eq!(m.network_builds, 1);
-        // The far query needed the solver: at least one BFS recorded.
-        assert!(sc.solver_stats().bfs_passes >= 1);
+        assert_eq!(sc.solver_stats().bfs_passes, 1);
+        assert_eq!(sc.solver_stats().augmentations, 1);
         // Rejected calls are not counted as queries.
         assert!(fan_paths_into(&q, s, &[s], &mut sc).is_err());
         assert_eq!(sc.metrics().queries, 2);
         sc.reset_metrics();
         assert_eq!(sc.metrics(), FanMetrics::default());
-        assert_eq!(sc.solver_stats(), graphs::DinicStats::default());
+        assert_eq!(sc.solver_stats(), DinicStats::default());
+    }
+
+    #[test]
+    fn solver_counters_accumulate_across_dimensions() {
+        // One far target per cube, Q_4 then Q_5: each query is one BFS
+        // pass and one augmentation whatever the dimension before it.
+        // Its arcs are two capacity overrides (source, terminal) plus
+        // the path's `n + 1` vertex arcs, `n` edges and terminal arc.
+        let mut sc = FanScratch::new();
+        for n in [4u32, 5] {
+            let q = Cube::new(n).unwrap();
+            fan_paths_into(&q, 0, &[(1 << n) - 1], &mut sc).unwrap();
+        }
+        let st = sc.solver_stats();
+        assert_eq!((st.bfs_passes, st.augmentations), (2, 2));
+        assert_eq!(st.arcs_touched, (2 + 2 * 4 + 2) + (2 + 2 * 5 + 2));
     }
 
     /// Runs the general solver on a query the public entry points would
     /// answer via the combinatorial fast path.
-    fn dinic_reference(q: &Cube, s: Node, targets: &[Node], sc: &mut FanScratch) {
+    fn solver_reference(q: &Cube, s: Node, targets: &[Node], sc: &mut FanScratch) {
         let n = validate_and_index(q, s, targets, sc).unwrap();
-        assert_eq!(solve_dinic(n, s, targets, 0, sc) as usize, targets.len());
+        assert_eq!(solve(n, s, targets, 0, sc) as usize, targets.len());
     }
 
     #[test]
@@ -787,7 +854,7 @@ mod tests {
                         .map(|(_, &t)| t)
                         .collect();
                     fan_paths_into(&q, s, &targets, &mut fast).unwrap();
-                    dinic_reference(&q, s, &targets, &mut oracle);
+                    solver_reference(&q, s, &targets, &mut oracle);
                     assert_eq!(fast.num_paths(), oracle.num_paths());
                     for i in 0..targets.len() {
                         assert_eq!(
@@ -798,9 +865,10 @@ mod tests {
                     }
                 }
             }
-            // The fast path never touched the solver.
-            assert_eq!(fast.metrics().network_builds, 0);
-            assert!(oracle.metrics().network_builds >= 1);
+            // The fast path never touched the solver. Every oracle query
+            // is seeded in full, so its solver counts only arcs.
+            assert_eq!(fast.solver_stats(), DinicStats::default());
+            assert!(oracle.solver_stats().arcs_touched > 0);
         }
     }
 

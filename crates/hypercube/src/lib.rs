@@ -14,9 +14,9 @@
 //!    the HHC-level construction generalises.
 //! 3. **Disjoint fans** ([`fan`]): from a node `s` to any `k ≤ n` distinct
 //!    targets there is a fan of `k` paths, disjoint except at `s`
-//!    (Menger's fan lemma). Computed exactly by max-flow on the
-//!    materialised cube — son-cubes have at most `2^m ≤ 64` nodes, so this
-//!    is effectively free and always optimal.
+//!    (Menger's fan lemma). Computed exactly by unit max-flow on the
+//!    vertex-split cube, with node sets as words — son-cubes have at most
+//!    `2^m ≤ 64` nodes, so a BFS level is a few word operations.
 //! 4. **Gray codes** ([`gray`]): the reflected Gray sequence is a
 //!    Hamiltonian cycle of `Q_m`; ordering external crossings along it is
 //!    what keeps HHC disjoint paths short (ablation F5).
