@@ -36,7 +36,9 @@
 //! cp results/BENCH_sim.quick.json results/BENCH_sim.gate.json
 //! ```
 //!
-//! (and the same for `profile_batch`).
+//! (and the same for `profile_batch` and `profile_router`). One quick
+//! run can carry an outlier cell, so record several and commit the one
+//! with the median speedup geomean.
 
 use bench::gate;
 

@@ -21,9 +21,10 @@
 //! schedule are asserted byte-identical to a serial cold-cache oracle;
 //! the speedups below are speedups *between equivalent outputs*.
 //!
-//! `--quick` runs a reduced workload and writes
-//! `results/BENCH_router.quick.json` (CI smoke + `perf_gate` input);
-//! full runs write `results/BENCH_router.json`.
+//! `--quick` runs a reduced workload (each cell still the best of 3
+//! timed passes) and writes `results/BENCH_router.quick.json` (CI
+//! smoke + `perf_gate` input); full runs write
+//! `results/BENCH_router.json`.
 
 use hhc_core::{
     disjoint, disjoint_paths_avoiding, CrossingOrder, Hhc, HhcError, L2Config, NodeId, Path,
@@ -205,9 +206,11 @@ fn main() {
     let quick = std::env::args().skip(1).any(|a| a == "--quick");
     // (timing repeats, pairs per workload, distinct pool, batch size,
     //  fault event every N batches, thread sweep)
+    // Every cell is timed as the best of 3 passes: a single quick pass
+    // let one descheduling on a busy host fail the gate's per-cell tier.
     let (repeats, total, pool_sz, batch_sz, fault_every, threads): (_, _, _, _, _, &[usize]) =
         if quick {
-            (1, 240, 24, 48, 1, &[1, 2])
+            (3, 240, 24, 48, 1, &[1, 2])
         } else {
             (3, 4000, 256, 256, 1, &[1, 2, 4])
         };

@@ -68,9 +68,10 @@ pub struct AvoidOutcome {
     pub rerouted: bool,
 }
 
-/// The fault-avoiding construction core. See the module docs for the
-/// algorithm; the entry points in [`super`] are thin wrappers.
-pub(super) fn avoid_into(
+/// The fault-avoiding construction core, in the append form of
+/// [`super::construct_into`]. See the module docs for the algorithm; the
+/// entry points in [`super`] clear `out` and call it.
+pub(crate) fn avoid_into(
     hhc: &Hhc,
     u: NodeId,
     v: NodeId,
@@ -91,10 +92,11 @@ pub(super) fn avoid_into(
         return Err(HhcError::FaultyEndpoint(v));
     }
 
+    let base = out.len();
     let l2_hits_before = sc.metrics.l2_hits;
     super::construct_into(hhc, u, v, order, out, sc, false)?;
     let plain = AvoidOutcome {
-        paths: out.len(),
+        paths: out.len() - base,
         rerouted: false,
     };
     if faults.fault_count() == 0 {
@@ -120,7 +122,7 @@ pub(super) fn avoid_into(
     // known healthy, so only interior nodes need probing).
     sc.avoid_blocked.clear();
     let mut any_blocked = false;
-    for p in out.iter() {
+    for p in out.paths(base..out.len()) {
         let blocked = p[1..p.len() - 1].iter().any(|&w| faults.is_faulty(w));
         sc.avoid_blocked.push(blocked);
         any_blocked |= blocked;
@@ -138,13 +140,15 @@ pub(super) fn avoid_into(
     }
 
     // Survivor fallback: the unblocked plain paths are themselves a
-    // valid (internally disjoint, fault-free) family.
+    // valid (internally disjoint, fault-free) family. The plain family
+    // then leaves `out`, and the rebuild appends in its place.
     sc.avoid_tmp.clear();
-    for (i, p) in out.iter().enumerate() {
-        if !sc.avoid_blocked[i] {
+    for (p, &blocked) in out.paths(base..out.len()).zip(&sc.avoid_blocked) {
+        if !blocked {
             sc.avoid_tmp.push_path(p);
         }
     }
+    out.truncate(base);
 
     let same = hhc.cube_field(u) == hhc.cube_field(v);
     if !same {
@@ -153,12 +157,17 @@ pub(super) fn avoid_into(
     // Case A has no spare-plan pool to rebuild from (the m in-cube paths
     // are the Saad–Schultz family; the loop plan is unique), so it falls
     // back to the survivors; case B does too when the rebuild came up
-    // shorter than just dropping the blocked paths.
-    if same || out.len() < sc.avoid_tmp.len() {
-        std::mem::swap(out, &mut sc.avoid_tmp);
+    // shorter than just dropping the blocked paths. The survivors are
+    // copied, never swapped in: `out` may be a router worker's lent batch
+    // arena, whose capacity must stay with it.
+    if same || out.len() - base < sc.avoid_tmp.len() {
+        out.truncate(base);
+        for p in sc.avoid_tmp.iter() {
+            out.push_path(p);
+        }
     }
     Ok(AvoidOutcome {
-        paths: out.len(),
+        paths: out.len() - base,
         rerouted: true,
     })
 }

@@ -108,13 +108,15 @@ fn order_positions_into(
     }
 }
 
-/// Builds the cross-cube family from `u` to `v` into `out` and returns
-/// how many of its paths are rotations (they come first).
+/// Appends the cross-cube family from `u` to `v` to `out`, past the
+/// paths already there, and returns how many of its paths are rotations
+/// (they come first).
 ///
 /// Without `faults` this is the paper's fault-blind family of `m + 1`
 /// paths. With them it avoids every fault `avoid_into` listed into
 /// `sc.avoid_faults` (`faults` answers the exact middle-walk probes), and
-/// an empty `out` means no viable selection survived.
+/// appending nothing means no viable selection survived. Selection never
+/// writes `out`, so only the final assembly appends.
 pub(super) fn cross_cube_into(
     hhc: &Hhc,
     u: NodeId,
@@ -243,7 +245,6 @@ pub(super) fn cross_cube_into(
             }
         }
         if sc.sel.is_empty() {
-            out.clear();
             return Ok(0);
         }
 
@@ -321,7 +322,6 @@ pub(super) fn cross_cube_into(
         // --- Assembly ----------------------------------------------------
         #[cfg(debug_assertions)]
         check_cube_disjointness(&sc.arena, &sc.sel, xu, xv);
-        out.clear();
         const EMPTY: &[u128] = &[];
         for (j, &(a, b)) in sc.sel.iter().enumerate() {
             // Source fan runs Yu → first; drop the shared Yu.

@@ -196,13 +196,14 @@ pub(crate) fn family_key(m: u32, dx: u128, yu: u32, yv: u32, order: CrossingOrde
 /// from and its cube-offset span (see the module docs).
 pub(crate) type Replayed = (u64, u64, u64);
 
-/// The cube-offset span of `set`, a family of `HHC(m)` whose source
-/// cube field `Xu` sits in `mask = Xu << m`: the OR over its nodes of
-/// `Xw ⊕ Xu`. [`FamilyEntry::encode`] computes the same word from the
-/// hops; this is for families an inert tier does not store.
-pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet) -> u64 {
+/// The cube-offset span of the family in `set` past its first `base`
+/// paths, a family of `HHC(m)` whose source cube field `Xu` sits in
+/// `mask = Xu << m`: the OR over its nodes of `Xw ⊕ Xu`.
+/// [`FamilyEntry::encode`] computes the same word from the hops; this is
+/// for families a tier does not store.
+pub(crate) fn family_span(m: u32, mask: u128, set: &PathSet, base: usize) -> u64 {
     let or = set
-        .iter()
+        .paths(base..set.len())
         .flatten()
         .fold(0u128, |acc, v| acc | (v.raw() ^ mask));
     (or >> m) as u64
@@ -222,15 +223,18 @@ pub(crate) struct FamilyEntry {
 }
 
 impl FamilyEntry {
-    /// Encodes `set`, a fresh construction on `HHC(m)` whose paths all
-    /// start at the query's source, as the bits its hops flip, OR-ing
-    /// the external hops' cube bits into the span on the way.
-    pub(crate) fn encode(m: u32, set: &PathSet, rotations: u64, detours: u64) -> Self {
-        let mut hops = Vec::with_capacity(set.total_nodes() - set.len());
-        let mut ends = Vec::with_capacity(set.len());
+    /// Encodes the family in `set` past its first `base` paths, a fresh
+    /// construction on `HHC(m)` whose paths all start at the query's
+    /// source, as the bits its hops flip, OR-ing the external hops' cube
+    /// bits into the span on the way.
+    pub(crate) fn encode(m: u32, set: &PathSet, base: usize, rotations: u64, detours: u64) -> Self {
+        let paths = set.len() - base;
+        let hop_count = set.paths(base..set.len()).map(|p| p.len() - 1).sum();
+        let mut hops = Vec::with_capacity(hop_count);
+        let mut ends = Vec::with_capacity(paths);
         let mut span = 0u64;
-        for path in set.iter() {
-            debug_assert_eq!(path.first(), set.path(0).first(), "paths share a source");
+        for path in set.paths(base..set.len()) {
+            debug_assert_eq!(path.first(), set.path(base).first(), "paths share a source");
             hops.extend(path.windows(2).map(|w| {
                 let flip = w[0].raw() ^ w[1].raw();
                 debug_assert!(flip.is_power_of_two(), "a hop flips exactly one bit");
@@ -243,9 +247,9 @@ impl FamilyEntry {
             ends.push(u16::try_from(hops.len()).expect("a family has under 2^16 hops"));
         }
         debug_assert!(
-            set.is_empty() || {
-                let mask = set.path(0)[0].raw() >> m << m;
-                span == family_span(m, mask, set)
+            paths == 0 || {
+                let mask = set.path(base)[0].raw() >> m << m;
+                span == family_span(m, mask, set, base)
             },
             "the hops' span is the node pass's"
         );
@@ -466,23 +470,25 @@ impl SharedFamilyCache {
             .map(|e| e.replay(u, out))
     }
 
-    /// Stores the family in `set` (a fresh construction on `HHC(m)`) as
-    /// hop codes, and returns the span the encoding pass computed
-    /// (`None` on an inert tier). The entry is built before the stripe's
-    /// write lock is taken; under the lock the store is one insert, with
-    /// a generation sweep when the hot map is full.
+    /// Stores the family in `set` past its first `base` paths (a fresh
+    /// construction on `HHC(m)`) as hop codes, and returns the span the
+    /// encoding pass computed (`None` on an inert tier). The entry is
+    /// built before the stripe's write lock is taken; under the lock the
+    /// store is one insert, with a generation sweep when the hot map is
+    /// full.
     pub(crate) fn store(
         &self,
         key: u128,
         m: u32,
         set: &PathSet,
+        base: usize,
         rotations: u64,
         detours: u64,
     ) -> Option<u64> {
         if self.shard_capacity == 0 {
             return None;
         }
-        let entry = FamilyEntry::encode(m, set, rotations, detours);
+        let entry = FamilyEntry::encode(m, set, base, rotations, detours);
         let span = entry.span();
         self.write(self.stripe_of(key)).insert(key, entry);
         Some(span)
@@ -557,14 +563,18 @@ mod tests {
         });
         let h = Hhc::new(M).unwrap();
         let (set, u) = family();
-        assert_eq!(l2.store(1, M, &set, 2, 1), Some(SPAN));
+        assert_eq!(l2.store(1, M, &set, 0, 2, 1), Some(SPAN));
         // Replaying from a translated source translates node-wise.
         let t = 0b1011u128 << M;
         let mut out = PathSet::new();
         let (nr, nd, span) = l2.replay(1, NodeId(u.raw() ^ t), &mut out).unwrap();
         assert_eq!((nr, nd, span), (2, 1, SPAN));
         let mask = h.cube_field(u) << M;
-        assert_eq!(family_span(M, mask, &set), span, "both span passes agree");
+        assert_eq!(
+            family_span(M, mask, &set, 0),
+            span,
+            "both span passes agree"
+        );
         let expect: Vec<u128> = set.iter().flatten().map(|v| v.raw() ^ t).collect();
         let got: Vec<u128> = out.iter().flatten().map(|v| v.raw()).collect();
         assert_eq!(got, expect);
@@ -578,6 +588,24 @@ mod tests {
             "a replay is the translated pair's construction"
         );
         assert!(l2.replay(2, u, &mut PathSet::new()).is_none());
+    }
+
+    #[test]
+    fn store_reads_only_the_family_past_its_base() {
+        // A family appended to an arena after other paths is stored and
+        // spanned exactly as the same family alone.
+        let (set, u) = family();
+        let mut arena = PathSet::from_paths(&[vec![NodeId(0xFFF)], vec![]]);
+        for p in set.iter() {
+            arena.push_path(p);
+        }
+        let l2 = one_stripe(4);
+        assert_eq!(l2.store(1, M, &arena, 2, 2, 1), Some(SPAN));
+        let mask = u.raw() >> M << M;
+        assert_eq!(family_span(M, mask, &arena, 2), SPAN);
+        let mut out = PathSet::new();
+        assert_eq!(l2.replay(1, u, &mut out), Some((2, 1, SPAN)));
+        assert_eq!(out, set);
     }
 
     #[test]
@@ -611,7 +639,7 @@ mod tests {
             for order in [CrossingOrder::Gray, CrossingOrder::Sorted] {
                 disjoint_paths_into(&h, u, v, order, &mut set, &mut b).unwrap();
                 let key = family_key(5, dx, h.node_field(u), h.node_field(v), order);
-                tier.store(key, 5, &set, 0, 0);
+                tier.store(key, 5, &set, 0, 0, 0);
                 if keys.insert(key) {
                     hops += set.total_nodes() - set.len();
                     paths += set.len();
@@ -644,7 +672,7 @@ mod tests {
         let mut out = PathSet::new();
         for key in 0..32u128 {
             assert!(l2.replay(key, u, &mut out).is_none(), "cold tier misses");
-            l2.store(key, M, &set, key as u64, 0);
+            l2.store(key, M, &set, 0, key as u64, 0);
             out.clear();
             assert_eq!(
                 l2.replay(key, u, &mut out).expect("store is visible"),
@@ -660,13 +688,13 @@ mod tests {
         // and a later store of the same key must be served again.
         let l2 = one_stripe(8);
         let (set, u) = family();
-        l2.store(7, M, &set, 1, 0);
+        l2.store(7, M, &set, 0, 1, 0);
         let mut out = PathSet::new();
         assert!(l2.replay(7, u, &mut out).is_some());
         l2.flush();
         out.clear();
         assert!(l2.replay(7, u, &mut out).is_none(), "flush is visible");
-        l2.store(7, M, &set, 2, 0);
+        l2.store(7, M, &set, 0, 2, 0);
         assert_eq!(l2.replay(7, u, &mut out), Some((2, 0, SPAN)));
     }
 
@@ -677,7 +705,7 @@ mod tests {
             SharedFamilyCache::new(L2Config::disabled()),
             SharedFamilyCache::private(CacheConfig::disabled()),
         ] {
-            assert_eq!(tier.store(1, M, &set, 0, 1), None);
+            assert_eq!(tier.store(1, M, &set, 0, 0, 1), None);
             assert!(tier.replay(1, u, &mut PathSet::new()).is_none());
             assert!(tier.is_empty());
         }
@@ -689,7 +717,7 @@ mod tests {
         let l2 = one_stripe(cap);
         let (set, _) = family();
         for key in 0..10 * cap as u128 {
-            l2.store(key, M, &set, 1, 0);
+            l2.store(key, M, &set, 0, 1, 0);
         }
         assert!(
             l2.len() <= 2 * cap,
@@ -703,7 +731,7 @@ mod tests {
         let l2 = one_stripe(cap);
         let (set, u) = family();
         for key in 0..cap as u128 + 1 {
-            l2.store(key, M, &set, key as u64, 0);
+            l2.store(key, M, &set, 0, key as u64, 0);
         }
         // Keys 0 and 1 were swept to the cold generation by the third
         // store; every key must still replay.
@@ -724,14 +752,14 @@ mod tests {
         // even though it was just hit.
         let l2 = one_stripe(1);
         let (set, u) = family();
-        l2.store(0, M, &set, 0, 0);
-        l2.store(1, M, &set, 1, 0);
+        l2.store(0, M, &set, 0, 0, 0);
+        l2.store(1, M, &set, 0, 1, 0);
         let mut out = PathSet::new();
         assert!(
             l2.replay(0, u, &mut out).is_some(),
             "0 is cold, still served"
         );
-        l2.store(2, M, &set, 2, 0);
+        l2.store(2, M, &set, 0, 2, 0);
         assert!(
             l2.replay(0, u, &mut out).is_none(),
             "0 was swept, not promoted"
@@ -744,8 +772,8 @@ mod tests {
     fn second_store_of_a_key_keeps_the_first() {
         let l2 = one_stripe(4);
         let (set, u) = family();
-        l2.store(3, M, &set, 1, 0);
-        l2.store(3, M, &set, 9, 9);
+        l2.store(3, M, &set, 0, 1, 0);
+        l2.store(3, M, &set, 0, 9, 9);
         assert_eq!(l2.replay(3, u, &mut PathSet::new()), Some((1, 0, SPAN)));
         assert_eq!(l2.len(), 1);
     }
@@ -766,7 +794,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..50u128 {
                         for key in 0..24u128 {
-                            l2.store(key, M, &set, key as u64, round as u64 % 7 + t);
+                            l2.store(key, M, &set, 0, key as u64, round as u64 % 7 + t);
                         }
                     }
                 })

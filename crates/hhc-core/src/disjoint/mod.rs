@@ -26,6 +26,7 @@ mod case_b;
 pub mod family_cache;
 pub mod plan;
 
+pub(crate) use avoid::avoid_into;
 pub use avoid::AvoidOutcome;
 
 use crate::error::HhcError;
@@ -116,7 +117,7 @@ pub struct PathBuilder {
     seg_tgt: Vec<u32>,
     src_fan: FanScratch,
     tgt_fan: FanScratch,
-    // Cube-offset span of the family `construct_into` last wrote (see
+    // Cube-offset span of the family `construct_into` last appended (see
     // `family_cache`): the replayed entry's, or computed once for a
     // fresh construction.
     span: u64,
@@ -294,6 +295,7 @@ pub fn disjoint_paths_into(
     out: &mut PathSet,
     scratch: &mut PathBuilder,
 ) -> Result<(), HhcError> {
+    out.clear();
     construct_into(hhc, u, v, order, out, scratch, false).map(|_| ())
 }
 
@@ -322,7 +324,7 @@ pub fn disjoint_paths_avoiding(
 ) -> Result<(Vec<Path>, AvoidOutcome), HhcError> {
     let mut out = PathSet::new();
     let mut scratch = PathBuilder::new();
-    let outcome = avoid::avoid_into(hhc, u, v, order, faults, &mut out, &mut scratch)?;
+    let outcome = avoid_into(hhc, u, v, order, faults, &mut out, &mut scratch)?;
     Ok((out.to_paths(), outcome))
 }
 
@@ -340,10 +342,16 @@ pub fn disjoint_paths_avoiding_into(
     out: &mut PathSet,
     scratch: &mut PathBuilder,
 ) -> Result<AvoidOutcome, HhcError> {
-    avoid::avoid_into(hhc, u, v, order, faults, out, scratch)
+    out.clear();
+    avoid_into(hhc, u, v, order, faults, out, scratch)
 }
 
-/// The single construction core behind every public entry point.
+/// The single construction core behind every public entry point, in
+/// append form: the family is written past the `out.len()` paths already
+/// there (the base), which it leaves untouched. A router worker answers
+/// a whole batch into one arena this way; the public `_into` entry
+/// points clear `out` first. On an error nothing past the base is
+/// meaningful, and the caller takes `out` back to its base.
 fn construct_into(
     hhc: &Hhc,
     u: NodeId,
@@ -359,7 +367,7 @@ fn construct_into(
     if u == v {
         return Err(HhcError::EqualNodes);
     }
-    out.clear();
+    let base = out.len();
     let same = hhc.cube_field(u) == hhc.cube_field(v);
 
     // Family tier: the construction is equivariant under cube-field
@@ -409,7 +417,7 @@ fn construct_into(
     } else {
         let nr = case_b::cross_cube_into(hhc, u, v, order, None, out, scratch)?;
         let trace = want_trace.then(|| case_b::cross_cube_trace(scratch, nr));
-        (trace, nr as u64, (out.len() - nr) as u64)
+        (trace, nr as u64, (out.len() - base - nr) as u64)
     };
     // An attached L2 stores a family on its key's second sighting (see
     // `family_cache`); a private tier stores every construction. The
@@ -417,12 +425,13 @@ fn construct_into(
     // gets it from one pass here.
     let cache = &scratch.tier.cache;
     let stored = if !attached || cache.sighted_before(key) {
-        cache.store(key, hhc.m(), out, nr, nd)
+        cache.store(key, hhc.m(), out, base, nr, nd)
     } else {
         None
     };
-    scratch.span = stored
-        .unwrap_or_else(|| family_cache::family_span(hhc.m(), hhc.cube_field(u) << hhc.m(), out));
+    scratch.span = stored.unwrap_or_else(|| {
+        family_cache::family_span(hhc.m(), hhc.cube_field(u) << hhc.m(), out, base)
+    });
     let m = &mut scratch.metrics;
     m.queries += 1;
     if same {
@@ -438,7 +447,7 @@ fn construct_into(
     Ok(trace)
 }
 
-/// Case A: both nodes in the same son-cube.
+/// Case A: both nodes in the same son-cube; appends the family to `out`.
 fn same_cube_into(
     hhc: &Hhc,
     u: NodeId,

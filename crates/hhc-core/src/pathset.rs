@@ -1,7 +1,7 @@
 //! Flat, arena-backed path families.
 //!
 //! A [`PathSet`] stores a family of paths CSR-style: one contiguous
-//! node buffer plus an offsets table. This is the primary output type
+//! node buffer plus a table of path ends. This is the primary output type
 //! of the construction engine — a full HHC(m) family is `m + 1` paths
 //! of bounded length, so the per-`Vec` allocation overhead of the
 //! legacy `Vec<Path>` shape dominated construction cost in batch
@@ -27,40 +27,36 @@ static HOP_BIT: [u128; 128] = {
 pub type Path = Vec<NodeId>;
 
 /// A family of node-disjoint paths in flat CSR form: path `i` occupies
-/// `nodes[offsets[i] .. offsets[i + 1]]`. `offsets` always starts with
-/// `0` and has `len() + 1` entries.
+/// `nodes[start .. ends[i]]`, where `start` is the previous path's end
+/// (`0` for the first). `ends` has one entry per path, so an empty set
+/// holds nothing at all, and `new()` and `default()` allocate nothing.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PathSet {
     nodes: Vec<NodeId>,
-    offsets: Vec<u32>,
+    ends: Vec<u32>,
 }
 
 impl PathSet {
-    /// An empty family.
+    /// An empty family (allocates nothing).
     pub fn new() -> Self {
-        PathSet {
-            nodes: Vec::new(),
-            offsets: vec![0],
-        }
+        PathSet::default()
     }
 
     /// An empty family with room for `paths` paths of `nodes` total nodes.
     pub fn with_capacity(paths: usize, nodes: usize) -> Self {
-        let mut offsets = Vec::with_capacity(paths + 1);
-        offsets.push(0);
         PathSet {
             nodes: Vec::with_capacity(nodes),
-            offsets,
+            ends: Vec::with_capacity(paths),
         }
     }
 
     /// Number of paths.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.ends.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ends.is_empty()
     }
 
     /// Total node count across all paths (shared endpoints counted once
@@ -69,15 +65,30 @@ impl PathSet {
         self.nodes.len()
     }
 
+    /// Where path `i` starts in `nodes`: the end of path `i - 1`.
+    fn start(&self, i: usize) -> usize {
+        match i {
+            0 => 0,
+            _ => self.ends[i - 1] as usize,
+        }
+    }
+
     /// Path `i` as a node slice, endpoints inclusive.
     pub fn path(&self, i: usize) -> &[NodeId] {
-        let (a, b) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
-        &self.nodes[a..b]
+        &self.nodes[self.start(i)..self.ends[i] as usize]
     }
 
     /// Iterates over the paths as slices.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
-        (0..self.len()).map(move |i| self.path(i))
+        self.paths(0..self.len())
+    }
+
+    /// Iterates over paths `range` as slices.
+    pub(crate) fn paths(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl ExactSizeIterator<Item = &[NodeId]> + '_ {
+        range.map(move |i| self.path(i))
     }
 
     /// Longest path, in edges. Zero for an empty family.
@@ -91,8 +102,16 @@ impl PathSet {
     /// Removes all paths, keeping allocated capacity.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.offsets.clear();
-        self.offsets.push(0);
+        self.ends.clear();
+    }
+
+    /// Keeps the first `paths` paths (all of them if there are fewer)
+    /// and drops every node after them, including a path still under
+    /// construction; capacity is kept. This is how an appended family
+    /// is taken back to its base.
+    pub(crate) fn truncate(&mut self, paths: usize) {
+        self.ends.truncate(paths);
+        self.nodes.truncate(self.start(self.ends.len()));
     }
 
     /// Appends one node to the path currently under construction.
@@ -104,7 +123,7 @@ impl PathSet {
     /// previous `finish_path` (or construction/`clear`) becomes path
     /// `len() - 1`.
     pub fn finish_path(&mut self) {
-        self.offsets.push(self.nodes.len() as u32);
+        self.ends.push(self.nodes.len() as u32);
     }
 
     /// Appends a whole path from a slice.
@@ -134,7 +153,7 @@ impl PathSet {
             }));
             from = end as usize;
         }
-        self.offsets.extend(
+        self.ends.extend(
             ends.iter()
                 .zip(1u32..)
                 .map(|(&end, i)| base + u32::from(end) + i),
@@ -191,6 +210,34 @@ mod tests {
         let legacy = set.to_paths();
         assert_eq!(legacy, vec![vec![id(1), id(2)], vec![id(3), id(4), id(5)]]);
         assert_eq!(PathSet::from_paths(&legacy), set);
+    }
+
+    #[test]
+    fn default_is_the_empty_set() {
+        // Both constructors give the same empty set, which allocates
+        // nothing: the router moves sets out with `mem::take`.
+        let set = PathSet::default();
+        assert_eq!(set, PathSet::new());
+        assert_eq!(set.len(), 0);
+        assert!(set.is_empty());
+        assert_eq!(set.iter().len(), 0);
+        assert!(set.to_paths().is_empty());
+        assert_eq!(set.max_len(), 0);
+        assert_eq!(set.total_nodes(), 0);
+    }
+
+    #[test]
+    fn truncate_drops_whole_and_open_paths() {
+        let mut set = PathSet::from_paths(&[vec![id(1), id(2)], vec![id(3)]]);
+        set.push_node(id(4)); // an open path
+        set.truncate(5);
+        assert_eq!(set, PathSet::from_paths(&[vec![id(1), id(2)], vec![id(3)]]));
+        set.push_path(&[id(5), id(6)]);
+        set.push_node(id(7));
+        set.truncate(1);
+        assert_eq!(set, PathSet::from_paths(&[vec![id(1), id(2)]]));
+        set.truncate(0);
+        assert_eq!(set, PathSet::new());
     }
 
     #[test]

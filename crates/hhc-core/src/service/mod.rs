@@ -15,19 +15,26 @@
 //! whose [`L2Config`] has no capacity attaches nothing, and each worker
 //! serves from a private tier of [`RouterConfig::l1`] instead.
 //!
-//! ## Steady-state allocation discipline
+//! ## Each answer written once, and no allocation
 //!
-//! The serving hot path performs **no per-query heap allocation** once
-//! warm: an L2 hit takes one stripe's read lock and decodes the entry's
-//! hops straight into reused scratch while holding it. The batch
-//! plumbing is pooled to match — `Batch` buffers (pairs in, results
-//! out) cycle `Router` → worker → `Router` through the existing
-//! channels and are recycled from a free list, and a whole batch's
-//! answers live in one arena-backed [`QueryBatchResult`] (a single
-//! [`PathSet`] plus per-query spans) instead of a `Vec<Path>` of
-//! per-path `Vec`s per query. [`Router::query_many_into`] and
-//! [`Router::query_into`] expose that representation; callers that want
-//! owned paths materialise them with [`FamilyRef::to_paths`].
+//! A batch's answers live in the caller's arena-backed
+//! [`QueryBatchResult`]: one chunk per worker, each a [`PathSet`] plus
+//! per-query spans, instead of a `Vec<Path>` of per-path `Vec`s per
+//! query. [`Router::query_many_into`] lends chunk `c` to worker `c` for
+//! the duration of the call, and [`Router::query_into`] lends the
+//! caller's `PathSet` the same way. A worker answers through the append
+//! form of the construction core, so an L2 hit decodes the entry's hops,
+//! under one stripe's read lock, straight into the caller's arena, and
+//! a fresh construction assembles its paths there: the router never
+//! copies a node. A query that fails, or a worker that panics, leaves
+//! nothing of its answer in the arena. Callers that want owned paths
+//! materialise them with [`FamilyRef::to_paths`].
+//!
+//! Once warm the whole loop performs **no heap allocation**
+//! (`tests/zero_alloc.rs` counts it): `Batch` buffers (pairs in,
+//! metrics out, the chunk they carry) cycle `Router` → worker →
+//! `Router` over bounded channels, whose rings are allocated once, and
+//! are recycled from a free list.
 //!
 //! Worker metrics ride the same buffers: after each batch a worker
 //! moves its builder's report for that batch into the pooled `Batch`
@@ -60,18 +67,18 @@
 //!
 //! ## Interface
 //!
-//! Queries arrive over per-worker mpsc channels:
+//! Queries arrive over per-worker bounded mpsc channels:
 //! [`Router::query_many_into`] splits a batch into contiguous chunks,
-//! fans them across the workers and reassembles results in submission
-//! order; [`Router::query_into`] round-robins single queries. Results
-//! depend only on the pair and the fault snapshot — never on which
-//! worker answered or how the chunks interleaved.
+//! one per worker, whose answers read back in submission order;
+//! [`Router::query_into`] round-robins single queries. Results depend
+//! only on the pair and the fault snapshot — never on which worker
+//! answered or how the chunks interleaved.
 
 pub use crate::disjoint::family_cache::{
     L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY,
 };
 
-use crate::disjoint::{disjoint_paths_avoiding_into, CrossingOrder, PathBuilder};
+use crate::disjoint::{avoid_into, CrossingOrder, PathBuilder};
 use crate::error::HhcError;
 use crate::fault::FaultSet;
 use crate::metrics::MetricsReport;
@@ -110,12 +117,10 @@ impl Default for RouterConfig {
     }
 }
 
-/// One query's answer inside a [`QueryBatchResult`] arena.
+/// One query's answer inside a chunk of a [`QueryBatchResult`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum QuerySlot {
-    /// Not yet answered (only observable mid-reassembly).
-    Pending,
-    /// Paths `[first, last)` of the arena.
+    /// Paths `[first, last)` of the chunk's arena.
     Ok {
         first: u32,
         last: u32,
@@ -156,8 +161,7 @@ impl<'a> FamilyRef<'a> {
 
     /// Iterates the family's paths as node slices.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [NodeId]> + 'a {
-        let copy = *self;
-        (copy.first..copy.last).map(move |i| copy.set.path(i))
+        self.set.paths(self.first..self.last)
     }
 
     /// Materialises the family as owned paths (allocates).
@@ -166,15 +170,28 @@ impl<'a> FamilyRef<'a> {
     }
 }
 
-/// Arena-backed answers for a whole batch of queries: one reusable
-/// [`PathSet`] holding every path of every answered family, plus one
-/// span-or-error slot per query. Reusing the buffer across
-/// [`Router::query_many_into`] calls makes the steady-state query path
+/// One worker's share of a batch's answers: the arena its families are
+/// written into, and a slot per query of its chunk. The router lends it
+/// to the worker for the duration of a call.
+#[derive(Debug, Default)]
+struct Chunk {
+    paths: PathSet,
+    slots: Vec<QuerySlot>,
+}
+
+/// Arena-backed answers for a whole batch of queries: one chunk per
+/// worker, each a reusable [`PathSet`] holding its queries' families
+/// plus one span-or-error slot per query. [`Router::query_many_into`]
+/// lends chunk `c` to worker `c`, which writes every answer straight
+/// into it, so a family is written once and never copied. Reusing the
+/// buffer across calls makes the steady-state query path
 /// allocation-free — capacity is retained by [`Self::clear`].
 #[derive(Debug, Default)]
 pub struct QueryBatchResult {
-    paths: PathSet,
-    slots: Vec<QuerySlot>,
+    /// Chunk `c` answers queries `c × chunk_len ..`.
+    chunks: Vec<Chunk>,
+    chunk_len: usize,
+    len: usize,
 }
 
 impl QueryBatchResult {
@@ -183,103 +200,59 @@ impl QueryBatchResult {
         QueryBatchResult::default()
     }
 
-    /// Number of query slots (answered or pending).
+    /// Number of answered queries.
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.len
     }
 
-    /// Whether the buffer holds no query slots.
+    /// Whether the buffer holds no answers.
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len == 0
     }
 
-    /// Total paths across all answered families.
-    pub fn total_paths(&self) -> usize {
-        self.paths.len()
-    }
-
-    /// Drops all answers, keeping both buffers' capacity.
+    /// Drops all answers, keeping every chunk's capacity.
     pub fn clear(&mut self) {
-        self.paths.clear();
-        self.slots.clear();
+        for c in &mut self.chunks {
+            c.paths.clear();
+            c.slots.clear();
+        }
+        self.len = 0;
     }
 
     /// Query `i`'s answer: the family span, or the construction error.
     ///
     /// # Panics
-    /// If `i` is out of range or (unreachable through the public query
-    /// entry points) the slot was never answered.
+    /// If `i` is out of range.
     pub fn get(&self, i: usize) -> Result<FamilyRef<'_>, &HhcError> {
-        match &self.slots[i] {
+        assert!(i < self.len, "query {i} out of range");
+        let chunk = &self.chunks[i / self.chunk_len];
+        match &chunk.slots[i % self.chunk_len] {
             QuerySlot::Ok { first, last } => Ok(FamilyRef {
-                set: &self.paths,
+                set: &chunk.paths,
                 first: *first as usize,
                 last: *last as usize,
             }),
             QuerySlot::Failed(e) => Err(e),
-            QuerySlot::Pending => panic!("query {i} was never answered"),
         }
     }
 
     /// Iterates every query's answer in submission order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Result<FamilyRef<'_>, &HhcError>> + '_ {
-        (0..self.slots.len()).map(move |i| self.get(i))
-    }
-
-    /// Clears and lays out `n` pending slots for out-of-order
-    /// reassembly via [`Self::absorb`].
-    fn begin(&mut self, n: usize) {
-        self.clear();
-        self.slots.resize(n, QuerySlot::Pending);
-    }
-
-    /// Appends one answered family, copying its paths into the arena.
-    fn push_ok(&mut self, family: &PathSet) {
-        let first = self.paths.len() as u32;
-        for p in family.iter() {
-            self.paths.push_path(p);
-        }
-        self.slots.push(QuerySlot::Ok {
-            first,
-            last: self.paths.len() as u32,
-        });
-    }
-
-    /// Appends one failed query.
-    fn push_err(&mut self, e: HhcError) {
-        self.slots.push(QuerySlot::Failed(e));
-    }
-
-    /// Copies a worker chunk's answers into slots `base..`, rebasing
-    /// its arena spans onto this arena's tail.
-    fn absorb(&mut self, base: usize, chunk: &QueryBatchResult) {
-        let off = self.paths.len() as u32;
-        for (j, slot) in chunk.slots.iter().enumerate() {
-            self.slots[base + j] = match slot {
-                QuerySlot::Pending => QuerySlot::Pending,
-                QuerySlot::Ok { first, last } => QuerySlot::Ok {
-                    first: first + off,
-                    last: last + off,
-                },
-                QuerySlot::Failed(e) => QuerySlot::Failed(e.clone()),
-            };
-        }
-        for p in chunk.paths.iter() {
-            self.paths.push_path(p);
-        }
+        (0..self.len).map(move |i| self.get(i))
     }
 }
 
-/// A pooled unit of work: a chunk of queries, the index its results
-/// slot back into, the result buffer the worker fills in place, and the
-/// worker's metrics for this chunk. The same `Batch` objects cycle
-/// `Router` → worker → `Router` forever, so the channels carry no fresh
-/// allocations after warm-up.
+/// A pooled unit of work: a chunk of queries, the caller's chunk of
+/// answers lent for the call (and which one it is), and the worker's
+/// metrics for this chunk. The same `Batch` objects cycle `Router` →
+/// worker → `Router` forever, so the channels carry no fresh
+/// allocations after warm-up. Between calls `answers` is empty: each
+/// chunk's one arena belongs to the caller.
 #[derive(Default)]
 struct Batch {
-    base: usize,
+    chunk: usize,
     pairs: Vec<(NodeId, NodeId)>,
-    result: QueryBatchResult,
+    answers: Chunk,
     report: MetricsReport,
 }
 
@@ -360,7 +333,11 @@ pub struct Router {
     /// The workers' family tiers, each once: the shared L2, or one
     /// private tier per worker when the L2 has no capacity.
     tiers: Vec<Arc<SharedFamilyCache>>,
-    senders: Vec<mpsc::Sender<Batch>>,
+    /// One bounded input per worker, of capacity 1, and one output of
+    /// capacity `threads`: a call sends at most one batch per worker and
+    /// waits for every batch it sent, so no send ever blocks, and the
+    /// channels' preallocated rings keep the warm loops allocation-free.
+    senders: Vec<mpsc::SyncSender<Batch>>,
     handles: Vec<JoinHandle<()>>,
     results_rx: mpsc::Receiver<Batch>,
     /// Every returned batch's report, merged on receipt.
@@ -369,6 +346,9 @@ pub struct Router {
     /// Recycled batch buffers; bounded by the most batches ever in
     /// flight at once (≤ the worker count).
     pool: Vec<Batch>,
+    /// The slot [`Router::query_into`] lends along with the caller's
+    /// set.
+    single: Vec<QuerySlot>,
 }
 
 impl Router {
@@ -381,12 +361,12 @@ impl Router {
         let threads = cfg.threads.max(1);
         let shared = Arc::new(SharedFamilyCache::new(cfg.l2));
         let faults = Arc::new(LiveFaults::default());
-        let (results_tx, results_rx) = mpsc::channel();
+        let (results_tx, results_rx) = mpsc::sync_channel(threads);
         let mut senders = Vec::with_capacity(threads);
         let mut handles = Vec::with_capacity(threads);
         let mut tiers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = mpsc::channel::<Batch>();
+            let (tx, rx) = mpsc::sync_channel::<Batch>(1);
             // One family tier per worker: the shared L2 when it has
             // capacity, else a private tier of `l1`.
             let mut builder = PathBuilder::with_caches(cfg.l1);
@@ -416,6 +396,7 @@ impl Router {
             metrics: MetricsReport::default(),
             next_worker: 0,
             pool: Vec::new(),
+            single: Vec::new(),
         })
     }
 
@@ -473,43 +454,51 @@ impl Router {
     }
 
     /// Answers a batch into a caller-owned (reusable) result buffer:
-    /// pairs are split into contiguous chunks, one per worker, answered
-    /// concurrently, and reassembled in submission order. Equivalent to
-    /// answering each pair serially under a fixed fault set. With a
-    /// warm `out`, allocation-free end to end. If a worker panics, the
-    /// query it was answering and the rest of its chunk report
-    /// [`HhcError::WorkerPanicked`].
+    /// pairs are split into contiguous chunks, one per worker, and each
+    /// worker writes its chunk's answers straight into the chunk of
+    /// `out` lent to it for the call; no answer is copied. Equivalent to
+    /// answering each pair serially under a fixed fault set. With a warm
+    /// `out`, allocation-free end to end (`tests/zero_alloc.rs`). If a
+    /// worker panics, the query it was answering and the rest of its
+    /// chunk report [`HhcError::WorkerPanicked`].
     pub fn query_many_into(&mut self, pairs: &[(NodeId, NodeId)], out: &mut QueryBatchResult) {
-        out.begin(pairs.len());
+        out.clear();
         if pairs.is_empty() {
             return;
         }
-        let threads = self.senders.len();
-        let chunk = pairs.len().div_ceil(threads);
-        let mut outstanding = 0usize;
-        for (i, slice) in pairs.chunks(chunk).enumerate() {
+        // At most `threads` chunks, so chunk `c` goes to worker `c`.
+        let chunk_len = pairs.len().div_ceil(self.senders.len());
+        let chunks = pairs.len().div_ceil(chunk_len);
+        if out.chunks.len() < chunks {
+            out.chunks.resize_with(chunks, Chunk::default);
+        }
+        for (c, slice) in pairs.chunks(chunk_len).enumerate() {
             let mut b = self.pool.pop().unwrap_or_default();
-            b.base = i * chunk;
+            b.chunk = c;
             b.pairs.clear();
             b.pairs.extend_from_slice(slice);
-            self.submit(i % threads, b);
-            outstanding += 1;
+            b.answers = std::mem::take(&mut out.chunks[c]);
+            self.submit(c, b);
         }
-        for _ in 0..outstanding {
-            let b = self.receive();
-            out.absorb(b.base, &b.result);
+        for _ in 0..chunks {
+            let mut b = self.receive();
+            out.chunks[b.chunk] = std::mem::take(&mut b.answers);
             self.pool.push(b);
         }
+        out.chunk_len = chunk_len;
+        out.len = pairs.len();
     }
 
     /// Answers one query into a caller-owned (reusable) [`PathSet`],
-    /// round-robining across the workers; returns the family size. With
-    /// a warm `out`, allocation-free end to end.
+    /// round-robining across the workers; returns the family size.
+    /// `out` is cleared and lent to the worker, which writes the family
+    /// straight into it. With a warm `out`, allocation-free end to end
+    /// (`tests/zero_alloc.rs`).
     ///
     /// # Errors
     /// The construction error for the pair, exactly as the serial
     /// avoiding entry point reports it, or [`HhcError::WorkerPanicked`]
-    /// if the worker panicked on it.
+    /// if the worker panicked on it. `out` is then empty.
     pub fn query_into(
         &mut self,
         u: NodeId,
@@ -519,22 +508,26 @@ impl Router {
         let w = self.next_worker;
         self.next_worker = (self.next_worker + 1) % self.senders.len();
         let mut b = self.pool.pop().unwrap_or_default();
-        b.base = 0;
         b.pairs.clear();
         b.pairs.push((u, v));
-        self.submit(w, b);
-        let b = self.receive();
         out.clear();
-        let r = match b.result.get(0) {
-            Ok(f) => {
-                for p in f.iter() {
-                    out.push_path(p);
-                }
-                Ok(f.len())
-            }
-            Err(e) => Err(e.clone()),
+        b.answers = Chunk {
+            paths: std::mem::take(out),
+            slots: std::mem::take(&mut self.single),
         };
+        self.submit(w, b);
+        let mut b = self.receive();
+        let Chunk { paths, mut slots } = std::mem::take(&mut b.answers);
         self.pool.push(b);
+        *out = paths;
+        let r = match slots
+            .pop()
+            .expect("a worker answers every query it is sent")
+        {
+            QuerySlot::Ok { first, last } => Ok((last - first) as usize),
+            QuerySlot::Failed(e) => Err(e),
+        };
+        self.single = slots;
         r
     }
 
@@ -575,7 +568,7 @@ struct WorkerCtx {
     order: CrossingOrder,
     builder: PathBuilder,
     faults: Arc<LiveFaults>,
-    results_tx: mpsc::Sender<Batch>,
+    results_tx: mpsc::SyncSender<Batch>,
 }
 
 fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
@@ -586,48 +579,63 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
         faults,
         results_tx,
     } = ctx;
-    let mut out = PathSet::new();
     let mut local_faults = FaultSet::default();
     let mut local_gen = faults.snapshot_into(&mut local_faults);
     while let Ok(mut batch) = rx.recv() {
-        batch.result.clear();
-        let answered = catch_unwind(AssertUnwindSafe(|| {
-            for &(u, v) in &batch.pairs {
-                #[cfg(test)]
-                if faults.panic_on.lock().unwrap().contains(&(u, v)) {
-                    panic!("injected worker panic");
-                }
+        let Batch { pairs, answers, .. } = &mut batch;
+        // Where the arena stood before the query being answered: the
+        // end of the last answered family.
+        let mut base = answers.paths.len();
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            for &(u, v) in pairs.iter() {
+                base = answers.paths.len();
                 // Epoch fast path: one atomic load per query; the fault
                 // set is re-copied only when an event moved the
                 // generation.
                 if faults.generation() != local_gen {
                     local_gen = faults.snapshot_into(&mut local_faults);
                 }
-                match disjoint_paths_avoiding_into(
+                // The family is appended to the lent arena: written once,
+                // where the caller reads it.
+                let answer = avoid_into(
                     &hhc,
                     u,
                     v,
                     order,
                     &local_faults,
-                    &mut out,
+                    &mut answers.paths,
                     &mut builder,
-                ) {
-                    Ok(_) => batch.result.push_ok(&out),
-                    Err(e) => batch.result.push_err(e),
+                );
+                // Injected after the family is written, so the arena
+                // must drop it.
+                #[cfg(test)]
+                if faults.panic_on.lock().unwrap().contains(&(u, v)) {
+                    panic!("injected worker panic");
                 }
+                let slot = match answer {
+                    Ok(_) => QuerySlot::Ok {
+                        first: base as u32,
+                        last: answers.paths.len() as u32,
+                    },
+                    Err(e) => {
+                        answers.paths.truncate(base);
+                        QuerySlot::Failed(e)
+                    }
+                };
+                answers.slots.push(slot);
             }
         }));
         // A panic fails the rest of its batch, never the caller, who
-        // waits for every batch it sent. The worker goes on with a
-        // fresh builder on the same tier; the failed batch's counters
-        // are dropped with the old one. Nothing else the closure
-        // touched needs repair: every construction clears `out` first,
-        // the fault snapshot is replaced whole, and the batch result
-        // gets a slot for each query left unanswered.
-        if answered.is_err() {
-            for _ in batch.result.len()..batch.pairs.len() {
-                batch.result.push_err(HhcError::WorkerPanicked);
-            }
+        // waits for every batch it sent. The arena drops whatever the
+        // panicking query wrote, every unanswered query gets a slot, and
+        // the worker goes on with a fresh builder on the same tier; the
+        // failed batch's counters are dropped with the old one. The
+        // fault snapshot is replaced whole, so it needs no repair.
+        if caught.is_err() {
+            answers.paths.truncate(base);
+            answers
+                .slots
+                .resize(pairs.len(), QuerySlot::Failed(HhcError::WorkerPanicked));
             builder = builder.fresh();
         }
         // This batch's counters go home with it.
@@ -665,9 +673,37 @@ mod tests {
         let mut out = QueryBatchResult::new();
         router.query_many_into(pairs, &mut out);
         assert_eq!(out.len(), pairs.len());
+        assert_eq!(stray_nodes(&out), 0, "every arena holds its answers alone");
+        owned(&out)
+    }
+
+    fn owned(out: &QueryBatchResult) -> Vec<Owned> {
         out.iter()
             .map(|r| r.map(|f| f.to_paths()).map_err(Clone::clone))
             .collect()
+    }
+
+    /// Nodes in the chunk arenas outside every answered family: 0 when
+    /// each arena holds exactly its answered families.
+    fn stray_nodes(out: &QueryBatchResult) -> usize {
+        out.chunks
+            .iter()
+            .map(|chunk| {
+                let answered: usize = chunk
+                    .slots
+                    .iter()
+                    .map(|slot| match *slot {
+                        QuerySlot::Ok { first, last } => chunk
+                            .paths
+                            .paths(first as usize..last as usize)
+                            .map(<[NodeId]>::len)
+                            .sum(),
+                        QuerySlot::Failed(_) => 0,
+                    })
+                    .sum();
+                chunk.paths.total_nodes() - answered
+            })
+            .sum()
     }
 
     #[test]
@@ -742,7 +778,6 @@ mod tests {
         let mut out = QueryBatchResult::new();
         router.query_many_into(&[], &mut out);
         assert!(out.is_empty());
-        assert_eq!(out.total_paths(), 0);
     }
 
     #[test]
@@ -919,6 +954,64 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_query_leaves_no_stray_nodes() {
+        // Errors interleaved with answers in every chunk: a worker
+        // appends each answer to its chunk's arena, and an error must
+        // leave nothing of its query there.
+        use crate::disjoint::disjoint_paths_avoiding;
+        let h = Hhc::new(3).unwrap();
+        let fault = h.node(0x77, 0b011).unwrap();
+        let outside = NodeId::from_raw(1 << 100);
+        let mut pairs = workload_pairs(&h, 36);
+        for (i, pair) in pairs.iter_mut().enumerate().filter(|(i, _)| i % 3 == 1) {
+            *pair = match i % 9 {
+                1 => (pair.0, pair.0),
+                4 => (fault, pair.1),
+                _ => (pair.0, outside),
+            };
+        }
+        let faults: FaultSet = [fault].into_iter().collect();
+        let oracle: Vec<Owned> = pairs
+            .iter()
+            .map(|&(u, v)| {
+                disjoint_paths_avoiding(&h, u, v, CrossingOrder::Gray, &faults).map(|(p, _)| p)
+            })
+            .collect();
+        assert!(oracle.iter().any(|r| r == &Err(HhcError::EqualNodes)));
+        assert!(oracle
+            .iter()
+            .any(|r| r == &Err(HhcError::FaultyEndpoint(fault))));
+        assert!(oracle.iter().filter(|r| r.is_err()).count() >= 12);
+        for threads in [1, 2, 4] {
+            let mut router = Router::new(3, cfg(threads)).unwrap();
+            router.add_fault(fault);
+            let mut out = QueryBatchResult::new();
+            // Three passes: cold, stored on the second sighting, replayed.
+            for pass in 0..3 {
+                router.query_many_into(&pairs, &mut out);
+                assert_eq!(owned(&out), oracle, "{threads} workers, pass {pass}");
+                assert_eq!(stray_nodes(&out), 0, "{threads} workers, pass {pass}");
+            }
+            let mut single = PathSet::new();
+            for (&(u, v), want) in pairs.iter().zip(&oracle).filter(|(_, r)| r.is_err()) {
+                router
+                    .query_into(pairs[0].0, pairs[0].1, &mut single)
+                    .unwrap();
+                assert!(!single.is_empty());
+                assert_eq!(
+                    Err(router.query_into(u, v, &mut single).unwrap_err()),
+                    *want
+                );
+                assert_eq!(
+                    single,
+                    PathSet::new(),
+                    "{threads} workers: an error leaves out empty"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn a_worker_panic_fails_its_batch_and_never_hangs() {
         // A panicking worker must not hang its caller (without a
         // per-batch catch_unwind it does, from 2 workers up), so the
@@ -940,10 +1033,18 @@ mod tests {
                 let mut router = Router::new(3, cfg(threads)).unwrap();
                 let faults = Arc::clone(router.live_faults());
                 faults.panic_on.lock().unwrap().extend(hooks);
-                let _ = tx.send(ask_many(&mut router, &sent));
-                let _ = tx.send(vec![ask(&mut router, hooks[0].0, hooks[0].1)]);
+                // Each call reports its answers and the nodes it left
+                // outside them (the hook fires after a family is
+                // written).
+                let mut out = QueryBatchResult::new();
+                router.query_many_into(&sent, &mut out);
+                let _ = tx.send((owned(&out), stray_nodes(&out)));
+                let mut single = PathSet::new();
+                let r = router.query_into(hooks[0].0, hooks[0].1, &mut single);
+                let _ = tx.send((vec![r.map(|_| single.to_paths())], single.total_nodes()));
                 faults.panic_on.lock().unwrap().clear();
-                let _ = tx.send(ask_many(&mut router, &sent));
+                router.query_many_into(&sent, &mut out);
+                let _ = tx.send((owned(&out), stray_nodes(&out)));
             });
             let next = || {
                 rx.recv_timeout(Duration::from_secs(60))
@@ -953,7 +1054,12 @@ mod tests {
             // answer is the oracle's.
             let chunk = pairs.len().div_ceil(threads);
             let failed = |i: usize| (i / chunk * chunk..=i).any(|j| hooks.contains(&pairs[j]));
-            for (i, got) in next().iter().enumerate() {
+            let (answers, stray) = next();
+            assert_eq!(
+                stray, 0,
+                "{threads} workers: the panicking query's nodes remain"
+            );
+            for (i, got) in answers.iter().enumerate() {
                 if failed(i) {
                     assert_eq!(
                         got,
@@ -964,8 +1070,9 @@ mod tests {
                     assert_eq!(got, &oracle(&pairs[i]), "{threads} workers, {i}");
                 }
             }
-            assert_eq!(next(), vec![Err(HhcError::WorkerPanicked)]);
-            let healed = next();
+            assert_eq!(next(), (vec![Err(HhcError::WorkerPanicked)], 0));
+            let (healed, stray) = next();
+            assert_eq!(stray, 0);
             for (i, got) in healed.iter().enumerate() {
                 assert_eq!(got, &oracle(&pairs[i]), "{threads} workers, healed {i}");
             }

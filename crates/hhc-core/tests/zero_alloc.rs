@@ -1,10 +1,12 @@
 //! Allocation accounting for the serving hot paths: once warm, a
-//! cache-hit query must touch the heap **zero** times.
+//! cache-hit query must touch the heap **zero** times, in the builder
+//! and through the router end to end.
 //!
-//! A counting `#[global_allocator]` wraps the system allocator; the
+//! A counting `#[global_allocator]` wraps the system allocator and
+//! counts every thread's calls, the router's workers included; the
 //! test warms a builder (scratch buffers, cache entries, the shared L2
 //! stripes) and then asserts that repeated hit-path queries perform
-//! no `alloc`/`realloc` at all. Three tiers are pinned:
+//! no `alloc`/`realloc` at all. Three builder tiers are pinned:
 //!
 //! * **private-tier hit** — replay from the one-stripe family tier a
 //!   builder with no L2 attached keeps for itself;
@@ -20,20 +22,26 @@
 //!   and one inside the span but on no path (the exact scan runs and
 //!   clears it).
 //!
-//! This is the core of the router's per-query work; the worker loop
-//! around it adds only pooled buffers, an atomic fault-generation
-//! check, and one metrics-report copy per batch. Everything runs in ONE test function: Rust runs tests on
+//! This is the core of the router's per-query work. The worker loop
+//! around it adds pooled batches, bounded channels, an atomic
+//! fault-generation check, and one metrics-report copy per batch; the
+//! answers are written into the caller's lent arena. The **router**
+//! section pins that whole loop: warm `Router::query_many_into` and
+//! `Router::query_into` calls at 1 and 2 workers allocate nothing.
+//!
+//! Everything runs in ONE test function: Rust runs tests on
 //! multiple threads by default, and a second thread's incidental
 //! allocations would poison the counter.
 
 use hhc_core::{
     disjoint_paths_avoiding_into, CacheConfig, CrossingOrder, FaultSet, Hhc, L2Config, NodeId,
-    PathBuilder, PathSet, SharedFamilyCache,
+    PathBuilder, PathSet, QueryBatchResult, Router, RouterConfig, SharedFamilyCache,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct CountingAlloc;
 
@@ -237,5 +245,65 @@ fn hit_paths_do_not_allocate() {
             scans,
             "{branch}: exact scans over 64 warm queries"
         );
+    }
+
+    // --- Router, end to end: pooled batches over bounded channels,
+    // each worker answering into the caller's lent arena. Every query
+    // of the batch is an L2 hit once the warm-up has stored it. ---
+    let batch: Vec<(NodeId, NodeId)> = queries.iter().copied().cycle().take(24).collect();
+    for threads in [1, 2] {
+        let mut router = Router::new(
+            3,
+            RouterConfig {
+                threads,
+                ..RouterConfig::default()
+            },
+        )
+        .unwrap();
+        let mut answers = QueryBatchResult::new();
+        let mut single = PathSet::new();
+        // Two passes store every family in the L2; round-robin single
+        // queries reach every worker.
+        for _ in 0..4 {
+            router.query_many_into(&batch, &mut answers);
+            for &(u, v) in batch.iter().take(2 * threads) {
+                router.query_into(u, v, &mut single).unwrap();
+            }
+        }
+        // A thread allocates its wait context, and an entry in the
+        // channel's waiter list, the first time it blocks on a std
+        // channel: a one-time cost. Whether a warm call blocks at all
+        // depends on scheduling, so the warm-up makes every thread block
+        // once: the workers on their inputs while the caller sleeps, the
+        // caller on the results while the workers answer a long batch.
+        let long: Vec<_> = batch.iter().copied().cycle().take(4096).collect();
+        std::thread::sleep(Duration::from_millis(50));
+        router.query_many_into(&long, &mut answers);
+        std::thread::sleep(Duration::from_millis(50));
+        let n = allocations(|| {
+            for _ in 0..200 {
+                router.query_many_into(&batch, &mut answers);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "{threads} workers: 200 warm batches allocated {n} times"
+        );
+        let n = allocations(|| {
+            for &(u, v) in batch.iter().cycle().take(200) {
+                router.query_into(u, v, &mut single).unwrap();
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "{threads} workers: 200 warm single queries allocated {n} times"
+        );
+        let c = router.metrics().construction;
+        assert_eq!(
+            c.l2_misses,
+            2 * queries.len() as u64,
+            "only the first two sightings constructed: the timed calls were L2 hits"
+        );
+        assert!(answers.iter().all(|r| r.is_ok()));
     }
 }
