@@ -317,6 +317,7 @@ fn main() {
             ro.f64("family_hit_rate", c.family_hit_rate().unwrap_or(f64::NAN));
             ro.u64("l2_invalidations", c.l2_invalidations);
             ro.u64("fault_reroutes", c.fault_reroutes);
+            ro.u64("reroute_memo_hits", c.reroute_memo_hits);
             rows.push(ro.finish());
         }
     }

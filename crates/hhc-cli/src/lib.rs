@@ -936,9 +936,11 @@ pub fn execute(cmd: &Command) -> Result<String, CliError> {
             );
             let _ = writeln!(
                 out,
-                "  fault checks  : {} exact fault scans, {} reroutes ({:.1}% of queries scanned)",
+                "  fault checks  : {} exact fault scans, {} reroutes, {} reroute-memo hits \
+                 ({:.1}% of constructions scanned)",
                 c.fault_scans,
                 c.fault_reroutes,
+                c.reroute_memo_hits,
                 if c.queries > 0 {
                     100.0 * c.fault_scans as f64 / c.queries as f64
                 } else {
@@ -1378,12 +1380,14 @@ mod tests {
         assert!(out.contains("query 20: "), "first error is surfaced: {out}");
         assert!(out.contains("service time p50"), "{out}");
         assert!(out.contains("fault generation 2"), "{out}");
-        // The fault is live for window 1 (queries 8..16): each of the
-        // hot pair's 4 queries there is scanned and rerouted, and the
-        // other pair's span excludes the fault's cube offset, so the
-        // span test settles its 4 without a scan.
+        // The fault is live for window 1 (queries 8..16), which each of
+        // the 2 workers answers as a chunk of 4: the hot pair's first
+        // query in a chunk is scanned and rerouted, and its second
+        // replays that worker's reroute memo. The other pair's span
+        // excludes the fault's cube offset, so the span test settles
+        // its 4 without a scan.
         assert!(
-            out.contains("4 exact fault scans, 4 reroutes"),
+            out.contains("2 exact fault scans, 2 reroutes, 2 reroute-memo hits"),
             "the summary counts the exact scans: {out}"
         );
         assert!(out.contains("metrics: {\"queries\":"), "{out}");

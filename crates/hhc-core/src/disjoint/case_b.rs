@@ -51,8 +51,8 @@
 //! Only the fan solve depends on the mode. Fault-blind fans are solved in
 //! canonical form, which fixes the fans of every plain (hence every
 //! cached) family; a rebuild solves its fans directly. The two solves
-//! pick different, equally short fans, so switching the rebuild to the
-//! canonical form would move rebuilt answers.
+//! pick different valid fans, so switching the rebuild to the canonical
+//! form would move rebuilt answers.
 //!
 //! All intermediate state lives in the caller's [`PathBuilder`]. A plan's
 //! positions are written into its arena the first time selection reaches
@@ -275,8 +275,9 @@ pub(super) fn cross_cube_into(
         // --- Terminal fans (the one mode-specific step) ------------------
         let all_served = match faults {
             // Canonical form (source translated to 0, targets sorted)
-            // fixes the fans every plain family uses; a direct solve would
-            // pick different, equally valid minimum-length fans.
+            // fixes the fans every plain family uses: valid fans,
+            // deterministic per canonical class, not of minimum total
+            // length; a direct solve would pick different valid fans.
             None => {
                 fan_paths_canonical(&cube, yu as u128, &sc.src_targets, &mut sc.src_fan)
                     .expect("fan lemma: m distinct targets in Q_m");

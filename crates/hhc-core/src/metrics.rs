@@ -29,6 +29,8 @@ use obs::{json, TimingStats};
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConstructionMetrics {
     /// Successful constructions (validated pairs built to completion).
+    /// A router's reroute-memo replays are not constructions and are
+    /// counted in `reroute_memo_hits` instead.
     pub queries: u64,
     /// Queries that took case A (`Xu = Xv`).
     pub same_cube: u64,
@@ -63,6 +65,14 @@ pub struct ConstructionMetrics {
     /// Fault-avoiding constructions that had to deviate from the plain
     /// family (at least one plain path intersected the fault set).
     pub fault_reroutes: u64,
+    /// Router queries answered from a worker's reroute memo: a pair the
+    /// worker already rerouted under the same fault snapshot, replayed
+    /// without a tier probe, a fault check or a rebuild. Such a query
+    /// constructs nothing, so it ticks no other counter and is not in
+    /// `queries`: every query a router answers is a construction
+    /// (`queries`), a memo hit, or an error. Always 0 outside a
+    /// [`Router`](crate::Router).
+    pub reroute_memo_hits: u64,
     /// Candidate crossing plans rejected during fault-avoiding rebuilds
     /// because a fault blocked their trajectory or terminal stub.
     pub fault_avoided_plans: u64,
@@ -99,6 +109,7 @@ impl ConstructionMetrics {
         self.family_hits_cross += other.family_hits_cross;
         self.fault_scans += other.fault_scans;
         self.fault_reroutes += other.fault_reroutes;
+        self.reroute_memo_hits += other.reroute_memo_hits;
         self.fault_avoided_plans += other.fault_avoided_plans;
         self.l2_hits += other.l2_hits;
         self.l2_misses += other.l2_misses;
@@ -166,6 +177,7 @@ impl MetricsReport {
         o.u64("family_hits_cross", c.family_hits_cross);
         o.u64("fault_scans", c.fault_scans);
         o.u64("fault_reroutes", c.fault_reroutes);
+        o.u64("reroute_memo_hits", c.reroute_memo_hits);
         o.u64("fault_avoided_plans", c.fault_avoided_plans);
         o.u64("l2_hits", c.l2_hits);
         o.u64("l2_misses", c.l2_misses);
@@ -206,15 +218,18 @@ mod tests {
         a.tgt_fan.queries = 2;
         a.solver.bfs_passes = 7;
         a.construction.fault_scans = 2;
+        a.construction.reroute_memo_hits = 2;
         let mut b = MetricsReport::default();
         b.construction.queries = 1;
         b.construction.same_cube = 1;
         b.construction.fault_scans = 1;
+        b.construction.reroute_memo_hits = 5;
         b.solver.bfs_passes = 1;
         a.merge(&b);
         assert_eq!(a.construction.queries, 4);
         assert_eq!(a.construction.same_cube, 1);
         assert_eq!(a.construction.fault_scans, 3);
+        assert_eq!(a.construction.reroute_memo_hits, 7);
         assert_eq!(a.fan_queries(), 4);
         assert_eq!(a.solver.bfs_passes, 8);
     }

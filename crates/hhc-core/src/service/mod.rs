@@ -11,9 +11,11 @@
 //! router geometry; see the [`family_cache`](crate::disjoint::family_cache)
 //! docs). A query is answered L2 → construct, and a construction is
 //! stored in the L2 once, so one worker's solve warms every other
-//! worker. The L2 is the only memo layer a query consults. A router
-//! whose [`L2Config`] has no capacity attaches nothing, and each worker
-//! serves from a private tier of [`RouterConfig::l1`] instead.
+//! worker. The L2 is the only family tier a query consults; the one
+//! other memo, a worker's rerouted answers under the current fault set,
+//! is described under *Fault feed*. A router whose [`L2Config`] has no
+//! capacity attaches nothing, and each worker serves from a private
+//! tier of [`RouterConfig::l1`] instead.
 //!
 //! ## Each answer written once, and no allocation
 //!
@@ -65,6 +67,28 @@
 //! `fault_scans`, repaired L2 replays as `l2_invalidations` in
 //! [`ConstructionMetrics`](crate::ConstructionMetrics).
 //!
+//! ## Reroute memo
+//!
+//! A rebuild costs an order of magnitude more than a replay, and a hot
+//! blocked pair asks for the same one again and again. So each worker
+//! keeps the families it rerouted in a map keyed by the absolute pair
+//! `(u, v)`, hop-coded like an L2 entry (one byte per hop). A worker's
+//! answer depends only on `(hhc, u, v, order, fault snapshot)`, of which
+//! only the pair varies while the snapshot holds; so the memo is cleared
+//! in the same step that re-snapshots the fault set, and a hit replays
+//! exactly the bytes the rebuild would write, skipping the L2 probe, the
+//! fault check and the rebuild. The key is not translation-canonical,
+//! because a rebuild depends on where the faults sit, and the
+//! generation is a monotone `u64`, so a stale snapshot cannot come back
+//! under a reused number. Every answer the avoiding layer marks
+//! `rerouted` is stored; the memo is never consulted or filled while the
+//! snapshot is empty, is cleared when it reaches
+//! [`DEFAULT_FAMILY_CACHE_CAPACITY`] entries, and is dropped with the
+//! builder after a caught panic. A hit constructs nothing and probes no
+//! tier, so it ticks only `reroute_memo_hits`: every query a worker
+//! answers is a construction (`queries`), a memo hit, or an error, and
+//! `queries = family_hits + l2_hits + l2_misses` still holds.
+//!
 //! ## Interface
 //!
 //! Queries arrive over per-worker bounded mpsc channels:
@@ -78,6 +102,7 @@ pub use crate::disjoint::family_cache::{
     L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY,
 };
 
+use crate::disjoint::family_cache::{FamilyEntry, DEFAULT_FAMILY_CACHE_CAPACITY};
 use crate::disjoint::{avoid_into, CrossingOrder, PathBuilder};
 use crate::error::HhcError;
 use crate::fault::FaultSet;
@@ -86,6 +111,7 @@ use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::{CacheConfig, Path};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, PoisonError, RwLock};
@@ -581,31 +607,57 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
     } = ctx;
     let mut local_faults = FaultSet::default();
     let mut local_gen = faults.snapshot_into(&mut local_faults);
+    // The families this worker rerouted under `local_faults`, by
+    // absolute pair: valid for one generation (see the module docs).
+    let mut memo: HashMap<(NodeId, NodeId), FamilyEntry> = HashMap::new();
     while let Ok(mut batch) = rx.recv() {
         let Batch { pairs, answers, .. } = &mut batch;
         // Where the arena stood before the query being answered: the
         // end of the last answered family.
         let mut base = answers.paths.len();
+        let mut memo_hits = 0;
         let caught = catch_unwind(AssertUnwindSafe(|| {
             for &(u, v) in pairs.iter() {
                 base = answers.paths.len();
                 // Epoch fast path: one atomic load per query; the fault
-                // set is re-copied only when an event moved the
-                // generation.
+                // set is re-copied, and the memo dropped, only when an
+                // event moved the generation.
                 if faults.generation() != local_gen {
                     local_gen = faults.snapshot_into(&mut local_faults);
+                    memo.clear();
                 }
+                let memoised = if local_faults.is_empty() {
+                    None
+                } else {
+                    memo.get(&(u, v))
+                };
                 // The family is appended to the lent arena: written once,
                 // where the caller reads it.
-                let answer = avoid_into(
-                    &hhc,
-                    u,
-                    v,
-                    order,
-                    &local_faults,
-                    &mut answers.paths,
-                    &mut builder,
-                );
+                let answer = match memoised {
+                    Some(entry) => {
+                        entry.replay(u, &mut answers.paths);
+                        memo_hits += 1;
+                        Ok(())
+                    }
+                    None => avoid_into(
+                        &hhc,
+                        u,
+                        v,
+                        order,
+                        &local_faults,
+                        &mut answers.paths,
+                        &mut builder,
+                    )
+                    .map(|outcome| {
+                        if outcome.rerouted {
+                            if memo.len() >= DEFAULT_FAMILY_CACHE_CAPACITY {
+                                memo.clear();
+                            }
+                            let entry = FamilyEntry::encode(hhc.m(), &answers.paths, base, 0, 0);
+                            memo.insert((u, v), entry);
+                        }
+                    }),
+                };
                 // Injected after the family is written, so the arena
                 // must drop it.
                 #[cfg(test)]
@@ -628,20 +680,24 @@ fn worker_loop(ctx: WorkerCtx, rx: mpsc::Receiver<Batch>) {
         // A panic fails the rest of its batch, never the caller, who
         // waits for every batch it sent. The arena drops whatever the
         // panicking query wrote, every unanswered query gets a slot, and
-        // the worker goes on with a fresh builder on the same tier; the
-        // failed batch's counters are dropped with the old one. The
-        // fault snapshot is replaced whole, so it needs no repair.
+        // the worker goes on with a fresh builder on the same tier and an
+        // empty memo; the failed batch's counters are dropped with the
+        // old builder. The fault snapshot is replaced whole, so it needs
+        // no repair.
         if caught.is_err() {
             answers.paths.truncate(base);
             answers
                 .slots
                 .resize(pairs.len(), QuerySlot::Failed(HhcError::WorkerPanicked));
             builder = builder.fresh();
+            memo.clear();
+            memo_hits = 0;
         }
         // This batch's counters go home with it.
         batch.report = builder.metrics();
         builder.reset_metrics();
         batch.report.construction.fault_generation = local_gen;
+        batch.report.construction.reroute_memo_hits = memo_hits;
         if results_tx.send(batch).is_err() {
             break;
         }
@@ -878,6 +934,136 @@ mod tests {
             c.fault_reroutes <= c.fault_scans && c.fault_scans <= c.queries,
             "every reroute is an exact scan, at most one per query: {c:?}"
         );
+    }
+
+    #[test]
+    fn the_reroute_memo_is_exact_across_generations() {
+        use crate::disjoint::disjoint_paths_avoiding;
+        let h = Hhc::new(3).unwrap();
+        let pool = workload_pairs(&h, 600);
+        let plain: Vec<Vec<Path>> = pool
+            .iter()
+            .map(|&(u, v)| disjoint_paths(&h, u, v, CrossingOrder::Gray).unwrap())
+            .collect();
+        let interior = |fam: &[Path]| -> Vec<NodeId> {
+            fam.iter()
+                .flat_map(|p| &p[1..p.len() - 1])
+                .copied()
+                .collect()
+        };
+        // The interior node the most plain families of the pool pass
+        // through (a family's paths share no interior node), and those
+        // families' pairs.
+        let mut nodes: Vec<NodeId> = plain.iter().flat_map(|fam| interior(fam)).collect();
+        nodes.sort();
+        let f = nodes
+            .chunk_by(|a, b| a == b)
+            .max_by_key(|run| run.len())
+            .unwrap()[0];
+        let blocked: Vec<usize> = (0..pool.len())
+            .filter(|&i| interior(&plain[i]).contains(&f))
+            .collect();
+        assert!(
+            blocked.len() >= 3,
+            "{} pairs pass through {f:?}",
+            blocked.len()
+        );
+        // Each blocked pair four times, between unblocked pairs, plus a
+        // pair that fails while `f` is faulty.
+        let mut pairs = vec![(f, pool[0].1)];
+        for round in 0..4 {
+            for (i, &b) in blocked.iter().enumerate() {
+                pairs.push(pool[b]);
+                pairs.push(pool[(round * blocked.len() + i) % pool.len()]);
+            }
+        }
+        // Every query's answer under `faults`, and whether it rerouted.
+        let oracle = |faults: &[NodeId]| -> Vec<(Owned, bool)> {
+            let faults: FaultSet = faults.iter().copied().collect();
+            pairs
+                .iter()
+                .map(|&(u, v)| {
+                    match disjoint_paths_avoiding(&h, u, v, CrossingOrder::Gray, &faults) {
+                        Ok((paths, outcome)) => (Ok(paths), outcome.rerouted),
+                        Err(e) => (Err(e), false),
+                    }
+                })
+                .collect()
+        };
+        // A node the rebuild around `f` routes the first blocked pair
+        // (query 1) through, off its plain family: a memo kept past the
+        // move from `f` to `g` would replay a family through the new
+        // fault.
+        let at_f = oracle(&[f]);
+        let g = interior(at_f[1].0.as_ref().unwrap())
+            .into_iter()
+            .find(|w| !interior(&plain[blocked[0]]).contains(w))
+            .expect("the rebuild leaves the plain family");
+        let (clear, at_g) = (oracle(&[]), oracle(&[g]));
+        type Expected = [(Owned, bool)];
+        let steps: [(&str, &[NodeId], &Expected); 6] = [
+            ("fault-free", &[], &clear),
+            ("added", &[f], &at_f),
+            ("held", &[f], &at_f),
+            ("cleared", &[], &clear),
+            ("re-added", &[f], &at_f),
+            ("moved", &[g], &at_g),
+        ];
+        for threads in [1, 2, 4] {
+            let chunk_len = pairs.len().div_ceil(threads);
+            let mut router = Router::new(3, cfg(threads)).unwrap();
+            let mut live: Vec<NodeId> = Vec::new();
+            let (mut hits, mut answered) = (0, 0);
+            for (step, hold, want) in steps {
+                let moved = live != hold;
+                for &w in live.iter().filter(|w| !hold.contains(w)) {
+                    assert!(router.clear_fault(w));
+                }
+                for &w in hold.iter().filter(|w| !live.contains(w)) {
+                    assert!(router.add_fault(w));
+                }
+                live = hold.to_vec();
+                let answers = ask_many(&mut router, &pairs);
+                for (i, (got, (want, _))) in answers.iter().zip(want).enumerate() {
+                    assert_eq!(got, want, "{threads} workers, {step}, query {i}");
+                }
+                // Each worker replays every rerouted query of its chunk
+                // from the memo, except, right after the fault set moved,
+                // its first sighting of each pair.
+                hits += pairs
+                    .chunks(chunk_len)
+                    .zip(want.chunks(chunk_len))
+                    .map(|(chunk, want)| {
+                        let mut rerouted: Vec<_> = chunk
+                            .iter()
+                            .zip(want)
+                            .filter(|(_, (_, rerouted))| *rerouted)
+                            .map(|(pair, _)| pair)
+                            .collect();
+                        let all = rerouted.len() as u64;
+                        rerouted.sort();
+                        rerouted.dedup();
+                        all - if moved { rerouted.len() as u64 } else { 0 }
+                    })
+                    .sum::<u64>();
+                let c = router.metrics().construction;
+                assert_eq!(c.reroute_memo_hits, hits, "{threads} workers, {step}");
+                // Every answer is a construction or a memo hit; an error
+                // is neither.
+                answered += want.iter().filter(|(r, _)| r.is_ok()).count() as u64;
+                assert_eq!(
+                    c.queries + c.reroute_memo_hits,
+                    answered,
+                    "{threads} workers, {step}"
+                );
+                assert_eq!(
+                    c.family_hits + c.l2_hits + c.l2_misses,
+                    c.queries,
+                    "{threads} workers, {step}: tiered-probe conservation law"
+                );
+            }
+            assert!(hits > 0);
+        }
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! fault-generation check, and one metrics-report copy per batch; the
 //! answers are written into the caller's lent arena. The **router**
 //! section pins that whole loop: warm `Router::query_many_into` and
-//! `Router::query_into` calls at 1 and 2 workers allocate nothing.
+//! `Router::query_into` calls at 1 and 2 workers allocate nothing, and
+//! neither do warm batches under a fault that blocks one of their
+//! families, whose rerouted answers each worker replays from its
+//! reroute memo.
 //!
 //! Everything runs in ONE test function: Rust runs tests on
 //! multiple threads by default, and a second thread's incidental
@@ -251,6 +254,30 @@ fn hit_paths_do_not_allocate() {
     // each worker answering into the caller's lent arena. Every query
     // of the batch is an L2 hit once the warm-up has stored it. ---
     let batch: Vec<(NodeId, NodeId)> = queries.iter().copied().cycle().take(24).collect();
+    // A node on the cross-cube family's first path and off the
+    // same-cube family: while it is faulty, every query of the
+    // cross-cube pair reroutes.
+    let (su, sv) = queries[1];
+    disjoint_paths_avoiding_into(
+        &h,
+        su,
+        sv,
+        CrossingOrder::Gray,
+        &empty,
+        &mut out,
+        &mut reader,
+    )
+    .unwrap();
+    let same_cube_nodes: HashSet<NodeId> = out.iter().flatten().copied().collect();
+    disjoint_paths_avoiding_into(&h, u, v, CrossingOrder::Gray, &empty, &mut out, &mut reader)
+        .unwrap();
+    let first = out.path(0);
+    let blocker = first[1..first.len() - 1]
+        .iter()
+        .copied()
+        .find(|w| !same_cube_nodes.contains(w))
+        .expect("the cross-cube family leaves the same-cube pair's cube");
+    let rerouted_per_batch = batch.iter().filter(|&&p| p == (u, v)).count() as u64;
     for threads in [1, 2] {
         let mut router = Router::new(
             3,
@@ -305,5 +332,36 @@ fn hit_paths_do_not_allocate() {
             "only the first two sightings constructed: the timed calls were L2 hits"
         );
         assert!(answers.iter().all(|r| r.is_ok()));
+
+        // Rerouted answers: the first faulted batch rebuilds the
+        // cross-cube family once per worker, and from then on every
+        // query of it replays that worker's reroute memo.
+        router.add_fault(blocker);
+        for _ in 0..3 {
+            router.query_many_into(&batch, &mut answers);
+        }
+        let before = router.metrics().construction;
+        let n = allocations(|| {
+            for _ in 0..200 {
+                router.query_many_into(&batch, &mut answers);
+            }
+        });
+        assert_eq!(
+            n, 0,
+            "{threads} workers: 200 warm rerouted batches allocated {n} times"
+        );
+        let c = router.metrics().construction;
+        assert_eq!(
+            c.reroute_memo_hits - before.reroute_memo_hits,
+            200 * rerouted_per_batch,
+            "{threads} workers: every timed query of the blocked pair was a memo hit"
+        );
+        assert_eq!(
+            c.fault_reroutes, before.fault_reroutes,
+            "nothing was rebuilt"
+        );
+        assert!(answers
+            .iter()
+            .all(|r| r.is_ok_and(|f| f.iter().all(|p| !p.contains(&blocker)))));
     }
 }

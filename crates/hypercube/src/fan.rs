@@ -623,9 +623,11 @@ fn solve(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScr
 /// targets relative to the source, in any order) gets the same fan, up
 /// to the translation. Individual paths may differ from the direct
 /// [`fan_paths_into`] solve of the untranslated query — both are valid
-/// minimum-total-length fans. The HHC construction solves every
-/// terminal fan this way, which fixes which of the equally short fans
-/// its families use.
+/// fans, and neither is of minimum total length in general (from
+/// `Q_4` up, a min-cost flow finds a shorter fan for some target
+/// sets). The HHC construction solves every terminal fan this way,
+/// which fixes which valid fan its families use: one per canonical
+/// class.
 pub fn fan_paths_canonical(
     cube: &Cube,
     s: Node,
