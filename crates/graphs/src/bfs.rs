@@ -9,11 +9,9 @@ use std::collections::VecDeque;
 /// Distance value for unreachable nodes.
 pub const UNREACHABLE: u32 = u32::MAX;
 
-/// A single-source BFS result: distances and parent pointers.
+/// A single-source BFS result: the distance of every node.
 pub struct Bfs {
-    source: u32,
     dist: Vec<u32>,
-    parent: Vec<u32>,
 }
 
 impl Bfs {
@@ -37,7 +35,6 @@ impl Bfs {
         let n = g.num_nodes() as usize;
         assert!((source as usize) < n, "source out of range");
         let mut dist = vec![UNREACHABLE; n];
-        let mut parent = vec![UNREACHABLE; n];
         let mut queue = VecDeque::new();
         dist[source as usize] = 0;
         queue.push_back(source);
@@ -46,16 +43,11 @@ impl Bfs {
             for &w in g.neighbors(v) {
                 if dist[w as usize] == UNREACHABLE && !blocked(w) {
                     dist[w as usize] = dv + 1;
-                    parent[w as usize] = v;
                     queue.push_back(w);
                 }
             }
         }
-        Bfs {
-            source,
-            dist,
-            parent,
-        }
+        Bfs { dist }
     }
 
     /// Distance from the source to `v`, or `None` if unreachable.
@@ -65,12 +57,6 @@ impl Bfs {
             UNREACHABLE => None,
             d => Some(d),
         }
-    }
-
-    /// The source node this BFS was run from.
-    #[inline]
-    pub fn source(&self) -> u32 {
-        self.source
     }
 
     /// Maximum finite distance from the source (eccentricity), or `None`
@@ -86,22 +72,6 @@ impl Bfs {
     /// Number of nodes reachable from the source (including the source).
     pub fn reachable_count(&self) -> usize {
         self.dist.iter().filter(|&&d| d != UNREACHABLE).count()
-    }
-
-    /// Reconstructs a shortest path from the source to `t`
-    /// (inclusive of both endpoints), or `None` if unreachable.
-    pub fn path_to(&self, t: u32) -> Option<Vec<u32>> {
-        if self.dist[t as usize] == UNREACHABLE {
-            return None;
-        }
-        let mut path = vec![t];
-        let mut cur = t;
-        while cur != self.source {
-            cur = self.parent[cur as usize];
-            path.push(cur);
-        }
-        path.reverse();
-        Some(path)
     }
 }
 
@@ -123,16 +93,6 @@ pub fn diameter(g: &CsrGraph) -> Option<u32> {
         best = best.max(bfs.eccentricity().unwrap_or(0));
     }
     Some(best)
-}
-
-/// Lower bound on the diameter from BFS at a sample of sources.
-/// `sources` may contain duplicates; out-of-range ids panic.
-pub fn diameter_lower_bound(g: &CsrGraph, sources: &[u32]) -> u32 {
-    sources
-        .iter()
-        .map(|&s| Bfs::run(g, s).eccentricity().unwrap_or(0))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Whether `g` is connected (trivially true for the empty graph).
@@ -166,27 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn path_reconstruction_is_shortest() {
-        let g = cycle_graph(8);
-        let bfs = Bfs::run(&g, 0);
-        let p = bfs.path_to(3).unwrap();
-        assert_eq!(p.first(), Some(&0));
-        assert_eq!(p.last(), Some(&3));
-        assert_eq!(p.len() as u32 - 1, bfs.dist(3).unwrap());
-        for w in p.windows(2) {
-            assert!(g.has_edge(w[0], w[1]));
-        }
-    }
-
-    #[test]
-    fn path_to_source_is_singleton() {
-        let g = cycle_graph(4);
-        let bfs = Bfs::run(&g, 2);
-        assert_eq!(bfs.path_to(2), Some(vec![2]));
-        assert_eq!(bfs.dist(2), Some(0));
-    }
-
-    #[test]
     fn cycle_diameter() {
         assert_eq!(diameter(&cycle_graph(8)), Some(4));
         assert_eq!(diameter(&cycle_graph(9)), Some(4));
@@ -200,7 +139,7 @@ mod tests {
         assert!(!is_connected(&g));
         let bfs = Bfs::run(&g, 0);
         assert_eq!(bfs.dist(2), None);
-        assert_eq!(bfs.path_to(3), None);
+        assert_eq!(bfs.dist(3), None);
         assert_eq!(bfs.reachable_count(), 2);
     }
 
@@ -210,16 +149,7 @@ mod tests {
         let g = CsrGraph::from_edges(4, &[(0, 1), (1, 2), (0, 3), (3, 2)]);
         let bfs = Bfs::run_avoiding(&g, 0, |v| v == 1);
         assert_eq!(bfs.dist(2), Some(2));
-        assert_eq!(bfs.path_to(2), Some(vec![0, 3, 2]));
         assert_eq!(bfs.dist(1), None);
-    }
-
-    #[test]
-    fn diameter_lower_bound_no_larger_than_diameter() {
-        let g = cycle_graph(10);
-        let lb = diameter_lower_bound(&g, &[0, 3]);
-        assert!(lb <= diameter(&g).unwrap());
-        assert_eq!(lb, 5); // cycle is vertex-transitive: every ecc = 5
     }
 
     #[test]

@@ -24,7 +24,7 @@ struct Arc {
 /// Effort counters accumulated by a [`Dinic`] instance across solves
 /// (also the effort vocabulary of `hypercube::fan`'s solver).
 ///
-/// Counters are monotone until [`Dinic::reset_stats`]. Incrementing
+/// Counters are monotone over the instance's life. Incrementing
 /// them is a plain `u64` add on paths that already do comparable work,
 /// so they stay unconditionally enabled.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,15 +91,9 @@ impl Dinic {
         }
     }
 
-    /// Effort counters accumulated since construction or the last
-    /// [`Dinic::reset_stats`].
+    /// Effort counters accumulated since construction.
     pub fn stats(&self) -> DinicStats {
         self.stats
-    }
-
-    /// Zeroes the effort counters (network state is untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = DinicStats::default();
     }
 
     /// Rebuilds the flat adjacency from `adj`.
@@ -392,8 +386,6 @@ mod tests {
         assert!(s.bfs_passes >= 2, "bfs_passes = {}", s.bfs_passes);
         assert!(s.augmentations >= 2);
         assert!(s.arcs_touched >= 4);
-        d.reset_stats();
-        assert_eq!(d.stats(), DinicStats::default());
     }
 
     #[test]

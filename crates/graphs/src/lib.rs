@@ -14,22 +14,16 @@
 //! * [`dinic`] — Dinic's maximum-flow algorithm on integer capacities;
 //! * [`vertex_disjoint`] — Menger baseline: max set of internally
 //!   vertex-disjoint paths via vertex splitting;
-//! * [`fan`] — general one-to-many vertex-disjoint fans (flow-based);
-//! * [`many_to_many`] — unpaired many-to-many disjoint path covers;
 //! * [`props`] — structural property checks (regularity, bipartiteness,
-//!   triangle counts, girth).
+//!   girth).
 
 pub mod bfs;
 pub mod csr;
 pub mod dinic;
-pub mod fan;
-pub mod many_to_many;
 pub mod props;
 pub mod vertex_disjoint;
 
 pub use bfs::Bfs;
 pub use csr::CsrGraph;
 pub use dinic::{ArcId, Dinic, DinicStats};
-pub use fan::fan_paths;
-pub use many_to_many::many_to_many_paths;
 pub use vertex_disjoint::{vertex_connectivity_between, vertex_disjoint_paths};

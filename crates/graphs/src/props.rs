@@ -8,22 +8,6 @@ pub fn is_regular(g: &CsrGraph, d: u32) -> bool {
     (0..g.num_nodes()).all(|v| g.degree(v) == d)
 }
 
-/// Minimum and maximum degree, or `None` for the empty graph.
-pub fn degree_range(g: &CsrGraph) -> Option<(u32, u32)> {
-    let n = g.num_nodes();
-    if n == 0 {
-        return None;
-    }
-    let mut lo = u32::MAX;
-    let mut hi = 0;
-    for v in 0..n {
-        let d = g.degree(v);
-        lo = lo.min(d);
-        hi = hi.max(d);
-    }
-    Some((lo, hi))
-}
-
 /// Whether the graph is bipartite (2-colourable).
 ///
 /// Both `Q_n` and the HHC are bipartite (every edge flips exactly one bit
@@ -49,32 +33,6 @@ pub fn is_bipartite(g: &CsrGraph) -> bool {
         }
     }
     true
-}
-
-/// Counts triangles (3-cycles). Bipartite graphs must report 0.
-pub fn triangle_count(g: &CsrGraph) -> u64 {
-    let mut count = 0u64;
-    for (a, b) in g.edges() {
-        // Intersect sorted neighbour lists, counting each triangle once
-        // via the ordering a < b < c.
-        let (mut i, mut j) = (0, 0);
-        let na = g.neighbors(a);
-        let nb = g.neighbors(b);
-        while i < na.len() && j < nb.len() {
-            match na[i].cmp(&nb[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    if na[i] > b {
-                        count += 1;
-                    }
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    count
 }
 
 /// Girth (length of a shortest cycle) computed by BFS from every node,
@@ -120,28 +78,12 @@ mod tests {
     fn cycle_is_two_regular() {
         assert!(is_regular(&cycle(6), 2));
         assert!(!is_regular(&cycle(6), 3));
-        assert_eq!(degree_range(&cycle(6)), Some((2, 2)));
     }
 
     #[test]
     fn even_cycles_bipartite_odd_not() {
         assert!(is_bipartite(&cycle(8)));
         assert!(!is_bipartite(&cycle(7)));
-    }
-
-    #[test]
-    fn triangle_counting() {
-        let k4 = {
-            let mut e = Vec::new();
-            for a in 0..4u32 {
-                for b in a + 1..4 {
-                    e.push((a, b));
-                }
-            }
-            CsrGraph::from_edges(4, &e)
-        };
-        assert_eq!(triangle_count(&k4), 4);
-        assert_eq!(triangle_count(&cycle(8)), 0);
     }
 
     #[test]
@@ -155,9 +97,7 @@ mod tests {
     #[test]
     fn empty_graph_properties() {
         let g = CsrGraph::from_edges(0, &[]);
-        assert_eq!(degree_range(&g), None);
         assert!(is_bipartite(&g));
-        assert_eq!(triangle_count(&g), 0);
         assert_eq!(girth(&g), None);
     }
 }

@@ -56,22 +56,6 @@ proptest! {
         }
     }
 
-    /// Path reconstruction matches the reported distance for every node.
-    #[test]
-    fn bfs_paths_match_distances(g in random_graph()) {
-        let run = bfs::Bfs::run(&g, 0);
-        for v in 0..g.num_nodes() {
-            if let Some(p) = run.path_to(v) {
-                prop_assert_eq!((p.len() - 1) as u32, run.dist(v).unwrap());
-                for w in p.windows(2) {
-                    prop_assert!(g.has_edge(w[0], w[1]));
-                }
-            } else {
-                prop_assert_eq!(run.dist(v), None);
-            }
-        }
-    }
-
     /// Local vertex connectivity is symmetric and bounded by min degree.
     #[test]
     fn vertex_connectivity_symmetric(g in random_graph()) {

@@ -167,17 +167,10 @@ impl PathBuilder {
     /// ([`CacheConfig::disabled`] reproduces pre-cache behaviour:
     /// byte-identical output, no memoisation).
     pub fn with_caches(cfg: CacheConfig) -> Self {
-        let mut b = PathBuilder::default();
-        b.set_cache_config(cfg);
-        b
-    }
-
-    /// Replaces the family tier (private or attached) with an empty
-    /// private one of the given capacity. Results are unaffected
-    /// (caching is exact); only memoisation behaviour and memory use
-    /// change.
-    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.tier = Tier::private(cfg);
+        PathBuilder {
+            tier: Tier::private(cfg),
+            ..PathBuilder::default()
+        }
     }
 
     /// Attaches a shared L2 in place of the builder's private tier:
@@ -469,7 +462,6 @@ fn same_cube_into(
         &cube,
         yu as u128,
         yv as u128,
-        hhc.m() as usize,
         &mut sc.qdims,
         &mut sc.qnodes,
         &mut sc.qoffsets,
@@ -731,7 +723,11 @@ mod tests {
         let dx = h.cube_field(u) ^ h.cube_field(v);
         for (plan, path) in trace.plans.iter().zip(&paths) {
             let plan = plan.as_ref().expect("cross-cube plans present");
-            assert_eq!(plan.total_mask(), dx, "plan must cross exactly D");
+            let mask = plan
+                .positions
+                .iter()
+                .fold(0u128, |acc, &p| acc ^ 1u128 << p);
+            assert_eq!(mask, dx, "plan must cross exactly D");
             // The path's crossing count equals the plan length.
             let crossings = path
                 .windows(2)

@@ -18,7 +18,6 @@ use crate::error::HhcError;
 use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
-use crate::Path;
 
 /// A crossing plan: the exact sequence of cube-field positions crossed,
 /// in order. XOR of `e_p` over the plan must equal `Xu ⊕ Xv`.
@@ -29,18 +28,6 @@ pub struct CrossingPlan {
 }
 
 impl CrossingPlan {
-    /// First crossing position (the coordinate at which the path leaves
-    /// the source cube).
-    pub fn first(&self) -> u32 {
-        *self.positions.first().expect("plans are non-empty")
-    }
-
-    /// Last crossing position (the coordinate at which the path enters
-    /// the target cube).
-    pub fn last(&self) -> u32 {
-        *self.positions.last().expect("plans are non-empty")
-    }
-
     /// The intermediate cube fields this plan's path visits, given the
     /// source cube field: the proper prefix XORs (excluding the source
     /// cube itself and the final cube).
@@ -53,57 +40,23 @@ impl CrossingPlan {
         }
         out
     }
-
-    /// XOR of all crossed positions as a cube-field mask.
-    pub fn total_mask(&self) -> u128 {
-        self.positions
-            .iter()
-            .fold(0u128, |acc, &p| acc ^ (1u128 << p))
-    }
 }
 
-/// Assembles a full path from its three pieces.
+/// Assembles a full path from its three pieces into a caller-owned
+/// [`PathSet`]: appends it as one new sealed path and allocates nothing.
 ///
-/// * `src_seg` — son-cube coordinates from `Yu` to `plan.first()`,
-///   inclusive on both ends (`[Yu]` alone when the path leaves `u`
-///   directly via its external edge);
-/// * `plan` — the crossing plan; crossings after `src_seg` and between the
-///   e-cube walks to each subsequent position;
-/// * `tgt_seg` — coordinates from `plan.last()` to `Yv`, inclusive.
+/// * `src_tail` — the source walk inside the source cube *after* `Yu`,
+///   ending at `positions[0]` (empty when the path leaves `u` directly
+///   via its external edge);
+/// * `positions` — the crossing plan: a crossing after `src_tail`, then
+///   an e-cube walk to each subsequent position and a crossing there;
+///   the walks resolve dimensions in ascending order, matching
+///   `hypercube::routing::shortest_path`;
+/// * `tgt_tail` — the target walk *after* the entry coordinate
+///   `positions[last]`, ending at `Yv`.
 ///
-/// Panics (debug) if the segments do not line up; the caller — the
-/// construction — guarantees they do, and `verify` re-checks the output.
-pub fn assemble(
-    hhc: &Hhc,
-    u: NodeId,
-    src_seg: &[u32],
-    plan: &CrossingPlan,
-    tgt_seg: &[u32],
-) -> Result<Path, HhcError> {
-    debug_assert_eq!(src_seg.first(), Some(&hhc.node_field(u)));
-    debug_assert_eq!(src_seg.last(), Some(&plan.first()));
-    debug_assert_eq!(tgt_seg.first(), Some(&plan.last()));
-    let mut out = PathSet::new();
-    assemble_into(
-        hhc,
-        u,
-        src_seg[1..].iter().copied(),
-        &plan.positions,
-        tgt_seg[1..].iter().copied(),
-        &mut out,
-    )?;
-    Ok(out.path(0).to_vec())
-}
-
-/// [`assemble`] writing into a caller-owned [`PathSet`]: appends the
-/// assembled path as one new sealed path and allocates nothing.
-///
-/// The segments are passed without their redundant first coordinate:
-/// `src_tail` is the source walk *after* `Yu` (ending at `positions[0]`,
-/// empty when the path leaves `u` directly), `tgt_tail` the target walk
-/// *after* the entry coordinate (ending at `Yv`). The middle e-cube walks
-/// resolve dimensions in ascending order, matching
-/// `hypercube::routing::shortest_path`.
+/// The caller — the construction — guarantees the pieces line up, and
+/// `verify` re-checks the output.
 pub(super) fn assemble_into(
     hhc: &Hhc,
     u: NodeId,
@@ -160,9 +113,28 @@ mod tests {
         };
         let xu = 0b0000u128;
         assert_eq!(plan.intermediate_cubes(xu), vec![0b0001, 0b0101]);
-        assert_eq!(plan.total_mask(), 0b1101);
-        assert_eq!(plan.first(), 0);
-        assert_eq!(plan.last(), 3);
+    }
+
+    /// The one path `assemble_into` appends to a fresh set.
+    fn assemble(
+        h: &Hhc,
+        u: NodeId,
+        src_tail: &[u32],
+        positions: &[u32],
+        tgt_tail: &[u32],
+    ) -> Vec<NodeId> {
+        let mut out = PathSet::new();
+        assemble_into(
+            h,
+            u,
+            src_tail.iter().copied(),
+            positions,
+            tgt_tail.iter().copied(),
+            &mut out,
+        )
+        .unwrap();
+        assert_eq!(out.len(), 1);
+        out.path(0).to_vec()
     }
 
     #[test]
@@ -170,10 +142,7 @@ mod tests {
         // Plan [Yu] with trivial segments: u → external neighbour.
         let h = Hhc::new(2).unwrap();
         let u = h.node(0b0000, 0b10).unwrap();
-        let plan = CrossingPlan {
-            positions: vec![0b10],
-        };
-        let p = assemble(&h, u, &[0b10], &plan, &[0b10]).unwrap();
+        let p = assemble(&h, u, &[], &[0b10], &[]);
         assert_eq!(p, vec![u, h.external_neighbor(u)]);
     }
 
@@ -181,11 +150,9 @@ mod tests {
     fn assemble_multi_crossing_path() {
         let h = Hhc::new(2).unwrap();
         let u = h.node(0b0000, 0b00).unwrap();
-        // Cross at 0, then at 3: ends in cube 0b1001 at coordinate 3.
-        let plan = CrossingPlan {
-            positions: vec![0, 3],
-        };
-        let p = assemble(&h, u, &[0], &plan, &[3, 2]).unwrap();
+        // Cross at 0, then at 3: ends in cube 0b1001 at coordinate 3,
+        // then walks on to coordinate 2.
+        let p = assemble(&h, u, &[], &[0, 3], &[2]);
         // Validate every hop is an edge and endpoints are right.
         assert_eq!(*p.first().unwrap(), u);
         let last = *p.last().unwrap();
@@ -201,10 +168,7 @@ mod tests {
         let h = Hhc::new(3).unwrap();
         let u = h.node(0, 0b000).unwrap();
         // Custom (non-e-cube) source walk 000 → 100 → 101.
-        let plan = CrossingPlan {
-            positions: vec![0b101],
-        };
-        let p = assemble(&h, u, &[0b000, 0b100, 0b101], &plan, &[0b101]).unwrap();
+        let p = assemble(&h, u, &[0b100, 0b101], &[0b101], &[]);
         assert_eq!(p.len(), 4);
         assert_eq!(h.node_field(p[1]), 0b100);
         assert_eq!(h.node_field(p[2]), 0b101);

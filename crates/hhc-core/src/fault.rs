@@ -63,22 +63,6 @@ impl<T: FaultOracle + ?Sized> FaultOracle for &T {
     }
 }
 
-/// The empty fault set (useful as a default argument).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoFaults;
-
-impl FaultOracle for NoFaults {
-    fn is_faulty(&self, _v: NodeId) -> bool {
-        false
-    }
-
-    fn fault_count(&self) -> usize {
-        0
-    }
-
-    fn list_faults(&self, _out: &mut Vec<NodeId>) {}
-}
-
 /// A fault set stored as a sorted, deduplicated vector and probed by
 /// binary search. Live fault sets are tiny (`|F| ≤ m` in the guarantee's
 /// regime, occasionally a few dozen), so this beats a `HashSet`, which
@@ -213,15 +197,6 @@ mod tests {
         dyn_oracle.list_faults(&mut listed);
         listed[1..].sort_unstable();
         assert_eq!(listed, [n(1), n(3), n(9)], "list_faults appends");
-    }
-
-    #[test]
-    fn no_faults_is_empty() {
-        assert_eq!(NoFaults.fault_count(), 0);
-        assert!(!NoFaults.is_faulty(n(0)));
-        let mut listed = Vec::new();
-        NoFaults.list_faults(&mut listed);
-        assert!(listed.is_empty());
     }
 
     #[test]

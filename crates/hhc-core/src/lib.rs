@@ -77,7 +77,7 @@ pub use disjoint::{
     CrossingOrder, PathBuilder,
 };
 pub use error::HhcError;
-pub use fault::{FaultOracle, FaultSet, NoFaults};
+pub use fault::{FaultOracle, FaultSet};
 pub use metrics::{ConstructionMetrics, MetricsReport};
 pub use node::NodeId;
 pub use pathset::PathSet;

@@ -85,22 +85,6 @@ pub fn route_length_bound(hhc: &Hhc, u: NodeId, v: NodeId) -> u32 {
     }
 }
 
-/// Stateless next-hop for the same route, used by the simulator: given the
-/// current node and the destination, returns the next node [`route`] would
-/// take, or `None` at the destination.
-///
-/// Recomputing the Gray order at every hop keeps routers memoryless; the
-/// hop sequence matches `route(cur, v)` because the route function only
-/// depends on (cur, v).
-pub fn next_hop(hhc: &Hhc, cur: NodeId, dst: NodeId) -> Option<NodeId> {
-    if cur == dst {
-        return None;
-    }
-    // First hop of the recomputed route.
-    let path = route(hhc, cur, dst).expect("validated nodes");
-    Some(path[1])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,22 +154,6 @@ mod tests {
         }
         // Gray-ordered crossings keep stretch modest on HHC(2).
         assert!(worst <= 3.0, "unexpectedly poor stretch {worst}");
-    }
-
-    #[test]
-    fn next_hop_follows_route_to_destination() {
-        let h = Hhc::new(2).unwrap();
-        let u = h.node(0b0000, 0b00).unwrap();
-        let v = h.node(0b1011, 0b10).unwrap();
-        let p = route(&h, u, v).unwrap();
-        let mut cur = u;
-        let mut walked = vec![cur];
-        while let Some(nxt) = next_hop(&h, cur, v) {
-            walked.push(nxt);
-            cur = nxt;
-            assert!(walked.len() <= p.len(), "next_hop diverged from route");
-        }
-        assert_eq!(walked, p);
     }
 
     #[test]

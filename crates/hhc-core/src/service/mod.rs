@@ -58,9 +58,12 @@
 //! (possibly replayed) plain family against the snapshot in O(f): each
 //! live fault is tested against the entry's cube-offset span, and only
 //! a fault that passes sends the family through the exact per-node scan
-//! (a binary search over the ≤ m snapshot nodes per probe). Blocked
-//! families are repaired via the `construct_avoiding` rebuild — the
-//! rebuild bypasses every cache tier, so answers are byte-identical to a
+//! (a binary search over the ≤ m snapshot nodes per probe). A blocked
+//! family is repaired inside the worker's own call to the avoiding layer
+//! (`disjoint::avoid_into`): a cross-cube family is rebuilt by
+//! `case_b::cross_cube_into` with the snapshot as its faults, and a
+//! same-cube one falls back to its unblocked survivors. The rebuild
+//! bypasses every cache tier, so answers are byte-identical to a
 //! cold cache *by construction* (the cache-on ≡ cache-off argument of
 //! the avoiding layer, extended to the shared tier; see
 //! `tests/router_equivalence.rs`). Exact scans are counted as

@@ -8,7 +8,7 @@
 use hhc_core::disjoint::disjoint_paths;
 use hhc_core::verify::verify_disjoint_paths;
 use hhc_core::{
-    disjoint_paths_avoiding, CacheConfig, CrossingOrder, Hhc, HhcError, NoFaults, NodeId, Workspace,
+    disjoint_paths_avoiding, CacheConfig, CrossingOrder, FaultSet, Hhc, HhcError, NodeId, Workspace,
 };
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -92,7 +92,7 @@ proptest! {
     }
 
     /// Empty fault set: byte-identical to the plain construction, both
-    /// through `NoFaults` and through an empty `HashSet`.
+    /// through an empty `FaultSet` and through an empty `HashSet`.
     #[test]
     fn empty_faults_equals_plain(
         m in 1u32..=3,
@@ -104,7 +104,7 @@ proptest! {
         prop_assume!(u != v);
         let order = if gray { CrossingOrder::Gray } else { CrossingOrder::Sorted };
         let plain = disjoint_paths(&h, u, v, order).unwrap();
-        let (a, oa) = disjoint_paths_avoiding(&h, u, v, order, &NoFaults).unwrap();
+        let (a, oa) = disjoint_paths_avoiding(&h, u, v, order, &FaultSet::default()).unwrap();
         let (b, ob) = disjoint_paths_avoiding(&h, u, v, order, &HashSet::new()).unwrap();
         prop_assert_eq!(&a, &plain);
         prop_assert_eq!(&b, &plain);
@@ -195,7 +195,7 @@ fn faulty_endpoint_is_an_error() {
         Err(HhcError::FaultyEndpoint(v))
     );
     assert_eq!(
-        disjoint_paths_avoiding(&h, u, u, CrossingOrder::Gray, &NoFaults),
+        disjoint_paths_avoiding(&h, u, u, CrossingOrder::Gray, &FaultSet::default()),
         Err(HhcError::EqualNodes)
     );
 }

@@ -83,6 +83,11 @@ fn allocations<F: FnMut()>(mut f: F) -> u64 {
 
 #[test]
 fn hit_paths_do_not_allocate() {
+    // The test harness's main thread waits on a channel for this test's
+    // result, and the first time it blocks it allocates its wait
+    // context. On a loaded host it can get there late, inside a counted
+    // section; sleeping first lets it block before anything is counted.
+    std::thread::sleep(Duration::from_millis(100));
     let h = Hhc::new(3).unwrap();
     let empty: HashSet<NodeId> = HashSet::new();
     // One cross-cube and one same-cube pair: the two construction cases
@@ -289,8 +294,18 @@ fn hit_paths_do_not_allocate() {
         .unwrap();
         let mut answers = QueryBatchResult::new();
         let mut single = PathSet::new();
-        // Two passes store every family in the L2; round-robin single
-        // queries reach every worker.
+        // Two serial rounds store every family in the L2 (on its second
+        // sighting). Each call waits for its answer, and a worker stores
+        // before it answers, so every store lands before the next probe;
+        // in a batch, two workers could both miss on one pair while the
+        // first is still storing it.
+        for _ in 0..2 {
+            for &(u, v) in &queries {
+                router.query_into(u, v, &mut single).unwrap();
+            }
+        }
+        // Batched passes then warm every worker's buffers; round-robin
+        // single queries reach every worker.
         for _ in 0..4 {
             router.query_many_into(&batch, &mut answers);
             for &(u, v) in batch.iter().take(2 * threads) {

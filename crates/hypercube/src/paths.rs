@@ -37,70 +37,25 @@ pub type Path = Vec<Node>;
 /// paths::check_disjoint(&q, 0b00000, 0b00111, &family).unwrap();
 /// ```
 pub fn disjoint_paths(cube: &Cube, u: Node, v: Node) -> Result<Vec<Path>, CubeError> {
-    disjoint_paths_limited(cube, u, v, cube.dim() as usize)
+    let (mut dims, mut nodes, mut offsets) = (Vec::new(), Vec::new(), vec![0u32]);
+    disjoint_paths_buf(cube, u, v, &mut dims, &mut nodes, &mut offsets)?;
+    Ok(offsets
+        .windows(2)
+        .map(|w| nodes[w[0] as usize..w[1] as usize].to_vec())
+        .collect())
 }
 
-/// Like [`disjoint_paths`] but returns only the first `count ≤ n` paths
-/// (all rotations first, then detours). Useful when a caller needs fewer
-/// paths than the full connectivity provides.
-pub fn disjoint_paths_limited(
-    cube: &Cube,
-    u: Node,
-    v: Node,
-    count: usize,
-) -> Result<Vec<Path>, CubeError> {
-    cube.check(u)?;
-    cube.check(v)?;
-    if u == v {
-        return Err(CubeError::EqualNodes);
-    }
-    assert!(
-        count <= cube.dim() as usize,
-        "requested {count} paths but connectivity is {}",
-        cube.dim()
-    );
-    let dims = cube.differing_dims(u, v);
-    let k = dims.len();
-    let mut paths = Vec::with_capacity(count);
-
-    // Rotations: lengths k.
-    for r in 0..k.min(count) {
-        let mut order = Vec::with_capacity(k);
-        order.extend_from_slice(&dims[r..]);
-        order.extend_from_slice(&dims[..r]);
-        paths.push(walk(u, &order));
-    }
-
-    // Detours: lengths k + 2, one per clean dimension.
-    if paths.len() < count {
-        for j in 0..cube.dim() {
-            if dims.binary_search(&j).is_ok() {
-                continue;
-            }
-            let mut order = Vec::with_capacity(k + 2);
-            order.push(j);
-            order.extend_from_slice(&dims);
-            order.push(j);
-            paths.push(walk(u, &order));
-            if paths.len() == count {
-                break;
-            }
-        }
-    }
-    Ok(paths)
-}
-
-/// [`disjoint_paths_limited`] writing into caller-owned CSR buffers:
-/// each path is appended to `nodes`, with its end offset pushed to
-/// `offsets` (callers seed `offsets` with the current `nodes` length —
-/// usually `[0]` — so path `i` spans `nodes[offsets[i]..offsets[i+1]]`).
-/// `dims_scratch` holds the differing-dimension sequence between calls.
-/// Allocation-free once the buffers have warmed up.
+/// [`disjoint_paths`] writing into caller-owned CSR buffers, in the same
+/// order (all rotations first, then detours): each path is appended to
+/// `nodes`, with its end offset pushed to `offsets` (callers seed
+/// `offsets` with the current `nodes` length — usually `[0]` — so path
+/// `i` spans `nodes[offsets[i]..offsets[i+1]]`). `dims_scratch` holds the
+/// differing-dimension sequence between calls. Allocation-free once the
+/// buffers have warmed up.
 pub fn disjoint_paths_buf(
     cube: &Cube,
     u: Node,
     v: Node,
-    count: usize,
     dims_scratch: &mut Vec<u32>,
     nodes: &mut Vec<Node>,
     offsets: &mut Vec<u32>,
@@ -110,19 +65,12 @@ pub fn disjoint_paths_buf(
     if u == v {
         return Err(CubeError::EqualNodes);
     }
-    assert!(
-        count <= cube.dim() as usize,
-        "requested {count} paths but connectivity is {}",
-        cube.dim()
-    );
     dims_scratch.clear();
     dims_scratch.extend((0..cube.dim()).filter(|&d| (u ^ v) >> d & 1 == 1));
     let dims = &dims_scratch[..];
-    let k = dims.len();
-    let mut emitted = 0usize;
 
     // Rotations: lengths k. Rotation r flips dims[r..], then dims[..r].
-    for r in 0..k.min(count) {
+    for r in 0..dims.len() {
         let mut cur = u;
         nodes.push(cur);
         for &d in dims[r..].iter().chain(&dims[..r]) {
@@ -130,43 +78,24 @@ pub fn disjoint_paths_buf(
             nodes.push(cur);
         }
         offsets.push(nodes.len() as u32);
-        emitted += 1;
     }
 
     // Detours: lengths k + 2, one per clean dimension j: j, D, j.
-    if emitted < count {
-        for j in 0..cube.dim() {
-            if dims.binary_search(&j).is_ok() {
-                continue;
-            }
-            let mut cur = u ^ (1u128 << j);
-            nodes.push(u);
-            nodes.push(cur);
-            for &d in dims {
-                cur ^= 1u128 << d;
-                nodes.push(cur);
-            }
-            nodes.push(cur ^ (1u128 << j));
-            offsets.push(nodes.len() as u32);
-            emitted += 1;
-            if emitted == count {
-                break;
-            }
+    for j in 0..cube.dim() {
+        if dims.binary_search(&j).is_ok() {
+            continue;
         }
+        let mut cur = u ^ (1u128 << j);
+        nodes.push(u);
+        nodes.push(cur);
+        for &d in dims {
+            cur ^= 1u128 << d;
+            nodes.push(cur);
+        }
+        nodes.push(cur ^ (1u128 << j));
+        offsets.push(nodes.len() as u32);
     }
     Ok(())
-}
-
-/// Flips `dims` in sequence starting from `u`, collecting visited nodes.
-fn walk(u: Node, dims: &[u32]) -> Path {
-    let mut path = Vec::with_capacity(dims.len() + 1);
-    let mut cur = u;
-    path.push(cur);
-    for &d in dims {
-        cur ^= 1u128 << d;
-        path.push(cur);
-    }
-    path
 }
 
 /// Checks that `paths` is a family of simple `u–v` paths in `cube`,
@@ -259,14 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn limited_count() {
-        let q = Cube::new(8).unwrap();
-        let ps = disjoint_paths_limited(&q, 0, 0b11, 3).unwrap();
-        assert_eq!(ps.len(), 3);
-        check_disjoint(&q, 0, 0b11, &ps).unwrap();
-    }
-
-    #[test]
     fn matches_flow_optimum_on_materialized_cube() {
         let q = Cube::new(5).unwrap();
         let g = q.materialize().unwrap();
@@ -285,22 +206,6 @@ mod tests {
         check_disjoint(&q, u, v, &ps).unwrap();
         let max_len = ps.iter().map(|p| p.len() - 1).max().unwrap();
         assert_eq!(max_len, 42); // k + 2
-    }
-
-    #[test]
-    fn buffered_variant_matches_allocating_one() {
-        let q = Cube::new(5).unwrap();
-        let mut dims = Vec::new();
-        for v in 1..32u128 {
-            let expect = disjoint_paths(&q, 0, v).unwrap();
-            let (mut nodes, mut offsets) = (Vec::new(), vec![0u32]);
-            disjoint_paths_buf(&q, 0, v, 5, &mut dims, &mut nodes, &mut offsets).unwrap();
-            assert_eq!(offsets.len(), expect.len() + 1);
-            for (i, p) in expect.iter().enumerate() {
-                let s = &nodes[offsets[i] as usize..offsets[i + 1] as usize];
-                assert_eq!(s, p.as_slice(), "path {i} for v={v:#b}");
-            }
-        }
     }
 
     #[test]

@@ -2,10 +2,9 @@
 //!
 //! E-cube (dimension-ordered) routing resolves the differing dimensions in
 //! ascending order; it is deadlock-free in wormhole networks and, more
-//! importantly here, *deterministic*, which the simulator and the HHC
-//! construction both rely on. `shortest_path_via_order` lets callers pick
-//! the dimension order explicitly (the HHC construction uses Gray-adjacent
-//! coordinate hops instead of ascending order).
+//! importantly here, *deterministic*: the simulator's `Q_n` routes and
+//! the intra-cube walks of the HHC route (`hhc_core::routing::route`) are
+//! e-cube paths.
 
 use crate::cube::{Cube, Node};
 
@@ -13,51 +12,14 @@ use crate::cube::{Cube, Node};
 /// Length is exactly `H(u, v) + 1` nodes.
 pub fn shortest_path(cube: &Cube, u: Node, v: Node) -> Vec<Node> {
     let dims = cube.differing_dims(u, v);
-    path_via_dims(u, &dims)
-}
-
-/// Shortest path from `u` to `v` resolving dimensions in the given order.
-///
-/// `order` must be exactly the set of differing dimensions of `(u, v)`
-/// in some permutation.
-///
-/// # Panics
-/// Panics (debug) if `order` is not a permutation of the differing dims.
-pub fn shortest_path_via_order(cube: &Cube, u: Node, v: Node, order: &[u32]) -> Vec<Node> {
-    debug_assert_eq!(
-        {
-            let mut o = order.to_vec();
-            o.sort_unstable();
-            o
-        },
-        cube.differing_dims(u, v),
-        "order must permute the differing dimensions"
-    );
-    path_via_dims(u, order)
-}
-
-/// Walks from `u` flipping `dims` in sequence; returns the node list.
-fn path_via_dims(u: Node, dims: &[u32]) -> Vec<Node> {
     let mut path = Vec::with_capacity(dims.len() + 1);
     let mut cur = u;
     path.push(cur);
-    for &d in dims {
+    for d in dims {
         cur ^= 1u128 << d;
         path.push(cur);
     }
     path
-}
-
-/// The next hop e-cube routing takes from `cur` towards `dst`
-/// (lowest differing dimension first), or `None` if already there.
-#[inline]
-pub fn next_hop(cur: Node, dst: Node) -> Option<Node> {
-    let x = cur ^ dst;
-    if x == 0 {
-        None
-    } else {
-        Some(cur ^ (1u128 << x.trailing_zeros()))
-    }
 }
 
 #[cfg(test)]
@@ -99,43 +61,6 @@ mod tests {
                 check_path(&q, &p, u, v);
             }
         }
-    }
-
-    #[test]
-    fn custom_order_respected() {
-        let q = Cube::new(4).unwrap();
-        let p = shortest_path_via_order(&q, 0b0000, 0b1010, &[3, 1]);
-        check_path(&q, &p, 0b0000, 0b1010);
-        assert_eq!(p, vec![0b0000, 0b1000, 0b1010]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "permute")]
-    fn custom_order_must_match_dims() {
-        let q = Cube::new(4).unwrap();
-        shortest_path_via_order(&q, 0b0000, 0b1010, &[0, 1]);
-    }
-
-    #[test]
-    fn next_hop_reaches_destination() {
-        let q = Cube::new(7).unwrap();
-        let (u, v) = (0b0110011u128, 0b1010101u128);
-        let mut cur = u;
-        let mut hops = 0;
-        while let Some(nxt) = next_hop(cur, v) {
-            assert_eq!(q.distance(cur, nxt), 1);
-            assert!(q.distance(nxt, v) < q.distance(cur, v), "hop not greedy");
-            cur = nxt;
-            hops += 1;
-        }
-        assert_eq!(cur, v);
-        assert_eq!(hops, q.distance(u, v));
-    }
-
-    #[test]
-    fn next_hop_none_at_destination() {
-        assert_eq!(next_hop(42, 42), None);
     }
 
     #[test]

@@ -55,7 +55,7 @@ mod tests {
     use hhc_core::disjoint::disjoint_paths;
     use hhc_core::{
         disjoint_paths_avoiding, disjoint_paths_avoiding_into, CrossingOrder, FaultOracle, Hhc,
-        NoFaults, PathBuilder, PathSet,
+        PathBuilder, PathSet,
     };
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -84,7 +84,6 @@ mod tests {
         let hs: HashSet<NodeId> = [3u128, 17, 63, 200].map(n).into_iter().collect();
         assert_lists_what_it_reports("HashSet", &hs, 256);
         assert_lists_what_it_reports("&HashSet", &&hs, 256);
-        assert_lists_what_it_reports("NoFaults", &NoFaults, 256);
         assert_lists_what_it_reports("empty HashSet", &HashSet::new(), 256);
         assert_lists_what_it_reports("empty FaultSet", &FaultSet::default(), 256);
 

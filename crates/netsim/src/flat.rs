@@ -43,7 +43,7 @@ use crate::packet::FlatPacket;
 use crate::sim::{DeliveryRecord, SimConfig, Switching};
 use crate::stats::{CycleSample, SimStats};
 use crate::strategy::Strategy;
-use hhc_core::{CacheConfig, NodeId};
+use hhc_core::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -580,7 +580,6 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     strategy: Strategy,
     fault_set: &HashSet<NodeId>,
     fault_events: &[FaultEvent],
-    route_cache: CacheConfig,
     cfg: SimConfig,
     engine: EngineConfig,
     mut trace: Option<&mut Vec<DeliveryRecord>>,
@@ -617,7 +616,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     // cycles (phase-3 deposits commit at `cycle + 1`).
     let mut calendar = EventCalendar::new(busy + 1);
     let mut landed: Vec<CalEntry> = Vec::new();
-    let mut route_scratch = RouteScratch::with_route_cache(route_cache);
+    let mut route_scratch = RouteScratch::new();
     // Addresses outside the network are ignored, here and when an event
     // applies: no packet can reach them, and keeping them out keeps the
     // set's fault count honest for the fault-avoiding construction.

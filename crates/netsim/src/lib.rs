@@ -33,7 +33,6 @@ pub mod strategy;
 
 pub use faults::{FaultAction, FaultEvent, FaultSet};
 pub use flat::{EngineConfig, Fidelity, LinkStoreMode, RouteArena};
-pub use hhc_core::CacheConfig;
 pub use net::{CubeNet, LinkTable, Network, RouteScratch};
 pub use sim::{DeliveryRecord, SimConfig, SimError, Simulator, Switching};
 pub use stats::{CycleSample, SimStats};

@@ -8,7 +8,7 @@
 //! family of internally node-disjoint routes.
 
 use hhc_core::{
-    CacheConfig, CrossingOrder, FaultOracle, Hhc, MetricsReport, NodeId, Path, PathBuilder, PathSet,
+    CrossingOrder, FaultOracle, Hhc, MetricsReport, NodeId, Path, PathBuilder, PathSet,
 };
 use hypercube::Cube;
 use workloads::AddressSpace;
@@ -38,16 +38,6 @@ impl RouteScratch {
     /// A fresh scratch with a default-capacity family cache.
     pub fn new() -> Self {
         RouteScratch::default()
-    }
-
-    /// A scratch whose construction engine uses the given family-cache
-    /// configuration. The default scratch has the cache enabled at its
-    /// default capacity; routes are byte-identical under every
-    /// configuration.
-    pub fn with_route_cache(cfg: CacheConfig) -> Self {
-        let mut s = RouteScratch::default();
-        s.builder.set_cache_config(cfg);
-        s
     }
 
     /// Construction-engine effort snapshot (queries, cache hits, fan and
@@ -125,14 +115,6 @@ impl LinkTable {
             Err(_) => panic!("({from}, {to}) is not a directed link"),
         }
     }
-
-    /// Endpoints `(from, to)` of a link id (inverse of
-    /// [`LinkTable::link_id`]).
-    pub fn endpoints(&self, link: u32) -> (u32, u32) {
-        debug_assert!((link as usize) < self.targets.len());
-        let from = self.offsets.partition_point(|&o| o <= link) - 1;
-        (from as u32, self.targets[link as usize])
-    }
 }
 
 /// A simulatable network: an address space with routing services.
@@ -156,28 +138,19 @@ pub trait Network: AddressSpace {
     fn route(&self, src: NodeId, dst: NodeId) -> Path;
 
     /// A maximal family of internally node-disjoint routes
-    /// (`degree()` many on the maximally connected topologies here).
+    /// (`degree()` many on the maximally connected topologies here),
+    /// built into the scratch's [`PathSet`] with the scratch's working
+    /// buffers reused across queries. Returns a view of the family.
     ///
     /// # Panics
     ///
     /// Same contract as [`Network::route`]: `src ≠ dst` and both valid.
-    fn disjoint_routes(&self, src: NodeId, dst: NodeId) -> Vec<Path>;
-
-    /// [`Network::disjoint_routes`] into the scratch's [`PathSet`],
-    /// reusing the scratch's working buffers across queries. Returns a
-    /// view of the family; identical routes to `disjoint_routes`.
     fn disjoint_routes_into<'s>(
         &self,
         src: NodeId,
         dst: NodeId,
         scratch: &'s mut RouteScratch,
-    ) -> &'s PathSet {
-        scratch.set.clear();
-        for p in self.disjoint_routes(src, dst) {
-            scratch.set.push_path(&p);
-        }
-        &scratch.set
-    }
+    ) -> &'s PathSet;
 
     /// A family of internally node-disjoint routes that avoids every
     /// node the oracle reports faulty — possibly fewer than `degree()`
@@ -208,24 +181,6 @@ pub trait Network: AddressSpace {
         scratch.avoid_set = avoid;
         &scratch.avoid_set
     }
-
-    /// All nodes, for per-cycle injection sweeps.
-    /// Only meaningful for materialisable sizes; guarded by the caller.
-    ///
-    /// # Panics
-    ///
-    /// Panics above `MAX_ADDRESS_BITS` address bits;
-    /// [`crate::Simulator::try_new`] rejects such networks before any
-    /// sweep can reach this.
-    fn all_nodes(&self) -> Vec<NodeId> {
-        assert!(
-            self.address_bits() <= crate::sim::MAX_ADDRESS_BITS,
-            "all_nodes on a huge network"
-        );
-        (0..1u128 << self.address_bits())
-            .map(NodeId::from_raw)
-            .collect()
-    }
 }
 
 impl Network for Hhc {
@@ -243,10 +198,6 @@ impl Network for Hhc {
 
     fn route(&self, src: NodeId, dst: NodeId) -> Path {
         Hhc::route(self, src, dst).expect("valid pair")
-    }
-
-    fn disjoint_routes(&self, src: NodeId, dst: NodeId) -> Vec<Path> {
-        Hhc::disjoint_paths(self, src, dst).expect("valid pair")
     }
 
     fn disjoint_routes_into<'s>(
@@ -330,14 +281,6 @@ impl Network for CubeNet {
             .collect()
     }
 
-    fn disjoint_routes(&self, src: NodeId, dst: NodeId) -> Vec<Path> {
-        hypercube::paths::disjoint_paths(&self.0, src.raw(), dst.raw())
-            .expect("valid pair")
-            .into_iter()
-            .map(|p| p.into_iter().map(NodeId::from_raw).collect())
-            .collect()
-    }
-
     fn disjoint_routes_into<'s>(
         &self,
         src: NodeId,
@@ -351,7 +294,6 @@ impl Network for CubeNet {
             &self.0,
             src.raw(),
             dst.raw(),
-            self.0.dim() as usize,
             &mut scratch.qdims,
             &mut scratch.qnodes,
             &mut scratch.qoffsets,
@@ -382,8 +324,10 @@ mod tests {
         let r = Network::route(&h, u, v);
         assert_eq!(r.first(), Some(&u));
         assert_eq!(r.last(), Some(&v));
-        assert_eq!(Network::disjoint_routes(&h, u, v).len(), 3);
-        assert_eq!(h.all_nodes().len(), 64);
+        assert_eq!(
+            h.disjoint_routes_into(u, v, &mut RouteScratch::new()).len(),
+            3
+        );
     }
 
     #[test]
@@ -396,7 +340,9 @@ mod tests {
         let v = NodeId::from_raw(63);
         let r = q.route(u, v);
         assert_eq!(r.len(), 7); // Hamming distance 6
-        let d = q.disjoint_routes(u, v);
+        let d = q
+            .disjoint_routes_into(u, v, &mut RouteScratch::new())
+            .to_paths();
         assert_eq!(d.len(), 6);
         for p in &d {
             for w in p.windows(2) {
@@ -407,16 +353,21 @@ mod tests {
     }
 
     #[test]
-    fn scratch_routes_match_allocating_routes() {
+    fn scratch_routes_are_the_constructions() {
         let h = Hhc::new(2).unwrap();
         let q = CubeNet::matching_hhc(2);
         let mut scratch = RouteScratch::new();
         for (u, v) in [(0u128, 45u128), (3, 60), (17, 42)] {
-            let (u, v) = (NodeId::from_raw(u), NodeId::from_raw(v));
-            let set = h.disjoint_routes_into(u, v, &mut scratch);
-            assert_eq!(set.to_paths(), Network::disjoint_routes(&h, u, v));
-            let set = q.disjoint_routes_into(u, v, &mut scratch);
-            assert_eq!(set.to_paths(), q.disjoint_routes(u, v));
+            let (nu, nv) = (NodeId::from_raw(u), NodeId::from_raw(v));
+            let set = h.disjoint_routes_into(nu, nv, &mut scratch);
+            assert_eq!(set.to_paths(), h.disjoint_paths(nu, nv).unwrap());
+            let cube: Vec<Path> = hypercube::paths::disjoint_paths(&q.0, u, v)
+                .unwrap()
+                .into_iter()
+                .map(|p| p.into_iter().map(NodeId::from_raw).collect())
+                .collect();
+            let set = q.disjoint_routes_into(nu, nv, &mut scratch);
+            assert_eq!(set.to_paths(), cube);
         }
     }
 
@@ -425,16 +376,18 @@ mod tests {
         let h = Hhc::new(2).unwrap();
         let t = LinkTable::build(&h);
         assert_eq!(t.num_links(), 64 * 3); // 2^n nodes × (m+1) links
-                                           // Ids enumerate the edge set in ascending (from, to) order and
-                                           // round-trip through endpoints().
-        let mut prev: Option<(u32, u32)> = None;
-        for l in 0..t.num_links() as u32 {
-            let (from, to) = t.endpoints(l);
-            assert!(h.is_edge(NodeId::from_raw(from as u128), NodeId::from_raw(to as u128)));
-            assert_eq!(t.link_id(from, to), l);
-            assert!(prev < Some((from, to)), "ids not in (from, to) order");
-            prev = Some((from, to));
+
+        // Ids enumerate the edge set in ascending (from, to) order.
+        let mut next = 0u32;
+        for from in 0..64u32 {
+            for to in 0..64u32 {
+                if h.is_edge(NodeId::from_raw(from as u128), NodeId::from_raw(to as u128)) {
+                    assert_eq!(t.link_id(from, to), next, "ids not in (from, to) order");
+                    next += 1;
+                }
+            }
         }
+        assert_eq!(next as usize, t.num_links());
     }
 
     #[test]

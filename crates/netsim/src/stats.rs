@@ -152,15 +152,6 @@ impl SimStats {
         (table + store) as f64 / self.nodes as f64
     }
 
-    /// Mean queued-packet count over the captured time series, or `None`
-    /// when sampling was disabled (no samples).
-    pub fn mean_sampled_queue_depth(&self) -> Option<f64> {
-        (!self.samples.is_empty()).then(|| {
-            let total: u64 = self.samples.iter().map(|s| s.queued_packets).sum();
-            total as f64 / self.samples.len() as f64
-        })
-    }
-
     /// Merges another run's statistics into `self` — the accumulation
     /// step of a replication sweep ([`crate::Simulator::run_many`]).
     /// Counters add; maxima (`latency_max`, `max_queue_len`) take the
@@ -289,7 +280,6 @@ mod tests {
         assert_eq!(s.mean_latency(), None);
         assert_eq!(s.mean_hops(), None);
         assert_eq!(s.latency_p99(), None);
-        assert_eq!(s.mean_sampled_queue_depth(), None);
         assert_eq!(s.throughput(), 0.0);
         assert_eq!(s.delivery_ratio(), 1.0);
         // Even the empty run serialises: every numeric key present,
@@ -328,7 +318,6 @@ mod tests {
             max_queue_len: 3,
             transmissions: 2,
         });
-        assert_eq!(s.mean_sampled_queue_depth(), Some(3.0));
         assert_eq!(s.latency_p99(), Some(6));
         let j = s.to_json(10);
         assert!(j.contains("\"sample_cycles\":[0,5]"));

@@ -8,21 +8,23 @@
 //!
 //! ```
 //! use hhc_core::Hhc;
-//! use netsim::{FaultSet, Strategy};
+//! use netsim::{FaultSet, RouteScratch, Strategy};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let h = Hhc::new(2).unwrap();
 //! let (u, v) = (h.node(0, 0).unwrap(), h.node(0xA, 3).unwrap());
 //! let mut rng = StdRng::seed_from_u64(1);
-//! let route = Strategy::SinglePath
-//!     .select(&h, u, v, &FaultSet::default(), &mut rng)
-//!     .expect("no faults: always routable");
+//! let (mut scratch, mut route) = (RouteScratch::new(), Vec::new());
+//! let routed = Strategy::SinglePath.select_into(
+//!     &h, u, v, &FaultSet::default(), &mut rng, &mut scratch, &mut route,
+//! );
+//! assert!(routed, "no faults: always routable");
 //! assert_eq!(route.first(), Some(&u));
 //! assert_eq!(route.last(), Some(&v));
 //! ```
 
 use crate::net::{Network, RouteScratch};
-use hhc_core::{FaultOracle, NodeId, Path};
+use hhc_core::{FaultOracle, NodeId};
 use rand::Rng;
 
 /// How sources pick routes.
@@ -57,37 +59,12 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// Selects a route from `src` to `dst` (`src ≠ dst`), or `None` if the
-    /// strategy cannot route around the faults. Allocates a fresh scratch
-    /// per call; loops should use [`Strategy::select_into`].
-    pub fn select<N: Network + ?Sized, R: Rng>(
-        &self,
-        net: &N,
-        src: NodeId,
-        dst: NodeId,
-        faults: &dyn FaultOracle,
-        rng: &mut R,
-    ) -> Option<Path> {
-        let mut out = Vec::new();
-        self.select_into(
-            net,
-            src,
-            dst,
-            faults,
-            rng,
-            &mut RouteScratch::new(),
-            &mut out,
-        )
-        .then_some(out)
-    }
-
-    /// [`Strategy::select`] with caller-owned route scratch, writing the
-    /// chosen route into `out` (cleared first); returns whether a route
-    /// was selected. The disjoint family is built into the scratch's
-    /// buffers and only the chosen route is copied out. The
-    /// allocation-free form the simulator's injection loop uses — one
-    /// route buffer lives for the whole run. Same routes, same RNG draw
-    /// sequence as [`Strategy::select`] (which delegates here).
+    /// Selects a route from `src` to `dst` (`src ≠ dst`) into `out`
+    /// (cleared first); returns `false`, with `out` empty, if the
+    /// strategy cannot route around the faults. The disjoint family is
+    /// built into the scratch's buffers and only the chosen route is
+    /// copied out, so the simulator's injection loop reuses one scratch
+    /// and one route buffer for the whole run and allocates nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn select_into<N: Network + ?Sized, R: Rng>(
         &self,
@@ -187,10 +164,24 @@ pub fn path_blocked(path: &[NodeId], faults: &dyn FaultOracle) -> bool {
 mod tests {
     use super::*;
     use crate::faults::FaultSet;
-    use hhc_core::Hhc;
+    use hhc_core::{Hhc, Path};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
+
+    /// One selection on a fresh scratch: the route, or `None`.
+    fn pick<N: Network + ?Sized>(
+        s: Strategy,
+        net: &N,
+        u: NodeId,
+        v: NodeId,
+        faults: &dyn FaultOracle,
+        rng: &mut StdRng,
+    ) -> Option<Path> {
+        let mut out = Vec::new();
+        s.select_into(net, u, v, faults, rng, &mut RouteScratch::new(), &mut out)
+            .then_some(out)
+    }
 
     fn setup() -> (Hhc, NodeId, NodeId, StdRng) {
         let h = Hhc::new(2).unwrap();
@@ -202,9 +193,7 @@ mod tests {
     #[test]
     fn single_path_is_the_router_route() {
         let (h, u, v, mut rng) = setup();
-        let p = Strategy::SinglePath
-            .select(&h, u, v, &HashSet::new(), &mut rng)
-            .unwrap();
+        let p = pick(Strategy::SinglePath, &h, u, v, &HashSet::new(), &mut rng).unwrap();
         assert_eq!(p, h.route(u, v).unwrap());
     }
 
@@ -213,9 +202,7 @@ mod tests {
         let (h, u, v, mut rng) = setup();
         let p = h.route(u, v).unwrap();
         let faults: HashSet<_> = [p[1]].into_iter().collect();
-        assert!(Strategy::SinglePath
-            .select(&h, u, v, &faults, &mut rng)
-            .is_none());
+        assert!(pick(Strategy::SinglePath, &h, u, v, &faults, &mut rng).is_none());
     }
 
     #[test]
@@ -224,9 +211,15 @@ mod tests {
         let all = h.disjoint_paths(u, v).unwrap();
         let mut chosen = std::collections::HashSet::new();
         for _ in 0..100 {
-            let p = Strategy::MultipathRandom
-                .select(&h, u, v, &FaultSet::default(), &mut rng)
-                .unwrap();
+            let p = pick(
+                Strategy::MultipathRandom,
+                &h,
+                u,
+                v,
+                &FaultSet::default(),
+                &mut rng,
+            )
+            .unwrap();
             assert!(all.contains(&p));
             chosen.insert(p);
         }
@@ -239,9 +232,7 @@ mod tests {
         // Block interior nodes of m of the m+1 paths: still routable.
         let paths = h.disjoint_paths(u, v).unwrap();
         let faults: HashSet<_> = paths[..h.m() as usize].iter().map(|p| p[1]).collect();
-        let p = Strategy::FaultAdaptive
-            .select(&h, u, v, &faults, &mut rng)
-            .unwrap();
+        let p = pick(Strategy::FaultAdaptive, &h, u, v, &faults, &mut rng).unwrap();
         assert!(!path_blocked(&p, &faults));
     }
 
@@ -250,9 +241,7 @@ mod tests {
         let (h, u, v, mut rng) = setup();
         let mut lengths = std::collections::HashSet::new();
         for _ in 0..50 {
-            let w = Strategy::Valiant
-                .select(&h, u, v, &FaultSet::default(), &mut rng)
-                .unwrap();
+            let w = pick(Strategy::Valiant, &h, u, v, &FaultSet::default(), &mut rng).unwrap();
             assert_eq!(*w.first().unwrap(), u);
             assert_eq!(*w.last().unwrap(), v);
             for pair in w.windows(2) {
@@ -275,7 +264,7 @@ mod tests {
         let direct = h.route(u, v).unwrap();
         let faults: FaultSet = [direct[1]].into_iter().collect();
         for _ in 0..20 {
-            if let Some(w) = Strategy::Valiant.select(&h, u, v, &faults, &mut rng) {
+            if let Some(w) = pick(Strategy::Valiant, &h, u, v, &faults, &mut rng) {
                 assert!(!path_blocked(&w, &faults));
             }
         }
@@ -286,9 +275,7 @@ mod tests {
         let (h, u, v, mut rng) = setup();
         let paths = h.disjoint_paths(u, v).unwrap();
         let faults: HashSet<_> = paths.iter().map(|p| p[1]).collect();
-        assert!(Strategy::FaultAdaptive
-            .select(&h, u, v, &faults, &mut rng)
-            .is_none());
+        assert!(pick(Strategy::FaultAdaptive, &h, u, v, &faults, &mut rng).is_none());
     }
 
     /// Regression: a failed Valiant selection must leave `out` empty —
@@ -300,11 +287,7 @@ mod tests {
         // Every node except the endpoints is faulty: any healthy redraw
         // target is impossible, and to be thorough some draws will hit
         // the intermediate-faulty `continue` path too.
-        let faults: HashSet<NodeId> = h
-            .all_nodes()
-            .into_iter()
-            .filter(|&w| w != u && w != v)
-            .collect();
+        let faults: HashSet<NodeId> = h.iter_nodes().filter(|&w| w != u && w != v).collect();
         let mut scratch = RouteScratch::new();
         let mut out = vec![u, v, u]; // stale garbage from a previous call
         assert!(!Strategy::Valiant.select_into(
@@ -325,8 +308,7 @@ mod tests {
         // seed is guaranteed to draw `w` at least once.
         let w = h.node(0b0101, 0b01).unwrap();
         let faults: HashSet<NodeId> = h
-            .all_nodes()
-            .into_iter()
+            .iter_nodes()
             .filter(|&x| x != u && x != v && x != w)
             .collect();
         let mut attempted = false;
@@ -404,11 +386,8 @@ mod tests {
         let (h, u, v, mut rng) = setup();
         let paths = h.disjoint_paths(u, v).unwrap();
         let faults: HashSet<_> = paths.iter().map(|p| p[p.len() / 2]).collect();
-        assert!(Strategy::FaultAdaptive
-            .select(&h, u, v, &faults, &mut rng)
-            .is_none());
-        let p = Strategy::FaultFree
-            .select(&h, u, v, &faults, &mut rng)
+        assert!(pick(Strategy::FaultAdaptive, &h, u, v, &faults, &mut rng).is_none());
+        let p = pick(Strategy::FaultFree, &h, u, v, &faults, &mut rng)
             .expect("avoiding construction routes around the blanket");
         assert_eq!(*p.first().unwrap(), u);
         assert_eq!(*p.last().unwrap(), v);
@@ -426,11 +405,12 @@ mod tests {
         let u = NodeId::from_raw(0);
         let v = NodeId::from_raw(63);
         let mut rng = StdRng::seed_from_u64(7);
-        let d = crate::net::Network::disjoint_routes(&q, u, v);
+        let d = q
+            .disjoint_routes_into(u, v, &mut RouteScratch::new())
+            .to_paths();
         let faults: HashSet<_> = d[..3].iter().map(|p| p[1]).collect();
         for _ in 0..20 {
-            let p = Strategy::FaultFree
-                .select(&q, u, v, &faults, &mut rng)
+            let p = pick(Strategy::FaultFree, &q, u, v, &faults, &mut rng)
                 .expect("three of six survivors remain");
             assert!(!path_blocked(&p, &faults));
             assert!(d.contains(&p), "default impl must return family members");

@@ -18,8 +18,7 @@
 use hhc_core::{Hhc, NodeId};
 use netsim::Strategy as RouteStrategy;
 use netsim::{
-    CacheConfig, CubeNet, EngineConfig, Fidelity, LinkStoreMode, SimConfig, SimStats, Simulator,
-    Switching,
+    CubeNet, EngineConfig, Fidelity, LinkStoreMode, SimConfig, SimStats, Simulator, Switching,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -413,27 +412,6 @@ fn lazy_store_materialises_exactly_the_traversed_links() {
         stats.peak_links_materialised < stats.links_total,
         "a light run must not touch every link"
     );
-}
-
-/// Route caching must stay behaviour-invisible in the flat core too.
-#[test]
-fn flat_cache_off_equals_cache_on_modulo_counters() {
-    let h = Hhc::new(2).unwrap();
-    let cfg = SimConfig {
-        cycles: 120,
-        drain_cycles: 2000,
-        inject_rate: 0.1,
-        seed: 77,
-        ..SimConfig::default()
-    };
-    let cached =
-        Simulator::new(&h, Pattern::BitComplement, RouteStrategy::MultipathRandom).run(cfg);
-    let uncached = Simulator::new(&h, Pattern::BitComplement, RouteStrategy::MultipathRandom)
-        .with_route_cache(CacheConfig::disabled())
-        .run(cfg);
-    let mut masked = cached.clone();
-    masked.route_family_hits = uncached.route_family_hits;
-    assert_eq!(masked, uncached);
 }
 
 /// run_many must not depend on the rayon worker count.

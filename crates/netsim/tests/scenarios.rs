@@ -9,13 +9,18 @@
 //! * the f4 scenario compiles to exactly the driver's parameter table,
 //!   and its cells reproduce hand-rolled `Simulator::run_many` calls;
 //! * the shrinker reduces the seeded failing scenario to a strictly
-//!   smaller spec that still fails.
+//!   smaller spec that still fails;
+//! * hostile input — an example with a few bytes deleted, inserted or
+//!   replaced — parses to a typed error or to a scenario that
+//!   round-trips, never to a panic.
 //!
 //! Re-record goldens after an intentional engine change with:
 //! `cargo run --release -p hhc-cli --bin hhc -- sim --scenario <file> --record`
 
 use netsim::scenario::{compile, execute, render, shrink, Scenario};
+use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -34,18 +39,31 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"))
 }
 
+/// Every committed example scenario: its path and its source.
+fn committed_examples() -> &'static [(PathBuf, String)] {
+    static EXAMPLES: OnceLock<Vec<(PathBuf, String)>> = OnceLock::new();
+    EXAMPLES.get_or_init(|| {
+        let dir = repo_path("examples/scenarios");
+        let mut out: Vec<(PathBuf, String)> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("read {dir:?}: {e}"))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("toml"))
+            .map(|path| {
+                let src = std::fs::read_to_string(&path).unwrap();
+                (path, src)
+            })
+            .collect();
+        out.sort();
+        out
+    })
+}
+
 #[test]
 fn every_committed_example_parses_and_validates() {
-    let dir = repo_path("examples/scenarios");
     let mut seen = 0;
-    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("read {dir:?}: {e}")) {
-        let path = entry.unwrap().path();
-        if path.extension().and_then(|e| e.to_str()) != Some("toml") {
-            continue;
-        }
+    for (path, src) in committed_examples() {
         seen += 1;
-        let src = std::fs::read_to_string(&path).unwrap();
-        let s = Scenario::from_toml(&src)
+        let s = Scenario::from_toml(src)
             .unwrap_or_else(|e| panic!("example {path:?} failed to validate: {e}"));
         // The canonical form round-trips: reformatting an example never
         // changes its meaning or its trace's spec hash.
@@ -185,4 +203,56 @@ fn shrinker_reduces_deadlock_tiny_and_stays_failing() {
     let reparsed = Scenario::from_toml(&minimal.to_toml()).unwrap();
     assert_eq!(reparsed, minimal);
     assert!(failing(&reparsed), "the printed reproducer must still fail");
+}
+
+/// The bytes a hostile edit writes: TOML's syntax characters, plus
+/// whitespace, digits and a few letters (of `true`, `false`, exponents
+/// and hex).
+const TOML_BYTES: &[u8] = b"[]{}=\"'#,.:+-_ \n\t\\0129aeftx";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// Hostile scenario input: a committed example with one to four
+    /// one-byte edits (delete, insert or replace, with a TOML syntax
+    /// byte) either fails to parse with a typed error or parses to a
+    /// scenario whose canonical form parses back to it unchanged. The
+    /// parser never panics.
+    #[test]
+    fn mutated_examples_parse_or_fail_cleanly(
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((any::<usize>(), 0u8..3, any::<usize>()), 1..=4),
+    ) {
+        let examples = committed_examples();
+        let (path, src) = &examples[pick % examples.len()];
+        let mut bytes = src.clone().into_bytes();
+        for (at, kind, byte) in edits {
+            let byte = TOML_BYTES[byte % TOML_BYTES.len()];
+            match kind {
+                0 => {
+                    bytes.remove(at % bytes.len());
+                }
+                1 => bytes.insert(at % (bytes.len() + 1), byte),
+                _ => {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+            }
+        }
+        // An edit inside a multi-byte character leaves invalid UTF-8;
+        // the parser takes `&str`, so that byte reads as U+FFFD.
+        let mutated = String::from_utf8_lossy(&bytes);
+        let parsed = std::panic::catch_unwind(|| Scenario::from_toml(&mutated));
+        prop_assert!(parsed.is_ok(), "from_toml panicked on a mutation of {:?}:\n{}", path, mutated);
+        if let Ok(Ok(s)) = parsed {
+            match Scenario::from_toml(&s.to_toml()) {
+                Ok(back) => prop_assert_eq!(back, s, "round trip of a mutation of {:?}", path),
+                Err(e) => {
+                    return Err(TestCaseError::fail(format!(
+                        "the canonical form of a mutation of {path:?} does not parse: {e}"
+                    )));
+                }
+            }
+        }
+    }
 }

@@ -232,11 +232,6 @@ impl TimingStats {
         self.hist.quantile(0.99)
     }
 
-    /// The underlying nanosecond histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
     pub fn merge(&mut self, other: &TimingStats) {
         self.hist.merge(&other.hist);
     }

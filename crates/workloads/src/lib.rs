@@ -1,24 +1,20 @@
 //! Workload generation for network experiments.
 //!
-//! Provides the three inputs every evaluation needs, all deterministic
-//! under a seed:
+//! Provides the inputs every evaluation needs, all deterministic under a
+//! seed:
 //!
 //! * [`patterns`] — destination selection per source (uniform random,
 //!   bit-complement, bit-reversal, transpose, hotspot) over the HHC
 //!   address space;
-//! * [`arrivals`] — per-node Bernoulli injection processes parameterised
-//!   by offered load;
 //! * [`faults`] — random distinct fault sets avoiding protected nodes;
 //! * [`sampling`] — random node/pair sampling over the HHC address
 //!   space, shared by experiments, benches and stress tests.
 
-pub mod arrivals;
 pub mod faults;
 pub mod patterns;
 pub mod sampling;
 pub mod space;
 
-pub use arrivals::Bernoulli;
 pub use faults::{adversarial_fault_set, random_fault_set};
 pub use patterns::Pattern;
 pub use space::AddressSpace;

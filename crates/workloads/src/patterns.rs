@@ -89,14 +89,6 @@ impl Pattern {
             Some(dst)
         }
     }
-
-    /// Whether the pattern is a fixed permutation (no randomness).
-    pub fn is_deterministic(&self) -> bool {
-        matches!(
-            self,
-            Pattern::BitComplement | Pattern::BitReversal | Pattern::Transpose
-        )
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //!   Menger-optimal disjoint path baseline);
 //! * [`netsim`] — discrete-event store-and-forward simulator used by the
 //!   routing experiments;
-//! * [`workloads`] — traffic patterns, arrival processes and fault sets.
+//! * [`workloads`] — traffic patterns, fault sets and pair sampling.
 //!
 //! ## Quickstart
 //!
