@@ -173,8 +173,9 @@ fn main() {
     let pairs = workloads::sampling::random_pairs(&h, pair_count.min(4000), 0x10_000);
     let n = pairs.len() as f64;
 
-    // Warm-up both code paths once.
-    let mut sc = PathBuilder::new();
+    // Warm-up both code paths once. The core row times the construction
+    // itself, so its builder memoises nothing.
+    let mut sc = PathBuilder::with_caches(CacheConfig::disabled());
     let mut set = PathSet::new();
     for &(u, v) in &pairs {
         disjoint::disjoint_paths_into(&h, u, v, CrossingOrder::Gray, &mut set, &mut sc).unwrap();

@@ -1,17 +1,22 @@
 //! The flat simulation core: traffic-proportional data structures.
 //!
-//! Per-cycle cost and resident memory scale with *traffic* (packets in
-//! flight, links actually crossed), not with topology size — that is
-//! what admits HHC(4) (2^20 nodes, ~5M directed links) packet-level:
+//! Per-cycle cost scales with *traffic* (packets in flight, links
+//! actually crossed), not with topology size, and resident memory with
+//! traffic plus one 8-byte word per directed link — that is what admits
+//! HHC(4) (2^20 nodes, ~5M directed links) packet-level:
 //!
-//! * **[`LinkTable`]** — CSR adjacency built once per run; a directed
-//!   link *is* a u32 index, and ids ascend in `(from, to)` order, fixing
-//!   the canonical link service order.
-//! * **`LinkStore`** — per-link queue/occupancy state, materialised
-//!   lazily on first use (default): a slab of `LinkState` plus a paged
-//!   id→slot map, so a run allocates queue state only for the links its
-//!   routes cross. [`LinkStoreMode::Eager`] keeps the dense
-//!   one-slot-per-link layout as the microbenchmark baseline.
+//! * **[`LinkTable`]** — a directed link *is* a u32 id, computed from
+//!   its endpoints' addresses (`from · degree` plus `to`'s rank among
+//!   `from`'s neighbours); ids ascend in `(from, to)` order, fixing the
+//!   canonical link service order. Nothing is stored per node.
+//! * **`LinkStore`** — per-link timing and queue state. The lazy layout
+//!   (default) keeps one `u64` word per directed link: an idle link's
+//!   word holds its last service start, from which its busy-until cycle
+//!   follows, and a link with queued packets holds a slot in a small
+//!   slab of `LinkState`s, recycled once its queue empties. So full
+//!   queue state exists only for the links that are queued right now.
+//!   [`LinkStoreMode::Eager`] keeps one dense `LinkState` per link as
+//!   the reference layout.
 //! * **[`RouteArena`]** — interned, deduplicated routes with
 //!   precomputed per-hop link ids, sharded 16 ways by a route-endpoint
 //!   hash so million-node pair sets don't grow one monolithic index;
@@ -52,12 +57,13 @@ use workloads::Pattern;
 /// How per-link queue state is materialised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LinkStoreMode {
-    /// One dense slot per directed link, allocated up front. Memory is
-    /// O(links) — fine up to mid-size topologies, and the reference
-    /// layout the lazy store is benchmarked against.
+    /// One dense `LinkState` per directed link, allocated up front.
+    /// Memory is O(links) full states — fine up to mid-size topologies,
+    /// and the reference layout the lazy store is checked against.
     Eager,
-    /// Queue state allocated on first use (slab + paged id→slot map).
-    /// Memory is O(links actually traversed).
+    /// One 8-byte word per directed link, plus a slab slot for each
+    /// link whose queue is non-empty. Memory is 8 bytes per link plus
+    /// O(links queued at once).
     #[default]
     Lazy,
 }
@@ -176,7 +182,7 @@ impl RouteArena {
 
     /// Interns `route` (raw node addresses, ≥ 2 nodes), returning its
     /// arena id. A sequence already present is not stored again.
-    pub fn intern(&mut self, route: &[u32], table: &LinkTable) -> u32 {
+    pub fn intern<N: Network + ?Sized>(&mut self, route: &[u32], table: &LinkTable<'_, N>) -> u32 {
         debug_assert!(route.len() >= 2, "a route needs at least one hop");
         let si = Self::shard_of(route);
         let shard = &mut self.shards[si];
@@ -232,27 +238,26 @@ impl Default for RouteArena {
     }
 }
 
-/// Per-link simulation state. Materialised by [`LinkStore`] only when a
-/// link is first used (lazy mode); `VecDeque::new` does not allocate, so
-/// an untouched slot costs its struct size alone.
+/// Per-link simulation state: every link's state in the eager store,
+/// and the slab slot of a link with queued packets in the lazy store.
+/// A link's queue is non-empty exactly while the link is on the
+/// engine's active/pending worklist.
 #[derive(Debug)]
-pub(crate) struct LinkState {
+struct LinkState {
     /// FIFO of queued packets (may start with a ghost entry in hybrid
     /// fidelity — see [`Fidelity::Hybrid`]).
-    pub(crate) queue: VecDeque<FlatPacket>,
+    queue: VecDeque<FlatPacket>,
     /// Cycle through which the link is occupied by its last transmission.
-    pub(crate) busy_until: u64,
+    busy_until: u64,
     /// Committed service-start cycle of the most recent transmission,
     /// plus one (0 = never). Lets the hybrid deposit path detect an
     /// analytically committed packet whose service is still in the
     /// future and must be re-materialised as a ghost.
-    pub(crate) last_pop1: u64,
+    last_pop1: u64,
     /// Queue-occupancy snapshot for backpressure, valid iff
     /// `occ_cycle` equals the current cycle.
-    pub(crate) occ: u64,
-    pub(crate) occ_cycle: u64,
-    /// Whether the link is on the active/pending worklist.
-    pub(crate) in_active: bool,
+    occ: u64,
+    occ_cycle: u64,
 }
 
 impl LinkState {
@@ -263,89 +268,207 @@ impl LinkState {
             last_pop1: 0,
             occ: 0,
             occ_cycle: u64::MAX,
-            in_active: false,
         }
     }
 }
 
-const PAGE_BITS: u32 = 10;
-const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// Lazy-store word flag: the engine has touched the link.
+const TOUCHED: u64 = 1 << 63;
+/// Lazy-store word flag: the link's queue is non-empty, and the payload
+/// is its slab slot.
+const QUEUED: u64 = 1 << 62;
+/// Lazy-store word payload: `last_pop1`, or a slab slot under [`QUEUED`].
+const PAYLOAD: u64 = QUEUED - 1;
+
+/// `busy_until` of a link whose queue is empty, derived from its
+/// `last_pop1`: every path that leaves a queue empty (the analytic
+/// commit and the phase-2 pop) sets both from the same start cycle.
+#[inline]
+fn idle_busy_until(last_pop1: u64, busy: u64) -> u64 {
+    last_pop1.checked_sub(1).map_or(0, |start| start + busy)
+}
 
 #[derive(Debug)]
 enum Slots {
     Eager(Vec<LinkState>),
     Lazy {
+        /// One word per directed link: [`TOUCHED`], [`QUEUED`] and the
+        /// [`PAYLOAD`].
+        words: Vec<u64>,
+        /// States of the queued links, and of recycled slots.
         slab: Vec<LinkState>,
-        /// Page table from link id to slab slot; an entry holds
-        /// `slot + 1`, 0 meaning not materialised, so fresh pages are
-        /// plain zeroed allocations.
-        pages: Vec<Option<Box<[u32; PAGE_SIZE]>>>,
+        /// Recycled slab slots; each keeps its queue's buffer.
+        free: Vec<u32>,
+        /// Links touched so far.
+        touched: u64,
     },
 }
 
-/// Per-link state storage: dense ([`LinkStoreMode::Eager`]) or
-/// materialised on first touch ([`LinkStoreMode::Lazy`]). In lazy mode a
-/// run's resident link state is proportional to the number of distinct
-/// links its traffic crosses, not to the topology's link count.
+/// Per-link state storage: dense ([`LinkStoreMode::Eager`]) or one word
+/// per link ([`LinkStoreMode::Lazy`]). A lazy link's word holds its
+/// `last_pop1` while its queue is empty, `busy_until` being derived from
+/// it; a link with queued packets holds a slab slot instead, returned
+/// when phase 2 empties the queue. The payload is 62 bits wide, so
+/// service starts must stay below cycle 2^62 − 1; a scenario caps each
+/// cycle count at `i64::MAX`, and no run of 2^62 cycles finishes.
 #[derive(Debug)]
-pub(crate) struct LinkStore {
+struct LinkStore {
     slots: Slots,
+    /// Cycles a transmission occupies its link.
+    busy: u64,
 }
 
 impl LinkStore {
-    pub(crate) fn new(n_links: usize, mode: LinkStoreMode) -> Self {
+    fn new(n_links: usize, mode: LinkStoreMode, busy: u64) -> Self {
         let slots = match mode {
             LinkStoreMode::Eager => Slots::Eager((0..n_links).map(|_| LinkState::new()).collect()),
             LinkStoreMode::Lazy => Slots::Lazy {
+                words: vec![0; n_links],
                 slab: Vec::new(),
-                pages: (0..n_links.div_ceil(PAGE_SIZE)).map(|_| None).collect(),
+                free: Vec::new(),
+                touched: 0,
             },
         };
-        LinkStore { slots }
+        LinkStore { slots, busy }
     }
 
-    /// Link-state slots materialised so far (eager: all of them).
-    pub(crate) fn materialised(&self) -> u64 {
+    /// Links materialised so far: every link in the eager store, the
+    /// links the engine has touched (a deposit or an injection's
+    /// backpressure probe) in the lazy one.
+    fn materialised(&self) -> u64 {
         match &self.slots {
             Slots::Eager(v) => v.len() as u64,
-            Slots::Lazy { slab, .. } => slab.len() as u64,
+            Slots::Lazy { touched, .. } => *touched,
         }
     }
 
-    /// Mutable state of `link`, materialising the slot on first touch.
+    /// `(busy_until, last_pop1)` of `link` while its queue is empty, or
+    /// `None` while packets are queued on it. Touches nothing.
     #[inline]
-    pub(crate) fn state_mut(&mut self, link: u32) -> &mut LinkState {
-        match &mut self.slots {
-            Slots::Eager(v) => &mut v[link as usize],
-            Slots::Lazy { slab, pages } => {
-                let page = pages[(link >> PAGE_BITS) as usize]
-                    .get_or_insert_with(|| Box::new([0u32; PAGE_SIZE]));
-                let entry = &mut page[(link & (PAGE_SIZE as u32 - 1)) as usize];
-                if *entry == 0 {
-                    slab.push(LinkState::new());
-                    *entry = slab.len() as u32;
-                }
-                &mut slab[(*entry - 1) as usize]
+    fn idle_timing(&self, link: u32) -> Option<(u64, u64)> {
+        match &self.slots {
+            Slots::Eager(v) => {
+                let st = &v[link as usize];
+                st.queue.is_empty().then_some((st.busy_until, st.last_pop1))
+            }
+            Slots::Lazy { words, .. } => {
+                let w = words[link as usize];
+                let last_pop1 = w & PAYLOAD;
+                (w & QUEUED == 0).then(|| (idle_busy_until(last_pop1, self.busy), last_pop1))
             }
         }
     }
 
-    /// State of `link` if materialised; never allocates.
+    /// Commits a transmission starting at `start` on `link`, whose queue
+    /// is empty. Touches the link.
     #[inline]
-    pub(crate) fn peek(&self, link: u32) -> Option<&LinkState> {
+    fn commit(&mut self, link: u32, start: u64) {
+        match &mut self.slots {
+            Slots::Eager(v) => {
+                let st = &mut v[link as usize];
+                st.busy_until = start + self.busy;
+                st.last_pop1 = start + 1;
+            }
+            Slots::Lazy { words, touched, .. } => {
+                let w = &mut words[link as usize];
+                debug_assert!(*w & QUEUED == 0, "commit on a queued link");
+                debug_assert!(start < PAYLOAD, "service start past the word's cycle range");
+                *touched += u64::from(*w & TOUCHED == 0);
+                *w = TOUCHED | (start + 1);
+            }
+        }
+    }
+
+    /// Full state of `link`, touching it. A lazy link whose queue is
+    /// empty takes a slab slot, so only a caller about to queue a packet
+    /// asks for one; the transmission phase asks for the links it holds
+    /// on its worklist, whose slots it returns with [`Self::release`].
+    #[inline]
+    fn state_mut(&mut self, link: u32) -> &mut LinkState {
+        match &mut self.slots {
+            Slots::Eager(v) => &mut v[link as usize],
+            Slots::Lazy {
+                words,
+                slab,
+                free,
+                touched,
+            } => {
+                let w = words[link as usize];
+                if w & QUEUED != 0 {
+                    return &mut slab[(w & PAYLOAD) as usize];
+                }
+                *touched += u64::from(w & TOUCHED == 0);
+                let slot = free.pop().unwrap_or_else(|| {
+                    slab.push(LinkState::new());
+                    (slab.len() - 1) as u32
+                });
+                words[link as usize] = TOUCHED | QUEUED | u64::from(slot);
+                let st = &mut slab[slot as usize];
+                st.last_pop1 = w & PAYLOAD;
+                st.busy_until = idle_busy_until(st.last_pop1, self.busy);
+                st.occ_cycle = u64::MAX;
+                st
+            }
+        }
+    }
+
+    /// Returns the slab slot of `link`, whose queue the transmission
+    /// phase emptied, restoring its one-word state.
+    #[inline]
+    fn release(&mut self, link: u32) {
+        if let Slots::Lazy {
+            words, slab, free, ..
+        } = &mut self.slots
+        {
+            let w = &mut words[link as usize];
+            debug_assert!(*w & QUEUED != 0, "link {link} holds no slot");
+            let slot = (*w & PAYLOAD) as u32;
+            let st = &slab[slot as usize];
+            debug_assert!(st.queue.is_empty(), "released a queued link");
+            debug_assert_eq!(
+                st.busy_until,
+                idle_busy_until(st.last_pop1, self.busy),
+                "busy_until not derivable from last_pop1"
+            );
+            *w = TOUCHED | st.last_pop1;
+            free.push(slot);
+        }
+    }
+
+    /// Queue length of `link` for injection's backpressure probe, which
+    /// touches the link even when the packet is then dropped.
+    #[inline]
+    fn probe_len(&mut self, link: u32) -> usize {
+        if let Slots::Lazy { words, touched, .. } = &mut self.slots {
+            let w = &mut words[link as usize];
+            *touched += u64::from(*w & TOUCHED == 0);
+            *w |= TOUCHED;
+        }
+        self.queue_len(link)
+    }
+
+    /// Queue length of `link`; never touches or allocates.
+    #[inline]
+    fn queue_len(&self, link: u32) -> usize {
+        self.peek(link).map_or(0, |st| st.queue.len())
+    }
+
+    /// Full state of `link` if it has one (eager, or a lazy link with
+    /// queued packets); never touches or allocates.
+    #[inline]
+    fn peek(&self, link: u32) -> Option<&LinkState> {
         match &self.slots {
             Slots::Eager(v) => v.get(link as usize),
-            Slots::Lazy { slab, pages } => {
-                let entry = pages[(link >> PAGE_BITS) as usize].as_ref()?
-                    [(link & (PAGE_SIZE as u32 - 1)) as usize];
-                (entry != 0).then(|| &slab[(entry - 1) as usize])
+            Slots::Lazy { words, slab, .. } => {
+                let w = words[link as usize];
+                (w & QUEUED != 0).then(|| &slab[(w & PAYLOAD) as usize])
             }
         }
     }
 
     /// End-of-cycle queue occupancy of `link` for backpressure checks:
     /// the snapshot taken this `cycle`, or 0 when the link has no
-    /// snapshot (empty queue). Never materialises.
+    /// snapshot (empty queue). Never touches.
     #[inline]
     fn occupancy_at(&self, link: u32, cycle: u64) -> u64 {
         self.peek(link)
@@ -513,58 +636,58 @@ fn deposit(
     pending: &mut Vec<u32>,
     ghosts_outstanding: &mut u64,
 ) {
-    let st = store.state_mut(link);
-    if hybrid && st.queue.is_empty() {
-        debug_assert!(!st.in_active, "empty queue must be off the worklist");
-        if st.last_pop1 > ready {
-            // An analytically committed packet is still awaiting service
-            // (it pops at last_pop1 - 1): promote to full queueing. The
-            // ghost reproduces that pending pop — the queued engine
-            // would have the real packet at the head here.
-            let t_pend = st.last_pop1 - 1;
-            st.busy_until = t_pend;
-            st.queue.push_back(FlatPacket {
-                id: 0,
-                injected_at: 0,
-                route: GHOST_ROUTE,
-                hop: 0,
-            });
-            st.queue.push_back(pkt);
-            *ghosts_outstanding += 1;
-            stats.max_queue_len = stats.max_queue_len.max(st.queue.len() as u64);
-            st.in_active = true;
-            pending.push(link);
-            return;
-        }
-        if st.busy_until <= ready && ready <= last_cycle {
-            // Uncontended: the queued engine would pop this packet at
-            // exactly `ready` — commit that transmission now.
-            let rlen = arena.route_len(pkt.route);
-            let final_hop = pkt.hop + 2 == rlen;
-            let delay = match switching {
-                Switching::StoreAndForward => busy,
-                Switching::CutThrough => {
-                    if final_hop {
-                        busy
-                    } else {
-                        1
+    if hybrid {
+        if let Some((busy_until, last_pop1)) = store.idle_timing(link) {
+            if last_pop1 > ready {
+                // An analytically committed packet is still awaiting
+                // service (it pops at last_pop1 - 1): promote to full
+                // queueing. The ghost reproduces that pending pop — the
+                // queued engine would have the real packet at the head
+                // here.
+                let st = store.state_mut(link);
+                st.busy_until = last_pop1 - 1;
+                st.queue.push_back(FlatPacket {
+                    id: 0,
+                    injected_at: 0,
+                    route: GHOST_ROUTE,
+                    hop: 0,
+                });
+                st.queue.push_back(pkt);
+                *ghosts_outstanding += 1;
+                stats.max_queue_len = stats.max_queue_len.max(st.queue.len() as u64);
+                pending.push(link);
+                return;
+            }
+            if busy_until <= ready && ready <= last_cycle {
+                // Uncontended: the queued engine would pop this packet
+                // at exactly `ready` — commit that transmission now.
+                let rlen = arena.route_len(pkt.route);
+                let final_hop = pkt.hop + 2 == rlen;
+                let delay = match switching {
+                    Switching::StoreAndForward => busy,
+                    Switching::CutThrough => {
+                        if final_hop {
+                            busy
+                        } else {
+                            1
+                        }
                     }
-                }
-            };
-            st.busy_until = ready + busy;
-            st.last_pop1 = ready + 1;
-            calendar.schedule(ready + delay - 1, ready, link, pkt);
-            stats.link_transmissions += 1;
-            stats.max_queue_len = stats.max_queue_len.max(1);
-            return;
+                };
+                store.commit(link, ready);
+                calendar.schedule(ready + delay - 1, ready, link, pkt);
+                stats.link_transmissions += 1;
+                stats.max_queue_len = stats.max_queue_len.max(1);
+                return;
+            }
+            // Link busy from an already-serviced transmission (or the
+            // run ends before `ready`): fall through to plain queueing.
         }
-        // Link busy from an already-serviced transmission (or the run
-        // ends before `ready`): fall through to plain queueing.
     }
+    let st = store.state_mut(link);
+    let was_idle = st.queue.is_empty();
     st.queue.push_back(pkt);
     stats.max_queue_len = stats.max_queue_len.max(st.queue.len() as u64);
-    if !st.in_active {
-        st.in_active = true;
+    if was_idle {
         pending.push(link);
     }
 }
@@ -604,14 +727,16 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     let table = LinkTable::build(net);
     let n_links = table.num_links();
     let mut arena = RouteArena::new();
-    let mut store = LinkStore::new(n_links, engine.store);
+    let mut store = LinkStore::new(n_links, engine.store, busy);
     // Non-empty-queue links, visited in ascending id order: `active` is
-    // sorted; links becoming non-empty are appended to `pending`
-    // (guarded by `LinkState::in_active`) and merged in before each
-    // transmission phase.
+    // sorted; a link whose queue becomes non-empty is appended to
+    // `pending` and merged in before the next transmission phase.
+    // `emptied` holds the links that phase emptied until their slots
+    // are returned.
     let mut active: Vec<u32> = Vec::new();
     let mut pending: Vec<u32> = Vec::new();
     let mut merge_buf: Vec<u32> = Vec::new();
+    let mut emptied: Vec<u32> = Vec::new();
     // An analytic landing can trail the drain cursor by up to `busy`
     // cycles (phase-3 deposits commit at `cycle + 1`).
     let mut calendar = EventCalendar::new(busy + 1);
@@ -712,7 +837,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
                     let link = arena.route_links(rid)[0];
                     if cfg
                         .queue_capacity
-                        .is_some_and(|cap| store.state_mut(link).queue.len() as u64 >= cap)
+                        .is_some_and(|cap| store.probe_len(link) as u64 >= cap)
                     {
                         stats.dropped_backpressure += 1;
                         break 'attempt;
@@ -744,9 +869,9 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
         }
 
         // Merge newly non-empty links into the sorted active list.
-        // `pending` and `active` are disjoint (the `in_active` guard),
-        // so a plain two-way merge keeps the list sorted and duplicate-
-        // free.
+        // `pending` and `active` are disjoint (a link enters `pending`
+        // only as its queue leaves empty), so a plain two-way merge
+        // keeps the list sorted and duplicate-free.
         if !pending.is_empty() {
             pending.sort_unstable();
             merge_buf.clear();
@@ -769,7 +894,9 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
 
         // Phase 2: start transmissions on every idle link with a queued
         // packet, in link-id order. Links whose queue empties are
-        // compacted out of the active list in place.
+        // compacted out of the active list in place; their slots are
+        // returned after the loop, since backpressure still reads their
+        // occupancy snapshots.
         if cfg.queue_capacity.is_some() {
             for &l in &active {
                 let st = store.state_mut(l);
@@ -837,18 +964,19 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
             let pkt = st.queue.pop_front().expect("active link has a packet");
             st.busy_until = cycle + busy;
             st.last_pop1 = cycle + 1;
-            let emptied = st.queue.is_empty();
-            if emptied {
-                st.in_active = false;
-            }
-            calendar.schedule(cycle + delay - 1, cycle, l, pkt);
-            started_this_cycle += 1;
-            if !emptied {
+            if st.queue.is_empty() {
+                emptied.push(l);
+            } else {
                 active[w] = l;
                 w += 1;
             }
+            calendar.schedule(cycle + delay - 1, cycle, l, pkt);
+            started_this_cycle += 1;
         }
         active.truncate(w);
+        for l in emptied.drain(..) {
+            store.release(l);
+        }
         stats.link_transmissions += started_this_cycle;
 
         // Phase 3: land packets whose hop completes this cycle, in
@@ -904,7 +1032,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
             let mut queued_packets = 0u64;
             let mut max_queue_len = 0u64;
             for &l in active.iter().chain(pending.iter()) {
-                let len = store.peek(l).map_or(0, |st| st.queue.len() as u64);
+                let len = store.queue_len(l) as u64;
                 queued_packets += len;
                 max_queue_len = max_queue_len.max(len);
             }
@@ -937,7 +1065,7 @@ pub(crate) fn run_flat<N: Network + ?Sized>(
     stats.in_flight_at_end = active
         .iter()
         .chain(pending.iter())
-        .map(|&l| store.peek(l).map_or(0, |st| st.queue.len() as u64))
+        .map(|&l| store.queue_len(l) as u64)
         .sum::<u64>()
         + calendar.in_flight()
         - ghosts_outstanding;
@@ -954,15 +1082,10 @@ mod tests {
     use super::*;
     use hhc_core::Hhc;
 
-    fn table() -> (Hhc, LinkTable) {
-        let h = Hhc::new(2).unwrap();
-        let t = LinkTable::build(&h);
-        (h, t)
-    }
-
     #[test]
     fn arena_interns_and_dedups() {
-        let (h, t) = table();
+        let h = Hhc::new(2).unwrap();
+        let t = LinkTable::build(&h);
         let mut arena = RouteArena::new();
         assert!(arena.is_empty());
         let route: Vec<u32> = h
@@ -998,7 +1121,8 @@ mod tests {
 
     #[test]
     fn arena_shards_spread_and_stay_consistent() {
-        let (h, t) = table();
+        let h = Hhc::new(2).unwrap();
+        let t = LinkTable::build(&h);
         let mut arena = RouteArena::new();
         let mut routes = Vec::new();
         for dst in 1u32..40 {
@@ -1065,24 +1189,104 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
+    /// `(slab length, free slots)` of a lazy store.
+    fn slab_of(store: &LinkStore) -> (usize, usize) {
+        match &store.slots {
+            Slots::Lazy { slab, free, .. } => (slab.len(), free.len()),
+            Slots::Eager(_) => unreachable!("a lazy store"),
+        }
+    }
+
+    fn word_of(store: &LinkStore, link: u32) -> u64 {
+        match &store.slots {
+            Slots::Lazy { words, .. } => words[link as usize],
+            Slots::Eager(_) => unreachable!("a lazy store"),
+        }
+    }
+
     #[test]
-    fn lazy_store_materialises_only_touched_links() {
-        let mut store = LinkStore::new(10_000, LinkStoreMode::Lazy);
+    fn lazy_store_counts_each_touched_link_once() {
+        let mut store = LinkStore::new(10_000, LinkStoreMode::Lazy, 1);
         assert_eq!(store.materialised(), 0);
-        assert!(store.peek(1234).is_none());
-        store.state_mut(1234).busy_until = 7;
-        store.state_mut(9_999).busy_until = 9;
-        store.state_mut(1234).last_pop1 = 3; // re-touch: no new slot
-        assert_eq!(store.materialised(), 2);
-        assert_eq!(store.peek(1234).unwrap().busy_until, 7);
-        assert_eq!(store.peek(9_999).unwrap().busy_until, 9);
-        assert!(store.peek(0).is_none());
-        assert!(store.peek(1235).is_none(), "same page, different link");
+        store.commit(1234, 7);
+        store.commit(1234, 9); // re-touch: not counted again
+        assert_eq!(store.probe_len(9_999), 0); // a probe touches
+        store.state_mut(5).queue.push_back(pkt(1));
+        store.state_mut(5).queue.push_back(pkt(2));
+        assert_eq!(store.probe_len(5), 2);
+        assert_eq!(store.materialised(), 3);
+        assert_eq!(store.idle_timing(1234), Some((10, 10)));
+        assert_eq!(store.idle_timing(5), None);
+        assert_eq!(word_of(&store, 9_999), TOUCHED);
+        assert_eq!(slab_of(&store), (1, 0), "only the queued link has a slot");
+    }
+
+    #[test]
+    fn lazy_store_peeks_never_touch_or_allocate() {
+        let mut store = LinkStore::new(10_000, LinkStoreMode::Lazy, 3);
+        store.commit(40, 11);
+        for link in [0, 40, 41, 9_999] {
+            assert_eq!(store.queue_len(link), 0);
+            assert_eq!(store.occupancy_at(link, 12), 0);
+            assert!(store.peek(link).is_none());
+        }
+        assert_eq!(store.idle_timing(41), Some((0, 0)), "never served");
+        assert_eq!(store.idle_timing(40), Some((14, 12)));
+        assert_eq!(store.materialised(), 1);
+        assert_eq!(slab_of(&store), (0, 0));
+        assert_eq!(word_of(&store, 41), 0);
+    }
+
+    #[test]
+    fn lazy_store_returned_slot_restores_the_one_word_state() {
+        let busy = 4;
+        let mut store = LinkStore::new(100, LinkStoreMode::Lazy, busy);
+        store.commit(17, 20); // busy through 24
+        let st = store.state_mut(17);
+        assert_eq!((st.busy_until, st.last_pop1), (24, 21), "derived on entry");
+        st.queue.push_back(pkt(1));
+        // Phase 2 pops the packet at cycle 24 and empties the queue.
+        let st = store.state_mut(17);
+        st.queue.pop_front();
+        st.busy_until = 24 + busy;
+        st.last_pop1 = 25;
+        store.release(17);
+        assert_eq!(word_of(&store, 17), TOUCHED | 25);
+        assert_eq!(store.idle_timing(17), Some((28, 25)));
+        assert_eq!(slab_of(&store), (1, 1));
+        assert_eq!(store.materialised(), 1);
+    }
+
+    #[test]
+    fn lazy_store_recycles_slots_through_the_free_list() {
+        let mut store = LinkStore::new(100, LinkStoreMode::Lazy, 1);
+        store.state_mut(3).queue.push_back(pkt(1));
+        store.state_mut(8).queue.push_back(pkt(2));
+        assert_eq!(slab_of(&store), (2, 0));
+        for link in [3, 8] {
+            // Phase 2 snapshots and pops at cycle 0.
+            let st = store.state_mut(link);
+            st.occ_cycle = 0;
+            st.queue.pop_front();
+            st.busy_until = 1;
+            st.last_pop1 = 1;
+            store.release(link);
+        }
+        assert_eq!(slab_of(&store), (2, 2));
+        // A new queued link takes a recycled slot, its queue's buffer
+        // kept and its snapshot invalidated.
+        let st = store.state_mut(50);
+        assert!(st.queue.is_empty() && st.queue.capacity() > 0);
+        assert_eq!(st.occ_cycle, u64::MAX);
+        st.queue.push_back(pkt(3));
+        assert_eq!(slab_of(&store), (2, 1));
+        assert_eq!(store.queue_len(50), 1);
+        assert_eq!(store.materialised(), 3);
     }
 
     #[test]
     fn eager_store_materialises_everything_up_front() {
-        let store = LinkStore::new(48, LinkStoreMode::Eager);
+        let store = LinkStore::new(48, LinkStoreMode::Eager, 1);
         assert_eq!(store.materialised(), 48);
         assert!(store.peek(47).is_some());
     }

@@ -49,55 +49,53 @@ impl RouteScratch {
     }
 }
 
-/// Dense directed-link index over a materialisable network, built once
-/// per simulation run: CSR adjacency with link ids `0..num_links()`
-/// assigned in ascending `(from, to)` order. That is exactly the order a
-/// `BTreeMap<(NodeId, NodeId), _>` iterates, so a sweep over ascending
-/// link ids reproduces the legacy map-ordered link sweep — the flat core
-/// relies on this for byte-identical statistics.
-#[derive(Debug, Clone)]
-pub struct LinkTable {
-    /// `offsets[u]..offsets[u + 1]` indexes `targets` with `u`'s
-    /// neighbours in ascending order; a link id *is* a `targets` index.
-    offsets: Vec<u32>,
-    targets: Vec<u32>,
+/// Directed-link ids of a network, computed from the addresses. Node
+/// `from` owns ids `from · degree .. (from + 1) · degree`, one per
+/// neighbour in ascending address order, so ids ascend in `(from, to)`
+/// order: exactly the order a `BTreeMap<(NodeId, NodeId), _>` iterates.
+/// A sweep over ascending link ids therefore reproduces the legacy
+/// map-ordered link sweep; the flat core relies on this for
+/// byte-identical statistics.
+///
+/// Every [`Network`] is a bit-flip network: `from`'s neighbours are
+/// `from ^ (1 << b)` for the set bits `b` of its
+/// [`flip_mask`](Network::flip_mask) `F`. Flipping a set bit of `from`
+/// gives a smaller neighbour, the higher the bit the smaller; flipping a
+/// clear bit gives a larger one, the higher the bit the larger. So the
+/// rank of the neighbour across bit `b` is the number of set bits of
+/// `F & from` above `b` when bit `b` of `from` is set, and otherwise all
+/// of `F & from`'s set bits plus the clear bits of `from` in `F` below
+/// `b`. Building the table costs O(1) and stores nothing per node.
+#[derive(Debug)]
+pub struct LinkTable<'n, N: Network + ?Sized> {
+    net: &'n N,
+    address_bits: u32,
+    degree: u32,
 }
 
-impl LinkTable {
-    /// Materialises the directed-link index of `net`.
+impl<'n, N: Network + ?Sized> LinkTable<'n, N> {
+    /// The directed-link index of `net`.
     ///
     /// # Panics
     ///
-    /// Panics above `MAX_ADDRESS_BITS` address bits (the
-    /// table is dense in nodes); [`crate::Simulator::try_new`] rejects
-    /// such networks first.
-    pub fn build<N: Network + ?Sized>(net: &N) -> Self {
+    /// Panics above `MAX_ADDRESS_BITS` address bits (link ids are
+    /// `u32`); [`crate::Simulator::try_new`] rejects such networks
+    /// first.
+    pub fn build(net: &'n N) -> Self {
         assert!(
             net.address_bits() <= crate::sim::MAX_ADDRESS_BITS,
             "link table on a huge network"
         );
-        let n = 1usize << net.address_bits();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        let mut nbrs: Vec<u32> = Vec::new();
-        for u in 0..n {
-            nbrs.clear();
-            nbrs.extend(
-                net.neighbors_of(NodeId::from_raw(u as u128))
-                    .iter()
-                    .map(|v| v.raw() as u32),
-            );
-            nbrs.sort_unstable();
-            targets.extend_from_slice(&nbrs);
-            offsets.push(targets.len() as u32);
+        LinkTable {
+            net,
+            address_bits: net.address_bits(),
+            degree: net.degree(),
         }
-        LinkTable { offsets, targets }
     }
 
     /// Number of directed links (= valid link ids).
     pub fn num_links(&self) -> usize {
-        self.targets.len()
+        (1usize << self.address_bits) * self.degree as usize
     }
 
     /// Link id of the directed edge `(from, to)`.
@@ -108,12 +106,19 @@ impl LinkTable {
     /// routes are validated by construction, so the simulator never asks.
     #[inline]
     pub fn link_id(&self, from: u32, to: u32) -> u32 {
-        let lo = self.offsets[from as usize] as usize;
-        let hi = self.offsets[from as usize + 1] as usize;
-        match self.targets[lo..hi].binary_search(&to) {
-            Ok(i) => (lo + i) as u32,
-            Err(_) => panic!("({from}, {to}) is not a directed link"),
+        let flips = self.net.flip_mask(NodeId::from_raw(from as u128));
+        debug_assert_eq!(flips.count_ones(), self.degree, "irregular flip mask");
+        let bit = (from ^ to) as u128;
+        if from >> self.address_bits != 0 || !bit.is_power_of_two() || flips & bit == 0 {
+            panic!("({from}, {to}) is not a directed link");
         }
+        let (f, below) = (from as u128 & flips, bit - 1);
+        let rank = if f & bit != 0 {
+            (f & !(below | bit)).count_ones()
+        } else {
+            f.count_ones() + (!(from as u128) & flips & below).count_ones()
+        };
+        from * self.degree + rank
     }
 }
 
@@ -127,6 +132,11 @@ pub trait Network: AddressSpace {
 
     /// Whether `{a, b}` is an edge.
     fn is_edge(&self, a: NodeId, b: NodeId) -> bool;
+
+    /// The address bits a link of `v` flips: `v`'s neighbours are
+    /// exactly `v ^ (1 << b)` for the set bits `b`, `degree()` of them.
+    /// [`LinkTable`] computes link ids from it.
+    fn flip_mask(&self, v: NodeId) -> u128;
 
     /// The deterministic single route from `src` to `dst` (`src ≠ dst`).
     ///
@@ -194,6 +204,13 @@ impl Network for Hhc {
 
     fn is_edge(&self, a: NodeId, b: NodeId) -> bool {
         Hhc::is_edge(self, a, b)
+    }
+
+    /// The `m` son-cube bits, and the cube-field bit `m + Y` of the
+    /// external link.
+    fn flip_mask(&self, v: NodeId) -> u128 {
+        let m = self.m();
+        ((1u128 << m) - 1) | 1u128 << (m + self.node_field(v))
     }
 
     fn route(&self, src: NodeId, dst: NodeId) -> Path {
@@ -272,6 +289,10 @@ impl Network for CubeNet {
 
     fn is_edge(&self, a: NodeId, b: NodeId) -> bool {
         self.0.distance(a.raw(), b.raw()) == 1
+    }
+
+    fn flip_mask(&self, _: NodeId) -> u128 {
+        (1u128 << self.0.dim()) - 1
     }
 
     fn route(&self, src: NodeId, dst: NodeId) -> Path {
@@ -390,11 +411,91 @@ mod tests {
         assert_eq!(next as usize, t.num_links());
     }
 
+    /// The CSR link index the engine built before ids were computed:
+    /// node `u`'s links are numbered from `offsets[u]`, in ascending
+    /// order of their far end. Only the offsets are stored; a node's
+    /// sorted neighbour list is rebuilt per lookup.
+    struct CsrOracle {
+        offsets: Vec<u32>,
+    }
+
+    impl CsrOracle {
+        fn build<N: Network>(net: &N) -> Self {
+            let mut offsets = vec![0u32];
+            for u in 0..1u128 << net.address_bits() {
+                let d = net.neighbors_of(NodeId::from_raw(u)).len() as u32;
+                offsets.push(offsets[offsets.len() - 1] + d);
+            }
+            CsrOracle { offsets }
+        }
+
+        fn num_links(&self) -> usize {
+            self.offsets[self.offsets.len() - 1] as usize
+        }
+
+        /// `(to, id)` for every link leaving `from`.
+        fn links_of<N: Network>(&self, net: &N, from: u32) -> Vec<(u32, u32)> {
+            let mut nbrs: Vec<u32> = net
+                .neighbors_of(NodeId::from_raw(from as u128))
+                .iter()
+                .map(|v| v.raw() as u32)
+                .collect();
+            nbrs.sort_unstable();
+            (self.offsets[from as usize]..)
+                .zip(nbrs)
+                .map(|(id, to)| (to, id))
+                .collect()
+        }
+    }
+
+    /// Checks computed ids against the CSR oracle on every link leaving
+    /// every node of `net`, or `samples` seeded nodes when given.
+    fn assert_ids_match_csr<N: Network>(net: &N, samples: Option<usize>) {
+        use rand::{Rng, SeedableRng};
+        let oracle = CsrOracle::build(net);
+        let table = LinkTable::build(net);
+        assert_eq!(table.num_links(), oracle.num_links(), "{}", net.name());
+        let n = 1u32 << net.address_bits();
+        let nodes: Vec<u32> = match samples {
+            None => (0..n).collect(),
+            Some(k) => {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(0x11D5);
+                (0..k).map(|_| rng.gen_range(0..n)).collect()
+            }
+        };
+        for from in nodes {
+            for (to, id) in oracle.links_of(net, from) {
+                assert_eq!(table.link_id(from, to), id, "{} ({from}, {to})", net.name());
+            }
+        }
+    }
+
+    #[test]
+    fn computed_link_ids_equal_the_csr_oracle() {
+        for m in 1..=3 {
+            assert_ids_match_csr(&Hhc::new(m).unwrap(), None);
+        }
+        for n in 1..=11 {
+            assert_ids_match_csr(&CubeNet(Cube::new(n).unwrap()), None);
+        }
+        assert_ids_match_csr(&Hhc::new(4).unwrap(), Some(10_000));
+        assert_ids_match_csr(&CubeNet(Cube::new(20).unwrap()), Some(10_000));
+    }
+
     #[test]
     #[should_panic(expected = "not a directed link")]
     fn link_table_rejects_non_edges() {
         let h = Hhc::new(2).unwrap();
         LinkTable::build(&h).link_id(0, 63);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a directed link")]
+    fn link_table_rejects_a_flip_outside_the_mask() {
+        // Node 0 of HHC(2) sits at son-cube position 0: its external
+        // link flips address bit 2, not bit 3.
+        let h = Hhc::new(2).unwrap();
+        LinkTable::build(&h).link_id(0, 8);
     }
 
     #[test]

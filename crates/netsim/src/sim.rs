@@ -15,9 +15,10 @@
 //! pattern, strategy).
 //!
 //! [`Simulator::run`] executes the **flat core** ([`crate::flat`]):
-//! u32 link ids over a CSR link table, link-queue state materialised
-//! lazily on first use, interned routes in a sharded arena, a
-//! skip-sampled arrival stream, and a timing-wheel event calendar. Per
+//! u32 link ids computed from the addresses, one word of link state per
+//! link with full queue state only for queued links, interned routes in
+//! a sharded arena, a skip-sampled arrival stream, and a timing-wheel
+//! event calendar. Per
 //! cycle, cost is proportional to *traffic* (active links and landing
 //! packets), not to topology size; together with the engine's hybrid
 //! link fidelity ([`crate::flat::Fidelity`]) this lets HHC(4) — 2^20
@@ -39,11 +40,12 @@ use workloads::Pattern;
 
 /// Largest network (in address bits) the engine accepts. 20 bits admits
 /// HHC(4) (2^20 ≈ 1M nodes) and its matching cube Q_20. The bound is
-/// set by the dense per-node structures that remain after the lazy link
-/// store: the CSR link-table offsets, the healthy-source index of a run
-/// with static faults, and the pattern/arrival index space — all linear
-/// in node count, under 10 bytes per node at 20 bits. Raising it further
-/// is a memory budget question, not an algorithmic one.
+/// set by the dense structures the engine keeps: the lazy link store's
+/// word per directed link (8 bytes per link: 40 per node on HHC(4), 160
+/// on Q_20), the healthy-source index of a run with static faults (4
+/// bytes per node), and the `u32` link ids, which must number
+/// `2^bits · degree` links. Raising it further is a memory budget
+/// question, not an algorithmic one.
 pub(crate) const MAX_ADDRESS_BITS: u32 = 20;
 
 /// Switching discipline: how a multi-flit packet crosses a link chain.
@@ -118,10 +120,9 @@ impl Default for SimConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimError {
     /// The network exceeds [`Simulator::MAX_ADDRESS_BITS`] address bits
-    /// (currently 20, i.e. up to HHC(4)/Q_20 at 2^20 nodes). Even with
-    /// the lazy link store the engine keeps a few dense per-node tables
-    /// (CSR link offsets, the healthy-source index), so the address space
-    /// must stay materialisable.
+    /// (currently 20, i.e. up to HHC(4)/Q_20 at 2^20 nodes). The engine
+    /// keeps a word of state per directed link and a healthy-source
+    /// index per node, so the address space must stay materialisable.
     NetworkTooLarge {
         /// Address bits of the offending network.
         address_bits: u32,
@@ -182,9 +183,9 @@ impl<'a, N: Network + ?Sized> Simulator<'a, N> {
     /// # Panics
     ///
     /// Panics when the network exceeds [`Simulator::MAX_ADDRESS_BITS`]
-    /// (= 20) address bits — the engine keeps dense per-node tables, so
-    /// the address space must stay materialisable; use
-    /// [`Simulator::try_new`] for a typed error instead.
+    /// (= 20) address bits — the engine keeps dense per-link and
+    /// per-node tables, so the address space must stay materialisable;
+    /// use [`Simulator::try_new`] for a typed error instead.
     pub fn new(net: &'a N, pattern: Pattern, strategy: Strategy) -> Self {
         Self::try_new(net, pattern, strategy).unwrap_or_else(|e| panic!("{e}"))
     }

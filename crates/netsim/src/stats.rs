@@ -68,9 +68,10 @@ pub struct SimStats {
     /// instead of re-running fans and max-flows. Routes are identical
     /// either way; this only measures construction effort saved.
     pub route_family_hits: u64,
-    /// Link-state slots materialised by the engine's link store — the
-    /// number of distinct directed links the run's traffic actually
-    /// crossed (lazy store), or the full link count (eager store).
+    /// Directed links the engine's link store materialised: with the
+    /// lazy store, the distinct links the run touched (every link a
+    /// packet was deposited onto, plus every first link injection probed
+    /// for backpressure); with the eager store, the full link count.
     /// Always ≤ [`links_total`](Self::links_total).
     pub peak_links_materialised: u64,
     /// Directed links in the simulated topology.
@@ -137,18 +138,20 @@ impl SimStats {
             .then(|| self.route_family_hits as f64 / self.route_constructions as f64)
     }
 
-    /// Estimated engine memory per node (bytes): the dense CSR link
-    /// table plus the materialised link-state slots (slab entry + page
-    /// map), amortised over the node count. A derived observability
-    /// figure — it tracks the lazy store's memory win in sidecars, not
-    /// an exact RSS accounting.
+    /// Estimated engine memory per node (bytes), priced at a link layout
+    /// the engine no longer has: 8 bytes of CSR link table per link, plus
+    /// 80 per materialised link (a 72-byte slab entry and its page-map
+    /// share), amortised over the node count. The figure is frozen
+    /// because it is inside every `flat_equivalence` golden hash; today
+    /// the lazy store keeps one 8-byte word per link and a slab slot only
+    /// per queued link. A derived observability figure, not an RSS
+    /// accounting.
     pub fn bytes_per_node(&self) -> f64 {
         if self.nodes == 0 {
             return 0.0;
         }
-        let link_state = std::mem::size_of::<crate::flat::LinkState>() as u64 + 8;
         let table = self.links_total * 8;
-        let store = self.peak_links_materialised * link_state;
+        let store = self.peak_links_materialised * 80;
         (table + store) as f64 / self.nodes as f64
     }
 
