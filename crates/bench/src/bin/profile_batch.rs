@@ -224,11 +224,11 @@ fn main() {
     queries.retain(|(_, t)| !t.is_empty());
     let mut fs = hypercube::FanScratch::new();
     for (s, tg) in &queries {
-        let _ = hypercube::fan_paths_into(&cube, *s, tg, &mut fs);
+        let _ = hypercube::fan_paths_into(&cube, *s, tg, 0, &mut fs);
     }
     let fan = min_time(repeats, || {
         for (s, tg) in &queries {
-            let _ = hypercube::fan_paths_into(&cube, *s, tg, &mut fs);
+            let _ = hypercube::fan_paths_into(&cube, *s, tg, 0, &mut fs);
             std::hint::black_box(&fs);
         }
     });

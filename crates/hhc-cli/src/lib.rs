@@ -115,6 +115,11 @@ impl std::fmt::Display for CliError {
     }
 }
 
+/// The most router workers `hhc serve --threads` accepts: a larger
+/// count is refused when the command line is parsed, before any thread
+/// is asked of the OS.
+pub const MAX_SERVE_THREADS: usize = 256;
+
 /// Usage text.
 pub const USAGE: &str = "usage:
   hhc info <m>                         topology facts for HHC(m)
@@ -141,7 +146,7 @@ pub const USAGE: &str = "usage:
                                        fault schedule is `<at> <+|-> <X:Y>`
                                        lines applied at window boundaries;
                                        reports per-window qps and p50/p99
-                                       service time
+                                       service time; at most 256 threads
 node syntax: X:Y, both fields hexadecimal (e.g. a5:3)
 --metrics appends a JSON line with solver/fan/timing counters";
 
@@ -378,8 +383,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                         let n: usize = val("--threads")?
                             .parse()
                             .map_err(|e| CliError(format!("bad thread count: {e}")))?;
-                        if n == 0 {
-                            return Err(CliError("--threads must be at least 1".into()));
+                        if !(1..=MAX_SERVE_THREADS).contains(&n) {
+                            return Err(CliError(format!(
+                                "--threads must be between 1 and {MAX_SERVE_THREADS}"
+                            )));
                         }
                         threads = Some(n);
                         i += 2;
@@ -441,7 +448,8 @@ fn parse_fault_schedule(src: &str) -> Result<Vec<FaultEvent>, CliError> {
             Some("-") => false,
             _ => return Err(err("expected `+` or `-` after the query index")),
         };
-        let node = parse_node(parts.next().ok_or_else(|| err("missing node"))?)?;
+        let node =
+            parse_node(parts.next().ok_or_else(|| err("missing node"))?).map_err(|e| err(&e.0))?;
         if parts.next().is_some() {
             return Err(err("trailing tokens"));
         }
@@ -465,8 +473,10 @@ fn parse_query_stream(src: &str) -> Result<Vec<RawPair>, CliError> {
         }
         let mut parts = line.split_whitespace();
         let err = |what: &str| CliError(format!("query line {}: {what}", ln + 1));
-        let u = parse_node(parts.next().ok_or_else(|| err("missing source node"))?)?;
-        let v = parse_node(parts.next().ok_or_else(|| err("missing target node"))?)?;
+        let u = parse_node(parts.next().ok_or_else(|| err("missing source node"))?)
+            .map_err(|e| err(&e.0))?;
+        let v = parse_node(parts.next().ok_or_else(|| err("missing target node"))?)
+            .map_err(|e| err(&e.0))?;
         if parts.next().is_some() {
             return Err(err("trailing tokens"));
         }
@@ -1305,11 +1315,24 @@ mod tests {
                 metrics: true
             })
         );
+        // The thread ceiling is checked here, at parse time: no router
+        // is built, so no thread is started.
+        let at_cap = format!("serve 3 --queries a --threads {MAX_SERVE_THREADS}");
+        assert!(matches!(
+            parse(&argv(&at_cap)),
+            Ok(Command::Serve {
+                threads: Some(MAX_SERVE_THREADS),
+                ..
+            })
+        ));
         for bad in [
             "serve 3",
             "serve 3 --queries",
             "serve 3 --queries a --queries b",
             "serve 3 --queries a --threads 0",
+            "serve 3 --queries a --threads 257",
+            "serve 3 --queries a --threads 18446744073709551615",
+            "serve 3 --queries a --threads 99999999999999999999",
             "serve 3 --queries a --window 0",
             "serve 3 --queries a --window",
             "serve 3 --queries a stray",
@@ -1339,6 +1362,99 @@ mod tests {
         assert_eq!(pairs, vec![((0, 0), (0xA, 3)), ((1, 1), (2, 2))]);
         for bad in ["0:0", "0:0 a:3 b:1", "zz:0 a:3"] {
             assert!(parse_query_stream(bad).is_err(), "{bad:?} should not parse");
+        }
+        // A malformed node names its line.
+        let err = parse_query_stream("0:0 a:3\n\n1:1 2:zz\n").unwrap_err();
+        assert!(err.0.starts_with("query line 3: node field"), "{err}");
+        let err = parse_fault_schedule("# c\n4 + 5\n").unwrap_err();
+        assert!(err.0.starts_with("fault schedule line 2: node"), "{err}");
+    }
+
+    /// A valid query stream and fault schedule, the seeds of the
+    /// hostile-input property.
+    const QUERIES: &str = "0:0 a5:3\n# warm-up\n\n1f:2 0x3c:0X1  # inline\nff:7 0:0\n";
+    const FAULTS: &str = "0 + a5:3\n# comment\n10 - a5:3\n\n12 + 0x7:1  # inline\n";
+
+    /// The bytes a hostile edit writes: the syntax of both formats, plus
+    /// whitespace, line breaks and digits that may overflow a field.
+    const EDIT_BYTES: &[u8] = b"0123456789abcdefgxX:+-# \n\t\r";
+
+    fn mutate(src: &str, edits: &[(usize, u8, usize)]) -> String {
+        let mut bytes = src.as_bytes().to_vec();
+        for &(at, kind, byte) in edits {
+            let byte = EDIT_BYTES[byte % EDIT_BYTES.len()];
+            match kind {
+                0 if !bytes.is_empty() => {
+                    bytes.remove(at % bytes.len());
+                }
+                1 => bytes.insert(at % (bytes.len() + 1), byte),
+                _ if !bytes.is_empty() => {
+                    let at = at % bytes.len();
+                    bytes[at] = byte;
+                }
+                _ => {}
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    /// Whether `msg` starts with `<what> line N:` for a line `N` of `src`.
+    fn names_a_line(msg: &str, what: &str, src: &str) -> bool {
+        msg.strip_prefix(what)
+            .and_then(|rest| rest.strip_prefix(" line "))
+            .and_then(|rest| rest.split_once(':'))
+            .and_then(|(n, _)| n.parse::<usize>().ok())
+            .is_some_and(|n| (1..=src.lines().count()).contains(&n))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(2000))]
+
+        /// Hostile `hhc serve` input: a valid query stream or fault
+        /// schedule with one to eight one-byte edits never panics the
+        /// parser; an error names a line of the input, and an answer
+        /// printed back in `X:Y` form parses to the same pairs or events.
+        #[test]
+        fn mutated_streams_parse_or_name_a_line(
+            edits in proptest::collection::vec(
+                (proptest::arbitrary::any::<usize>(), 0u8..3, proptest::arbitrary::any::<usize>()),
+                1..=8,
+            ),
+        ) {
+            let queries = mutate(QUERIES, &edits);
+            let parsed = std::panic::catch_unwind(|| parse_query_stream(&queries));
+            proptest::prop_assert!(parsed.is_ok(), "query parser panicked on {:?}", queries);
+            match parsed.unwrap() {
+                Ok(pairs) => {
+                    let printed: String = pairs
+                        .iter()
+                        .map(|((ux, uy), (vx, vy))| format!("{ux:x}:{uy:x} {vx:x}:{vy:x}\n"))
+                        .collect();
+                    proptest::prop_assert_eq!(parse_query_stream(&printed), Ok(pairs));
+                }
+                Err(e) => proptest::prop_assert!(
+                    names_a_line(&e.0, "query", &queries),
+                    "{:?} on {:?}", e.0, queries
+                ),
+            }
+            let faults = mutate(FAULTS, &edits);
+            let parsed = std::panic::catch_unwind(|| parse_fault_schedule(&faults));
+            proptest::prop_assert!(parsed.is_ok(), "fault parser panicked on {:?}", faults);
+            match parsed.unwrap() {
+                Ok(events) => {
+                    let printed: String = events
+                        .iter()
+                        .map(|&(at, add, (x, y))| {
+                            format!("{at} {} {x:x}:{y:x}\n", if add { '+' } else { '-' })
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(parse_fault_schedule(&printed), Ok(events));
+                }
+                Err(e) => proptest::prop_assert!(
+                    names_a_line(&e.0, "fault schedule", &faults),
+                    "{:?} on {:?}", e.0, faults
+                ),
+            }
         }
     }
 

@@ -34,9 +34,10 @@
 //!    plan's terminal stubs against the listed faults and its middle
 //!    walk against the oracle (probed only when some fault's offset
 //!    lies within the plan's crossing set), and serves the terminal
-//!    segments with *fault-avoiding* fans
-//!    ([`hypercube::fan::fan_paths_avoiding`]); a plan whose fan target
-//!    goes unserved is retired for good and selection re-runs.
+//!    segments with *fault-avoiding* fans (the plain families' canonical
+//!    [`hypercube::fan::fan_paths_into`], given the terminal cubes'
+//!    faulty coordinates); a plan whose fan target goes unserved is
+//!    retired for good and selection re-runs.
 //! 4. Degradation is graceful, never a panic: if the rebuild yields
 //!    fewer paths than simply dropping the blocked ones from the plain
 //!    family (case A always, case B when faults overwhelm the pool), the

@@ -48,11 +48,12 @@
 //! other plan consumes one of the `m` fan targets on that side, so the
 //! family stops at `m` plans.
 //!
-//! Only the fan solve depends on the mode. Fault-blind fans are solved in
-//! canonical form, which fixes the fans of every plain (hence every
-//! cached) family; a rebuild solves its fans directly. The two solves
-//! pick different valid fans, so switching the rebuild to the canonical
-//! form would move rebuilt answers.
+//! Both modes solve their fans the same way: one canonical solve per
+//! terminal cube (`hypercube::fan::fan_paths_into`, the source
+//! translated to 0 and the cube's faulty coordinates with it), with no
+//! forbidden coordinate in a fault-blind family. The crossing orders come
+//! from one walk of the Gray cycle (`hypercube::gray::gray_order_into`)
+//! over `D` as a one-word position set.
 //!
 //! All intermediate state lives in the caller's [`PathBuilder`]. A plan's
 //! positions are written into its arena the first time selection reaches
@@ -66,47 +67,12 @@ use crate::fault::FaultOracle;
 use crate::node::NodeId;
 use crate::pathset::PathSet;
 use crate::topology::Hhc;
-use hypercube::fan::{fan_paths_avoiding, fan_paths_canonical};
-use hypercube::gray::gray_rank;
+use hypercube::fan::fan_paths_into;
 use hypercube::FanScratch;
 
 /// Sentinel in the per-plan segment tables: the plan starts (resp. ends)
 /// at the terminal's own coordinate, so no fan segment is needed.
 const SELF: u32 = u32::MAX;
-
-/// Appends the differing positions to `out` in plan order according to
-/// `order`, anchored at `anchor` (Gray order starts at the first position
-/// the Gray cycle visits at-or-after the anchor). Scratch-buffer
-/// equivalent of `hypercube::gray::sort_along_gray_cycle`.
-fn order_positions_into(
-    d: &[u32],
-    m: u32,
-    anchor: u32,
-    order: CrossingOrder,
-    keyed: &mut Vec<(u64, u32)>,
-    out: &mut Vec<u32>,
-) {
-    match order {
-        CrossingOrder::Gray => {
-            let period = 1u64 << m;
-            let anchor_rank = gray_rank(anchor as u64);
-            keyed.clear();
-            keyed.extend(d.iter().map(|&p| {
-                let r = gray_rank(p as u64);
-                // Cyclic distance from the anchor's rank, so the order
-                // starts at the anchor's position on the cycle.
-                ((r + period - anchor_rank) % period, p)
-            }));
-            keyed.sort_unstable();
-            out.extend(keyed.iter().map(|&(_, p)| p));
-        }
-        CrossingOrder::Sorted => {
-            // `d` is produced in ascending position order already.
-            debug_assert!(d.windows(2).all(|w| w[0] < w[1]));
-            out.extend_from_slice(d);
-        }
-    }
-}
 
 /// Appends the cross-cube family from `u` to `v` to `out`, past the
 /// paths already there, and returns how many of its paths are rotations
@@ -134,14 +100,13 @@ pub(super) fn cross_cube_into(
     let dx = xu ^ xv;
     debug_assert_ne!(dx, 0, "case B requires differing cube fields");
     let in_d = |p: u32| dx >> p & 1 == 1;
-
-    sc.d_positions.clear();
-    sc.d_positions.extend((0..num).filter(|&p| in_d(p)));
-    let k = sc.d_positions.len();
+    // D as a position set: `2^m ≤ 64` positions fit one word.
+    let d = dx as u64;
+    let k = dx.count_ones() as usize;
     // The rotation base order (shared by all rotations so that their
     // intermediate cube sets are cyclic intervals of one fixed sequence).
     sc.gd.clear();
-    order_positions_into(&sc.d_positions, m, yu, order, &mut sc.keyed, &mut sc.gd);
+    order.positions_into(d, m, yu, &mut sc.gd);
 
     // The degree-forced plans, by first crossing: the one starting at
     // int(Yu), and the one ending at int(Yv) (a rotation ending at gd[i]
@@ -203,14 +168,7 @@ pub(super) fn cross_cube_into(
                     // coordinate; the disjointness argument only needs
                     // bit c, not a shared order.
                     sc.arena.push(c);
-                    order_positions_into(
-                        &sc.d_positions,
-                        m,
-                        c,
-                        order,
-                        &mut sc.keyed,
-                        &mut sc.arena,
-                    );
+                    order.positions_into(d, m, c, &mut sc.arena);
                     sc.arena.push(c);
                 }
                 if let Some(faults) = faults {
@@ -272,40 +230,28 @@ pub(super) fn cross_cube_into(
             }
         }
 
-        // --- Terminal fans (the one mode-specific step) ------------------
-        let all_served = match faults {
-            // Canonical form (source translated to 0, targets sorted)
-            // fixes the fans every plain family uses: valid fans,
-            // deterministic per canonical class, not of minimum total
-            // length; a direct solve would pick different valid fans.
-            None => {
-                fan_paths_canonical(&cube, yu as u128, &sc.src_targets, &mut sc.src_fan)
-                    .expect("fan lemma: m distinct targets in Q_m");
-                fan_paths_canonical(&cube, yv as u128, &sc.tgt_targets, &mut sc.tgt_fan)
-                    .expect("fan lemma: m distinct targets in Q_m");
-                true
-            }
-            // Faulty coordinates are excluded from the fans.
-            Some(_) => {
-                let served_src = fan_paths_avoiding(
-                    &cube,
-                    yu as u128,
-                    &sc.src_targets,
-                    forb_src,
-                    &mut sc.src_fan,
-                )
-                .expect("avoiding fan: distinct non-source targets in Q_m");
-                let served_tgt = fan_paths_avoiding(
-                    &cube,
-                    yv as u128,
-                    &sc.tgt_targets,
-                    forb_tgt,
-                    &mut sc.tgt_fan,
-                )
-                .expect("avoiding fan: distinct non-source targets in Q_m");
-                served_src == sc.src_targets.len() && served_tgt == sc.tgt_targets.len()
-            }
-        };
+        // --- Terminal fans ------------------------------------------------
+        // One canonical solve per terminal cube (source translated to 0,
+        // the cube's faulty coordinates with it; none without faults),
+        // which fixes the fans every family uses: valid fans,
+        // deterministic per canonical class, not of minimum total length.
+        let served_src = fan_paths_into(
+            &cube,
+            yu as u128,
+            &sc.src_targets,
+            forb_src,
+            &mut sc.src_fan,
+        )
+        .expect("fan: distinct non-source targets in Q_m");
+        let served_tgt = fan_paths_into(
+            &cube,
+            yv as u128,
+            &sc.tgt_targets,
+            forb_tgt,
+            &mut sc.tgt_fan,
+        )
+        .expect("fan: distinct non-source targets in Q_m");
+        let all_served = served_src == sc.src_targets.len() && served_tgt == sc.tgt_targets.len();
         if !all_served {
             // Retire every plan whose terminal segment the fans could not
             // route around the faults, and re-select.

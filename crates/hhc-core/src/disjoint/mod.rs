@@ -37,6 +37,7 @@ use crate::pathset::PathSet;
 use crate::topology::Hhc;
 use crate::Path;
 use family_cache::{CacheConfig, SharedFamilyCache};
+use hypercube::gray::gray_order_into;
 use hypercube::FanScratch;
 use plan::{assemble_into, CrossingPlan};
 use std::sync::Arc;
@@ -52,6 +53,18 @@ pub enum CrossingOrder {
     /// Ascending numeric order — the naive choice, kept for the ablation
     /// experiment (F5). Correct but up to `m×` longer intra-cube walks.
     Sorted,
+}
+
+impl CrossingOrder {
+    /// Appends the positions of `set` (`m ≤ 6`, so a position set is one
+    /// word) to `out` in this order: along the Gray cycle from `anchor`,
+    /// or ascending.
+    pub(crate) fn positions_into(self, set: u64, m: u32, anchor: u32, out: &mut Vec<u32>) {
+        match self {
+            CrossingOrder::Gray => gray_order_into(set, m, anchor, out),
+            CrossingOrder::Sorted => out.extend((0..64).filter(|&p| set >> p & 1 == 1)),
+        }
+    }
 }
 
 /// Which branch of the construction a pair took.
@@ -100,13 +113,10 @@ pub struct PathBuilder {
     qdims: Vec<u32>,
     qnodes: Vec<u128>,
     qoffsets: Vec<u32>,
-    // Case B (see `case_b`), plain and rebuilt alike: D, the rotation
-    // base order and its sort keys; the plan arena, each plan written the
-    // first time selection reaches it; the selection as arena ranges, in
-    // family order.
-    d_positions: Vec<u32>,
+    // Case B (see `case_b`), plain and rebuilt alike: the rotation base
+    // order; the plan arena, each plan written the first time selection
+    // reaches it; the selection as arena ranges, in family order.
     gd: Vec<u32>,
-    keyed: Vec<(u64, u32)>,
     arena: Vec<u32>,
     sel: Vec<(u32, u32)>,
     // Case B: fan bookkeeping (targets, per-plan segment indices, fan

@@ -17,7 +17,7 @@ use crate::error::HhcError;
 use crate::node::NodeId;
 use crate::topology::Hhc;
 use crate::Path;
-use hypercube::gray::sort_along_gray_cycle;
+use hypercube::gray::gray_order_into;
 use hypercube::routing::shortest_path;
 
 /// Computes a route from `u` to `v` with Gray-ordered crossings.
@@ -44,11 +44,10 @@ pub fn route(hhc: &Hhc, u: NodeId, v: NodeId) -> Result<Path, HhcError> {
     let yv = hhc.node_field(v);
     let dx = hhc.cube_field(u) ^ hhc.cube_field(v);
 
-    // Differing cube-field positions, ordered along the Gray cycle from Yu.
-    let positions: Vec<u64> = (0..hhc.positions() as u64)
-        .filter(|&p| dx >> p & 1 == 1)
-        .collect();
-    let ordered = sort_along_gray_cycle(&positions, hhc.m(), yu as u64);
+    // Differing cube-field positions (`2^m ≤ 64` of them: one word),
+    // ordered along the Gray cycle from Yu.
+    let mut ordered = Vec::new();
+    gray_order_into(dx as u64, hhc.m(), yu, &mut ordered);
 
     let mut path = vec![u];
     let mut cur = u;

@@ -22,9 +22,9 @@
 //! A batch's answers live in the caller's arena-backed
 //! [`QueryBatchResult`]: one chunk per worker, each a [`PathSet`] plus
 //! per-query spans, instead of a `Vec<Path>` of per-path `Vec`s per
-//! query. [`Router::query_many_into`] lends chunk `c` to worker `c` for
-//! the duration of the call, and [`Router::query_into`] lends the
-//! caller's `PathSet` the same way. A worker answers through the append
+//! query. [`Router::query_many_into`], the one way into the router,
+//! lends chunk `c` to worker `c` for the duration of the call (a single
+//! query is a one-pair batch). A worker answers through the append
 //! form of the construction core, so an L2 hit decodes the entry's hops,
 //! under one stripe's read lock, straight into the caller's arena, and
 //! a fresh construction assembles its paths there: the router never
@@ -96,10 +96,9 @@
 //!
 //! Queries arrive over per-worker bounded mpsc channels:
 //! [`Router::query_many_into`] splits a batch into contiguous chunks,
-//! one per worker, whose answers read back in submission order;
-//! [`Router::query_into`] round-robins single queries. Results depend
-//! only on the pair and the fault snapshot — never on which worker
-//! answered or how the chunks interleaved.
+//! one per worker, whose answers read back in submission order. Results
+//! depend only on the pair and the fault snapshot — never on which
+//! worker answered or how the chunks interleaved.
 
 pub use crate::disjoint::family_cache::{
     L2Config, SharedFamilyCache, DEFAULT_L2_SHARDS, DEFAULT_L2_SHARD_CAPACITY,
@@ -371,13 +370,9 @@ pub struct Router {
     results_rx: mpsc::Receiver<Batch>,
     /// Every returned batch's report, merged on receipt.
     metrics: MetricsReport,
-    next_worker: usize,
     /// Recycled batch buffers; bounded by the most batches ever in
     /// flight at once (≤ the worker count).
     pool: Vec<Batch>,
-    /// The slot [`Router::query_into`] lends along with the caller's
-    /// set.
-    single: Vec<QuerySlot>,
 }
 
 impl Router {
@@ -423,9 +418,7 @@ impl Router {
             handles,
             results_rx,
             metrics: MetricsReport::default(),
-            next_worker: 0,
             pool: Vec::new(),
-            single: Vec::new(),
         })
     }
 
@@ -516,48 +509,6 @@ impl Router {
         }
         out.chunk_len = chunk_len;
         out.len = pairs.len();
-    }
-
-    /// Answers one query into a caller-owned (reusable) [`PathSet`],
-    /// round-robining across the workers; returns the family size.
-    /// `out` is cleared and lent to the worker, which writes the family
-    /// straight into it. With a warm `out`, allocation-free end to end
-    /// (`tests/zero_alloc.rs`).
-    ///
-    /// # Errors
-    /// The construction error for the pair, exactly as the serial
-    /// avoiding entry point reports it, or [`HhcError::WorkerPanicked`]
-    /// if the worker panicked on it. `out` is then empty.
-    pub fn query_into(
-        &mut self,
-        u: NodeId,
-        v: NodeId,
-        out: &mut PathSet,
-    ) -> Result<usize, HhcError> {
-        let w = self.next_worker;
-        self.next_worker = (self.next_worker + 1) % self.senders.len();
-        let mut b = self.pool.pop().unwrap_or_default();
-        b.pairs.clear();
-        b.pairs.push((u, v));
-        out.clear();
-        b.answers = Chunk {
-            paths: std::mem::take(out),
-            slots: std::mem::take(&mut self.single),
-        };
-        self.submit(w, b);
-        let mut b = self.receive();
-        let Chunk { paths, mut slots } = std::mem::take(&mut b.answers);
-        self.pool.push(b);
-        *out = paths;
-        let r = match slots
-            .pop()
-            .expect("a worker answers every query it is sent")
-        {
-            QuerySlot::Ok { first, last } => Ok((last - first) as usize),
-            QuerySlot::Failed(e) => Err(e),
-        };
-        self.single = slots;
-        r
     }
 
     /// Merged effort snapshot across all workers: every answered
@@ -721,10 +672,11 @@ mod tests {
 
     type Owned = Result<Vec<Path>, HhcError>;
 
-    /// One query through [`Router::query_into`], in owned form.
+    /// One query as a one-pair batch, in owned form.
     fn ask(router: &mut Router, u: NodeId, v: NodeId) -> Owned {
-        let mut out = PathSet::new();
-        router.query_into(u, v, &mut out).map(|_| out.to_paths())
+        let mut out = QueryBatchResult::new();
+        router.query_many_into(&[(u, v)], &mut out);
+        owned(&out).pop().unwrap()
     }
 
     /// A batch through [`Router::query_many_into`], in owned form.
@@ -740,6 +692,11 @@ mod tests {
         out.iter()
             .map(|r| r.map(|f| f.to_paths()).map_err(Clone::clone))
             .collect()
+    }
+
+    /// Nodes in the chunk arenas, answered or not.
+    fn arena_nodes(out: &QueryBatchResult) -> usize {
+        out.chunks.iter().map(|c| c.paths.total_nodes()).sum()
     }
 
     /// Nodes in the chunk arenas outside every answered family: 0 when
@@ -793,21 +750,22 @@ mod tests {
 
     #[test]
     fn single_and_batch_pipelines_agree() {
-        // query_into (one pooled batch per query, round-robin) answers
-        // every pair exactly as query_many_into answered the batch.
+        // One-pair batches answer every pair exactly as one batch of
+        // all the pairs did.
         let mut router = Router::new(3, cfg(2)).unwrap();
         let h = Hhc::new(3).unwrap();
         let pairs = workload_pairs(&h, 24);
         let batch = ask_many(&mut router, &pairs);
-        let mut single = PathSet::new();
+        let mut single = QueryBatchResult::new();
         for (i, &(u, v)) in pairs.iter().enumerate() {
-            match router.query_into(u, v, &mut single) {
-                Ok(n) => {
+            router.query_many_into(&[(u, v)], &mut single);
+            match single.get(0) {
+                Ok(f) => {
                     let want = batch[i].as_ref().unwrap();
-                    assert_eq!(n, want.len());
-                    assert_eq!(&single.to_paths(), want);
+                    assert_eq!(f.len(), want.len());
+                    assert_eq!(&f.to_paths(), want);
                 }
-                Err(e) => assert_eq!(Err(e), batch[i].clone()),
+                Err(e) => assert_eq!(Err(e.clone()), batch[i].clone()),
             }
         }
     }
@@ -819,10 +777,10 @@ mod tests {
         let h = Hhc::new(3).unwrap();
         let pairs = workload_pairs(&h, 30);
         let mut out = QueryBatchResult::new();
-        let mut single = PathSet::new();
+        let mut single = QueryBatchResult::new();
         for _ in 0..5 {
             router.query_many_into(&pairs, &mut out);
-            let _ = router.query_into(pairs[0].0, pairs[0].1, &mut single);
+            router.query_many_into(&pairs[..1], &mut single);
         }
         assert!(
             router.pool.len() <= threads,
@@ -841,16 +799,20 @@ mod tests {
 
     #[test]
     fn l2_promotes_across_workers() {
-        // A repeated pair answered by many single queries round-robins
-        // across workers; once the second solve has stored it (its
-        // second sighting) every other query hits the shared tier,
-        // which is the only tier a worker consults.
+        // A repeated pair: once worker 0's second solve has stored it
+        // (its second sighting), every other query hits the shared tier,
+        // which is the only tier a worker consults, on every worker: a
+        // batch of four copies gives each of the four workers one.
         let mut router = Router::new(3, cfg(4)).unwrap();
         let h = Hhc::new(3).unwrap();
         let u = h.node(0x00, 0b000).unwrap();
         let v = h.node(0xA5, 0b110).unwrap();
         let first = ask(&mut router, u, v).unwrap();
-        for _ in 0..7 {
+        assert_eq!(ask(&mut router, u, v).unwrap(), first);
+        for got in ask_many(&mut router, &[(u, v); 4]) {
+            assert_eq!(got.unwrap(), first);
+        }
+        for _ in 0..2 {
             assert_eq!(ask(&mut router, u, v).unwrap(), first);
         }
         let c = router.metrics().construction;
@@ -1121,21 +1083,19 @@ mod tests {
         let h = Hhc::new(3).unwrap();
         let u = h.node(0x01, 0b001).unwrap();
         let v = h.node(0x3C, 0b100).unwrap();
-        // Round-robin: two misses, then one hit on each worker.
-        let a = ask(&mut router, u, v).unwrap();
-        for _ in 0..3 {
-            assert_eq!(ask(&mut router, u, v).unwrap(), a);
+        // Two-pair batches, one pair per worker: two misses, then one
+        // hit on each worker.
+        let both = [(u, v); 2];
+        let a = ask_many(&mut router, &both)[0].clone().unwrap();
+        for got in ask_many(&mut router, &both) {
+            assert_eq!(got.unwrap(), a);
         }
         let warm = router.metrics().construction;
         assert_eq!(warm.family_hits, 2, "both workers hit their own tier");
         assert_eq!(warm.l2_hits + warm.l2_misses, 0, "no L2 attached");
         router.flush_caches();
-        for _ in 0..2 {
-            assert_eq!(
-                ask(&mut router, u, v).unwrap(),
-                a,
-                "flushing never changes answers"
-            );
+        for got in ask_many(&mut router, &both) {
+            assert_eq!(got.unwrap(), a, "flushing never changes answers");
         }
         let c = router.metrics().construction;
         assert_eq!(c.queries, 6);
@@ -1181,19 +1141,16 @@ mod tests {
                 assert_eq!(owned(&out), oracle, "{threads} workers, pass {pass}");
                 assert_eq!(stray_nodes(&out), 0, "{threads} workers, pass {pass}");
             }
-            let mut single = PathSet::new();
+            let mut single = QueryBatchResult::new();
             for (&(u, v), want) in pairs.iter().zip(&oracle).filter(|(_, r)| r.is_err()) {
-                router
-                    .query_into(pairs[0].0, pairs[0].1, &mut single)
-                    .unwrap();
-                assert!(!single.is_empty());
+                router.query_many_into(&pairs[..1], &mut single);
+                assert!(single.get(0).is_ok());
+                assert!(arena_nodes(&single) > 0);
+                router.query_many_into(&[(u, v)], &mut single);
+                assert_eq!(owned(&single), std::slice::from_ref(want));
                 assert_eq!(
-                    Err(router.query_into(u, v, &mut single).unwrap_err()),
-                    *want
-                );
-                assert_eq!(
-                    single,
-                    PathSet::new(),
+                    arena_nodes(&single),
+                    0,
                     "{threads} workers: an error leaves out empty"
                 );
             }
@@ -1228,9 +1185,9 @@ mod tests {
                 let mut out = QueryBatchResult::new();
                 router.query_many_into(&sent, &mut out);
                 let _ = tx.send((owned(&out), stray_nodes(&out)));
-                let mut single = PathSet::new();
-                let r = router.query_into(hooks[0].0, hooks[0].1, &mut single);
-                let _ = tx.send((vec![r.map(|_| single.to_paths())], single.total_nodes()));
+                let mut single = QueryBatchResult::new();
+                router.query_many_into(&hooks[..1], &mut single);
+                let _ = tx.send((owned(&single), arena_nodes(&single)));
                 faults.panic_on.lock().unwrap().clear();
                 router.query_many_into(&sent, &mut out);
                 let _ = tx.send((owned(&out), stray_nodes(&out)));

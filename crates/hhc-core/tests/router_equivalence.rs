@@ -7,10 +7,10 @@
 //!
 //! This extends the cache-on ≡ cache-off and the fault-avoidance
 //! (avoiding layer never consults caches under faults) equivalence
-//! suites to the concurrent service, and covers **both** query
-//! pipelines: batches ([`Router::query_many_into`] answering into a
-//! reused [`QueryBatchResult`]) and single queries
-//! ([`Router::query_into`], round-robin across workers). Concurrency note:
+//! suites to the concurrent service, and covers **both** ways of
+//! calling [`Router::query_many_into`] into a reused
+//! [`QueryBatchResult`]: whole bursts, split across the workers, and
+//! one-pair batches, one query per call. Concurrency note:
 //! queries inside one burst run in parallel across workers, fault
 //! events are applied at burst boundaries — that linearisation is what
 //! "the same fault set" means for the oracle. The loom/shuttle crates
@@ -24,7 +24,7 @@
 //! that thrash.
 
 use hhc_core::{
-    disjoint_paths_avoiding, CacheConfig, CrossingOrder, Hhc, HhcError, L2Config, NodeId, PathSet,
+    disjoint_paths_avoiding, CacheConfig, CrossingOrder, Hhc, HhcError, L2Config, NodeId,
     QueryBatchResult, Router, RouterConfig,
 };
 use proptest::prelude::*;
@@ -98,15 +98,14 @@ fn router_run(router: &mut Router, script: &[Op]) -> Vec<Result<Vec<Vec<NodeId>>
     answers
 }
 
-/// Runs the same schedule through the single-query pipeline: every
-/// query of a burst via `query_into` (round-robin across workers) into
-/// one reused `PathSet`.
+/// Runs the same schedule one query at a time: every query of a burst
+/// as a one-pair `query_many_into` batch into one reused buffer.
 fn router_run_single(
     router: &mut Router,
     script: &[Op],
 ) -> Vec<Result<Vec<Vec<NodeId>>, HhcError>> {
     let mut answers = Vec::new();
-    let mut out = PathSet::new();
+    let mut out = QueryBatchResult::new();
     for op in script {
         match op {
             Op::Toggle(w) => {
@@ -115,8 +114,10 @@ fn router_run_single(
                 }
             }
             Op::Burst(pairs) => {
-                for &(u, v) in pairs {
-                    answers.push(router.query_into(u, v, &mut out).map(|_| out.to_paths()));
+                for pair in pairs.chunks(1) {
+                    router.query_many_into(pair, &mut out);
+                    assert_eq!(out.len(), 1);
+                    answers.push(out.get(0).map(|f| f.to_paths()).map_err(Clone::clone));
                 }
             }
         }
@@ -292,10 +293,9 @@ fn seeded_fault_churn_hits_invalidation_path() {
     );
 }
 
-/// The single-query path (`query_into`, round-robin across workers)
-/// agrees with `query_many_into` and with the oracle.
+/// One-pair batches agree with the whole batch and with the oracle.
 #[test]
-fn single_query_round_robin_matches_batch() {
+fn one_pair_batches_match_the_batch() {
     let h = Hhc::new(2).unwrap();
     let mut router = Router::new(2, RouterConfig::default()).unwrap();
     let pairs: Vec<(NodeId, NodeId)> = vec![
@@ -304,15 +304,16 @@ fn single_query_round_robin_matches_batch() {
         (node(&h, 0, 0), node(&h, u64::MAX, 1)),
     ];
     let batch = router_run(&mut router, &[Op::Burst(pairs.clone())]);
-    let mut single = PathSet::new();
+    let mut single = QueryBatchResult::new();
     for (i, &(u, v)) in pairs.iter().enumerate() {
-        match router.query_into(u, v, &mut single) {
-            Ok(n) => {
+        router.query_many_into(&[(u, v)], &mut single);
+        match single.get(0) {
+            Ok(f) => {
                 let want = batch[i].as_ref().unwrap();
-                assert_eq!(n, want.len());
-                assert_eq!(&single.to_paths(), want);
+                assert_eq!(f.len(), want.len());
+                assert_eq!(&f.to_paths(), want);
             }
-            Err(e) => assert_eq!(&Err(e), &batch[i]),
+            Err(e) => assert_eq!(&Err(e.clone()), &batch[i]),
         }
         let want =
             disjoint_paths_avoiding(&h, u, v, CrossingOrder::Gray, &HashSet::new()).map(|(p, _)| p);
@@ -320,8 +321,6 @@ fn single_query_round_robin_matches_batch() {
     }
     // Equal endpoints error through the service like the library.
     let w = node(&h, 5, 1);
-    assert_eq!(
-        router.query_into(w, w, &mut single),
-        Err(HhcError::EqualNodes)
-    );
+    router.query_many_into(&[(w, w)], &mut single);
+    assert_eq!(single.get(0).err(), Some(&HhcError::EqualNodes));
 }

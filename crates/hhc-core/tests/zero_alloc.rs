@@ -26,11 +26,11 @@
 //! around it adds pooled batches, bounded channels, an atomic
 //! fault-generation check, and one metrics-report copy per batch; the
 //! answers are written into the caller's lent arena. The **router**
-//! section pins that whole loop: warm `Router::query_many_into` and
-//! `Router::query_into` calls at 1 and 2 workers allocate nothing, and
-//! neither do warm batches under a fault that blocks one of their
-//! families, whose rerouted answers each worker replays from its
-//! reroute memo.
+//! section pins that whole loop: warm `Router::query_many_into` calls,
+//! whole batches and one-pair ones, at 1 and 2 workers allocate
+//! nothing, and neither do warm batches under a fault that blocks one
+//! of their families, whose rerouted answers each worker replays from
+//! its reroute memo.
 //!
 //! Everything runs in ONE test function: Rust runs tests on
 //! multiple threads by default, and a second thread's incidental
@@ -293,23 +293,25 @@ fn hit_paths_do_not_allocate() {
         )
         .unwrap();
         let mut answers = QueryBatchResult::new();
-        let mut single = PathSet::new();
-        // Two serial rounds store every family in the L2 (on its second
-        // sighting). Each call waits for its answer, and a worker stores
-        // before it answers, so every store lands before the next probe;
-        // in a batch, two workers could both miss on one pair while the
-        // first is still storing it.
+        let mut single = QueryBatchResult::new();
+        // Two serial rounds of one-pair batches store every family in
+        // the L2 (on its second sighting). Each call waits for its
+        // answer, and a worker stores before it answers, so every store
+        // lands before the next probe; in a batch, two workers could
+        // both miss on one pair while the first is still storing it.
         for _ in 0..2 {
-            for &(u, v) in &queries {
-                router.query_into(u, v, &mut single).unwrap();
+            for pair in queries.chunks(1) {
+                router.query_many_into(pair, &mut single);
+                assert!(single.get(0).is_ok());
             }
         }
-        // Batched passes then warm every worker's buffers; round-robin
-        // single queries reach every worker.
+        // Batched passes then warm every worker's buffers, and one-pair
+        // batches the single-query buffers.
         for _ in 0..4 {
             router.query_many_into(&batch, &mut answers);
-            for &(u, v) in batch.iter().take(2 * threads) {
-                router.query_into(u, v, &mut single).unwrap();
+            for pair in batch.chunks(1).take(2 * threads) {
+                router.query_many_into(pair, &mut single);
+                assert!(single.get(0).is_ok());
             }
         }
         // A thread allocates its wait context, and an entry in the
@@ -332,13 +334,14 @@ fn hit_paths_do_not_allocate() {
             "{threads} workers: 200 warm batches allocated {n} times"
         );
         let n = allocations(|| {
-            for &(u, v) in batch.iter().cycle().take(200) {
-                router.query_into(u, v, &mut single).unwrap();
+            for pair in batch.chunks(1).cycle().take(200) {
+                router.query_many_into(pair, &mut single);
+                assert!(single.get(0).is_ok());
             }
         });
         assert_eq!(
             n, 0,
-            "{threads} workers: 200 warm single queries allocated {n} times"
+            "{threads} workers: 200 warm one-pair batches allocated {n} times"
         );
         let c = router.metrics().construction;
         assert_eq!(

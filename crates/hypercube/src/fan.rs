@@ -6,6 +6,13 @@
 //! `m ≤ 6`), so fans are solved exactly by unit max-flow, and for
 //! `n ≤ 6` only: a node set of `Q_n` is then one `u64`.
 //!
+//! There is one solve, [`fan_paths_into`] ([`fan_paths`] wraps it). It
+//! takes a word of forbidden nodes, the faulty coordinates of a
+//! fault-avoiding rebuild (a fan in a hypercube with faulty vertices),
+//! `0` for a plain family, and solves every query in
+//! translation-canonical form: the source moves to 0, the forbidden
+//! nodes with it.
+//!
 //! Flow model: vertex split (`in(v) → out(v)`, capacity 1; the source
 //! unbounded), each cube edge in both directions with capacity 1, and
 //! one arc `out(t) → sink` per target. Max-flow equals the fan size;
@@ -165,12 +172,12 @@ impl FanScratch {
         self.path_of_target.len()
     }
 
-    /// Whether `targets[i]` was served by the last [`fan_paths_avoiding`]
-    /// call. Plain fan entry points always serve every target (the fan
-    /// lemma guarantees it), so this is only informative after an
-    /// avoiding query, where forbidden nodes may make some targets
-    /// unreachable. Reading [`FanScratch::path`] for an unserved target
-    /// is a logic error (it panics).
+    /// Whether `targets[i]` was served by the last [`fan_paths_into`]
+    /// call. A query with no forbidden node serves every target (the fan
+    /// lemma guarantees it), so this is only informative when forbidden
+    /// nodes may make some targets unreachable. Reading
+    /// [`FanScratch::path`] for an unserved target is a logic error (it
+    /// panics).
     pub fn target_served(&self, i: usize) -> bool {
         self.path_of_target[i] != UNSET
     }
@@ -212,66 +219,43 @@ impl Default for FanScratch {
 /// ```
 pub fn fan_paths(cube: &Cube, s: Node, targets: &[Node]) -> Result<Vec<Vec<Node>>, FanError> {
     let mut scratch = FanScratch::new();
-    fan_paths_into(cube, s, targets, &mut scratch)?;
+    fan_paths_into(cube, s, targets, 0, &mut scratch)?;
     Ok((0..scratch.num_paths())
         .map(|i| scratch.path(i).to_vec())
         .collect())
 }
 
-/// [`fan_paths`] writing into caller-owned buffers: the fan is computed
-/// inside `scratch` and read back through [`FanScratch::path`]. Once the
-/// output arena has grown to a query's size, calls allocate nothing.
+/// The fan solve: a fan from `s` to `targets` in the subcube without
+/// the nodes whose bit is set in `forbidden` (one word, like every node
+/// set of the solver), written into `scratch` and read back through
+/// [`FanScratch::path`] in target order. Returns the number of targets
+/// served. Once the output arena has grown to a query's size, calls
+/// allocate nothing.
+///
+/// Forbidden nodes can cut targets off the source, so the solve is
+/// best-effort: check [`FanScratch::target_served`] per target before
+/// reading its path. With `forbidden == 0` the fan lemma guarantees
+/// every target is served, and the call asserts it. A forbidden source
+/// is rejected with [`FanError::SourceForbidden`].
+///
+/// Every query is solved in translation-canonical form: the source
+/// moves to 0 and `forbidden` moves with it (`v ↦ v ⊕ s`, an
+/// automorphism of `Q_n`), and the solution maps back exactly. The
+/// solver's path to a target does not depend on the order of the
+/// targets, so every query in one canonical class (the same targets and
+/// forbidden nodes relative to the source, in any order) gets the same
+/// fan, up to the translation. The fans are valid, not of minimum total
+/// length in general: from `Q_4` up, a min-cost flow finds a shorter fan
+/// for some target sets.
 ///
 /// # Panics
 ///
-/// Panics only on an internal invariant violation: the fan lemma
-/// guarantees a fan of size `targets.len()` exists whenever the validated
-/// preconditions hold, so a smaller max-flow (or a stuck decomposition)
-/// indicates a bug in this module, never bad input — all input errors are
-/// reported as [`FanError`].
+/// Panics only on an internal invariant violation: with no forbidden
+/// node the fan lemma guarantees a fan of size `targets.len()` whenever
+/// the validated preconditions hold, so a smaller max-flow (or a stuck
+/// decomposition) indicates a bug in this module, never bad input — all
+/// input errors are reported as [`FanError`].
 pub fn fan_paths_into(
-    cube: &Cube,
-    s: Node,
-    targets: &[Node],
-    scratch: &mut FanScratch,
-) -> Result<(), FanError> {
-    let n = validate_and_index(cube, s, targets, scratch)?;
-    if targets.is_empty() {
-        return Ok(());
-    }
-    if all_adjacent(s, targets) {
-        write_direct_fan(s, targets, scratch);
-        return Ok(());
-    }
-    let flow = solve(n, s, targets, 0, scratch);
-    assert_eq!(
-        flow as usize,
-        targets.len(),
-        "fan lemma violated: flow {flow} < {} targets (bug)",
-        targets.len()
-    );
-    Ok(())
-}
-
-/// [`fan_paths_into`] restricted to the fault-free subcube: nodes whose
-/// bit is set in `forbidden` are excluded from the flow network (their
-/// vertex capacity is zero), so no returned path visits them.
-///
-/// Unlike the plain entry points this is *best-effort*: forbidden nodes
-/// can disconnect targets from the source, so instead of asserting the
-/// fan-lemma value this returns the number of targets actually served.
-/// Check [`FanScratch::target_served`] per target before reading its
-/// path. With `forbidden == 0` this is exactly [`fan_paths_into`] and
-/// serves every target. A forbidden source is rejected with
-/// [`FanError::SourceForbidden`].
-///
-/// Solves the query as given, without canonicalisation. The HHC
-/// fault-avoiding construction calls this rarely (only on queries whose
-/// plain family is actually blocked), so it is not a hot path.
-///
-/// `forbidden` is a bitmask over node labels, one word like every node
-/// set of the solver.
-pub fn fan_paths_avoiding(
     cube: &Cube,
     s: Node,
     targets: &[Node],
@@ -291,7 +275,29 @@ pub fn fan_paths_avoiding(
         write_direct_fan(s, targets, scratch);
         return Ok(targets.len());
     }
-    Ok(solve(n, s, targets, forbidden, scratch) as usize)
+
+    // Solve the translated query from source 0, with `target_idx`
+    // re-indexed for the translated labels; then translate every arena
+    // node back.
+    let blocked = (0..n).filter(|&d| s >> d & 1 == 1).fold(forbidden, flip);
+    scratch.target_idx[..1 << n].fill(UNSET);
+    scratch.canon.clear();
+    for (i, &t) in targets.iter().enumerate() {
+        scratch.canon.push(t ^ s);
+        scratch.target_idx[(t ^ s) as usize] = i as u32;
+    }
+    let canon = std::mem::take(&mut scratch.canon);
+    let served = solve(n, 0, &canon, blocked, scratch) as usize;
+    scratch.canon = canon;
+    assert!(
+        forbidden != 0 || served == targets.len(),
+        "fan lemma violated: flow {served} < {} targets (bug)",
+        targets.len()
+    );
+    for x in &mut scratch.tmp_nodes {
+        *x ^= s;
+    }
+    Ok(served)
 }
 
 /// Input validation shared by every fan entry point. On success the
@@ -572,8 +578,9 @@ fn solve(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScr
 
     // The open terminals cap the flow at `want`, so the solver stops
     // there instead of running a final search that proves it. Faults
-    // may cut targets off, so the flow value is the answer; the plain
-    // entry points assert the fan-lemma value themselves.
+    // may cut targets off, so the flow value is the answer; the entry
+    // point asserts the fan-lemma value itself when nothing is
+    // forbidden.
     let mut value = seeded;
     while value < want && augment(n, s, blocked, open, &mut flow, stats) {
         value += 1;
@@ -608,63 +615,6 @@ fn solve(n: u32, s: Node, targets: &[Node], forbidden: u64, scratch: &mut FanScr
         }
     }
     value
-}
-
-/// [`fan_paths_into`] solved in translation-canonical form.
-///
-/// The query is canonicalised by XOR-translating the source to 0 — an
-/// automorphism of `Q_n`, so the canonical solution maps back exactly.
-/// The solver's path to a target does not depend on the order of the
-/// targets. Results are read back through
-/// [`FanScratch::path`] in original target order, exactly as with
-/// [`fan_paths_into`].
-///
-/// **Determinism contract:** every query in one canonical class (same
-/// targets relative to the source, in any order) gets the same fan, up
-/// to the translation. Individual paths may differ from the direct
-/// [`fan_paths_into`] solve of the untranslated query — both are valid
-/// fans, and neither is of minimum total length in general (from
-/// `Q_4` up, a min-cost flow finds a shorter fan for some target
-/// sets). The HHC construction solves every terminal fan this way,
-/// which fixes which valid fan its families use: one per canonical
-/// class.
-pub fn fan_paths_canonical(
-    cube: &Cube,
-    s: Node,
-    targets: &[Node],
-    scratch: &mut FanScratch,
-) -> Result<(), FanError> {
-    let n = validate_and_index(cube, s, targets, scratch)?;
-    if targets.is_empty() {
-        return Ok(());
-    }
-    if all_adjacent(s, targets) {
-        write_direct_fan(s, targets, scratch);
-        return Ok(());
-    }
-
-    // Solve the translated query from source 0, with `target_idx`
-    // re-indexed for the translated labels; then translate every arena
-    // node back.
-    scratch.target_idx[..1 << n].fill(UNSET);
-    scratch.canon.clear();
-    for (i, &t) in targets.iter().enumerate() {
-        scratch.canon.push(t ^ s);
-        scratch.target_idx[(t ^ s) as usize] = i as u32;
-    }
-    let canon = std::mem::take(&mut scratch.canon);
-    let flow = solve(n, 0, &canon, 0, scratch);
-    assert_eq!(
-        flow as usize,
-        targets.len(),
-        "fan lemma violated: flow {flow} < {} targets (bug)",
-        targets.len()
-    );
-    scratch.canon = canon;
-    for x in &mut scratch.tmp_nodes {
-        *x ^= s;
-    }
-    Ok(())
 }
 
 /// Checks fan validity: `paths[i]` runs `s → targets[i]`, each simple,
@@ -795,8 +745,8 @@ mod tests {
         let mut sc = FanScratch::new();
         let s = 0u128;
         let neighbors: Vec<Node> = q.neighbors(s).collect();
-        fan_paths_into(&q, s, &neighbors, &mut sc).unwrap();
-        fan_paths_into(&q, s, &[0b1111], &mut sc).unwrap();
+        fan_paths_into(&q, s, &neighbors, 0, &mut sc).unwrap();
+        fan_paths_into(&q, s, &[0b1111], 0, &mut sc).unwrap();
         let m = sc.metrics();
         assert_eq!(m.queries, 2);
         assert_eq!(m.targets_requested, 5);
@@ -808,7 +758,7 @@ mod tests {
         assert_eq!(sc.solver_stats().bfs_passes, 1);
         assert_eq!(sc.solver_stats().augmentations, 1);
         // Rejected calls are not counted as queries.
-        assert!(fan_paths_into(&q, s, &[s], &mut sc).is_err());
+        assert!(fan_paths_into(&q, s, &[s], 0, &mut sc).is_err());
         assert_eq!(sc.metrics().queries, 2);
         sc.reset_metrics();
         assert_eq!(sc.metrics(), FanMetrics::default());
@@ -824,7 +774,7 @@ mod tests {
         let mut sc = FanScratch::new();
         for n in [4u32, 5] {
             let q = Cube::new(n).unwrap();
-            fan_paths_into(&q, 0, &[(1 << n) - 1], &mut sc).unwrap();
+            fan_paths_into(&q, 0, &[(1 << n) - 1], 0, &mut sc).unwrap();
         }
         let st = sc.solver_stats();
         assert_eq!((st.bfs_passes, st.augmentations), (2, 2));
@@ -855,7 +805,7 @@ mod tests {
                         .filter(|(i, _)| mask >> i & 1 == 1)
                         .map(|(_, &t)| t)
                         .collect();
-                    fan_paths_into(&q, s, &targets, &mut fast).unwrap();
+                    fan_paths_into(&q, s, &targets, 0, &mut fast).unwrap();
                     solver_reference(&q, s, &targets, &mut oracle);
                     assert_eq!(fast.num_paths(), oracle.num_paths());
                     for i in 0..targets.len() {
@@ -876,71 +826,54 @@ mod tests {
 
     #[test]
     fn canonical_solve_translates_with_the_query() {
-        // Same canonical class (translated sources, permuted targets):
-        // every answer is the source-0 fan translated by `s`, matched
-        // up by target, and a valid fan.
+        // Same canonical class (translated sources and forbidden nodes,
+        // permuted targets): every answer is the source-0 fan translated
+        // by `s`, matched up by target, and a valid fan around the
+        // translated forbidden nodes. The forbidden words leave every
+        // target served, one target cut off, and two.
         let q = Cube::new(4).unwrap();
         let base: Vec<Node> = vec![0b1111, 0b0111, 0b1110];
-        let mut reference = FanScratch::new();
-        fan_paths_canonical(&q, 0, &base, &mut reference).unwrap();
-        let mut sc = FanScratch::new();
-        for s in 0..16u128 {
-            let targets: Vec<Node> = base.iter().map(|&t| t ^ s).collect();
-            let mut rev = targets.clone();
-            rev.reverse();
-            for t in [&targets, &rev] {
-                fan_paths_canonical(&q, s, t, &mut sc).unwrap();
-                assert_eq!(sc.num_paths(), t.len());
-                for (i, &ti) in t.iter().enumerate() {
-                    let j = base.iter().position(|&b| b == ti ^ s).unwrap();
-                    let want: Vec<Node> = reference.path(j).iter().map(|&x| x ^ s).collect();
-                    assert_eq!(sc.path(i), &want[..], "s={s} targets={t:?} path {i}");
+        let translate = |set: u64, s: Node| {
+            (0..16)
+                .filter(|&v| set >> v & 1 == 1)
+                .fold(0u64, |acc, v| acc | 1 << (v ^ s as u64))
+        };
+        for (forbidden, served) in [
+            (0u64, 3),
+            (1 << 0b0011 | 1 << 0b1100, 3),
+            (1 << 0b0111, 2),
+            (1 << 0b0001 | 1 << 0b0010 | 1 << 0b0100, 1),
+        ] {
+            let mut reference = FanScratch::new();
+            assert_eq!(
+                fan_paths_into(&q, 0, &base, forbidden, &mut reference),
+                Ok(served),
+                "forbidden={forbidden:#x}"
+            );
+            let mut sc = FanScratch::new();
+            for s in 0..16u128 {
+                let targets: Vec<Node> = base.iter().map(|&t| t ^ s).collect();
+                let mut rev = targets.clone();
+                rev.reverse();
+                let moved = translate(forbidden, s);
+                for t in [&targets, &rev] {
+                    assert_eq!(fan_paths_into(&q, s, t, moved, &mut sc), Ok(served));
+                    let mut fan = Vec::new();
+                    let mut kept = Vec::new();
+                    for (i, &ti) in t.iter().enumerate() {
+                        let j = base.iter().position(|&b| b == ti ^ s).unwrap();
+                        assert_eq!(sc.target_served(i), reference.target_served(j));
+                        if !sc.target_served(i) {
+                            continue;
+                        }
+                        let want: Vec<Node> = reference.path(j).iter().map(|&x| x ^ s).collect();
+                        assert_eq!(sc.path(i), &want[..], "s={s} targets={t:?} path {i}");
+                        assert!(want.iter().all(|&x| moved >> x & 1 == 0));
+                        fan.push(want);
+                        kept.push(ti);
+                    }
+                    check_fan(&q, s, &kept, &fan).unwrap();
                 }
-                let fan: Vec<Vec<Node>> = (0..t.len()).map(|i| sc.path(i).to_vec()).collect();
-                check_fan(&q, s, t, &fan).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn avoiding_with_no_forbidden_matches_plain() {
-        // forbidden == 0 must be byte-identical to the plain entry point
-        // and do the same work. Both scratches run the same query
-        // sequence, so equal totals after every query pin equal
-        // per-query deltas of the fan and solver counters.
-        let q = Cube::new(3).unwrap();
-        let nodes: Vec<Node> = (0..8).collect();
-        let mut plain = FanScratch::new();
-        let mut avoid = FanScratch::new();
-        for &s in &nodes {
-            let others: Vec<Node> = nodes.iter().copied().filter(|&x| x != s).collect();
-            for mask in 1u32..(1 << others.len()) {
-                if mask.count_ones() > 3 {
-                    continue;
-                }
-                let targets: Vec<Node> = others
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| mask >> i & 1 == 1)
-                    .map(|(_, &t)| t)
-                    .collect();
-                fan_paths_into(&q, s, &targets, &mut plain).unwrap();
-                let served = fan_paths_avoiding(&q, s, &targets, 0, &mut avoid).unwrap();
-                assert_eq!(served, targets.len());
-                for i in 0..targets.len() {
-                    assert!(avoid.target_served(i));
-                    assert_eq!(plain.path(i), avoid.path(i), "s={s} targets={targets:?}");
-                }
-                assert_eq!(
-                    plain.metrics(),
-                    avoid.metrics(),
-                    "s={s} targets={targets:?}"
-                );
-                assert_eq!(
-                    plain.solver_stats(),
-                    avoid.solver_stats(),
-                    "s={s} targets={targets:?}"
-                );
             }
         }
     }
@@ -954,7 +887,7 @@ mod tests {
         let mut sc = FanScratch::new();
         for targets in [&[1u128, 2][..], &[1, 6], &[3, 5, 6], &[1, 2, 4]] {
             assert_eq!(
-                fan_paths_avoiding(&q, 0, targets, 1, &mut sc),
+                fan_paths_into(&q, 0, targets, 1, &mut sc),
                 Err(FanError::SourceForbidden),
                 "targets={targets:?}"
             );
@@ -1001,7 +934,7 @@ mod tests {
                         let g = graphs::CsrGraph::from_edges(num + 1, &edges);
                         let want = graphs::vertex_connectivity_between(&g, s, sink);
                         let served =
-                            fan_paths_avoiding(&q, Node::from(s), &targets, forbidden, &mut sc)
+                            fan_paths_into(&q, Node::from(s), &targets, forbidden, &mut sc)
                                 .unwrap();
                         assert_eq!(
                             served as u32, want,
@@ -1045,7 +978,7 @@ mod tests {
                     forbidden |= 1 << v;
                 }
             }
-            let served = fan_paths_avoiding(&q, s, &targets, forbidden, &mut sc).unwrap();
+            let served = fan_paths_into(&q, s, &targets, forbidden, &mut sc).unwrap();
             let mut seen = std::collections::HashSet::new();
             let mut n_served = 0;
             for (i, &t) in targets.iter().enumerate() {
@@ -1084,7 +1017,7 @@ mod tests {
         let q = Cube::new(3).unwrap();
         let mut sc = FanScratch::new();
         let targets = vec![0b001u128, 0b110];
-        let served = fan_paths_avoiding(&q, 0, &targets, 1 << 0b110, &mut sc).unwrap();
+        let served = fan_paths_into(&q, 0, &targets, 1 << 0b110, &mut sc).unwrap();
         assert_eq!(served, 1);
         assert!(sc.target_served(0));
         assert!(!sc.target_served(1));

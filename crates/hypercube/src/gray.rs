@@ -8,7 +8,9 @@
 //! next inside a son-cube is cheap; the total intra-cube walk over a whole
 //! crossing sequence telescopes to at most one lap of the cycle, `2^m`
 //! steps, instead of `k·m` for an arbitrary order (ablation F5 quantifies
-//! the difference).
+//! the difference). [`gray_order_into`] is that order: one walk of the
+//! cycle over a one-word position set, which the single-path route and
+//! every crossing plan of the disjoint-path construction share.
 
 /// The `i`-th binary reflected Gray code.
 ///
@@ -38,30 +40,45 @@ pub fn gray_sequence(m: u32) -> Vec<u64> {
     (0..1u64 << m).map(gray).collect()
 }
 
-/// Sorts `positions` (distinct `m`-bit values) into the cyclic order in
-/// which one lap of the Gray cycle visits them, starting from the first
-/// visited at-or-after the Gray rank of `anchor`.
+/// Appends the positions in `set` (bit `p` set for position `p`, every
+/// position an `m`-bit value, `m ≤ 6` so that a set is one word) to
+/// `out` in the cyclic order one lap of the Gray cycle visits them,
+/// starting at the rank of `anchor`: the first position appended is the
+/// first the cycle visits at-or-after `anchor`.
 ///
 /// Walking the returned order costs at most `2^m` intra-cube steps in
 /// total: the Hamming distance between cyclically consecutive entries is
 /// at most the number of Gray steps between them, and those gaps sum to
 /// one full lap.
-pub fn sort_along_gray_cycle(positions: &[u64], m: u32, anchor: u64) -> Vec<u64> {
-    assert!(m <= 63);
+///
+/// # Examples
+/// ```
+/// // Q_3's cycle is 0, 1, 3, 2, 6, 7, 5, 4; from anchor 2 it meets 6
+/// // first, then 5, then wraps around to 0 and 3.
+/// let mut order = Vec::new();
+/// hypercube::gray::gray_order_into(1 << 0 | 1 << 3 | 1 << 5 | 1 << 6, 3, 2, &mut order);
+/// assert_eq!(order, [6, 5, 0, 3]);
+/// ```
+pub fn gray_order_into(set: u64, m: u32, anchor: u32, out: &mut Vec<u32>) {
+    assert!(
+        m <= 6,
+        "gray_order_into: a position set of Q_{m} is not one word"
+    );
     let period = 1u64 << m;
-    let anchor_rank = gray_rank(anchor);
-    let mut keyed: Vec<(u64, u64)> = positions
-        .iter()
-        .map(|&p| {
-            debug_assert!(p < period, "position {p} not an {m}-bit value");
-            let r = gray_rank(p);
-            // Cyclic distance from the anchor's rank, so the order starts
-            // at the anchor's position on the cycle.
-            ((r + period - anchor_rank) % period, p)
-        })
-        .collect();
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, p)| p).collect()
+    debug_assert!(
+        set.checked_shr(period as u32).unwrap_or(0) == 0,
+        "set {set:#x} holds a position of more than {m} bits"
+    );
+    let mut rank = gray_rank(anchor as u64);
+    let mut left = set.count_ones();
+    while left > 0 {
+        let p = gray(rank & (period - 1));
+        if set >> p & 1 == 1 {
+            out.push(p as u32);
+            left -= 1;
+        }
+        rank += 1;
+    }
 }
 
 #[cfg(test)]
@@ -98,27 +115,75 @@ mod tests {
         }
     }
 
+    /// The order the Gray walk must reproduce: positions sorted by their
+    /// cyclic Gray-rank distance from the anchor's rank.
+    fn cyclic_rank_sort(set: u64, m: u32, anchor: u32) -> Vec<u32> {
+        let period = 1u64 << m;
+        let anchor_rank = gray_rank(anchor as u64);
+        let mut keyed: Vec<(u64, u32)> = (0..period as u32)
+            .filter(|&p| set >> p & 1 == 1)
+            .map(|p| ((gray_rank(p as u64) + period - anchor_rank) % period, p))
+            .collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, p)| p).collect()
+    }
+
+    #[test]
+    fn walk_equals_the_cyclic_rank_sort() {
+        // Every position set of Q_1..Q_4 from every anchor, then seeded
+        // sets at m = 5 and 6.
+        let mut order = Vec::new();
+        for m in 1..=4u32 {
+            for set in 0..1u64 << (1 << m) {
+                for anchor in 0..1u32 << m {
+                    order.clear();
+                    gray_order_into(set, m, anchor, &mut order);
+                    assert_eq!(
+                        order,
+                        cyclic_rank_sort(set, m, anchor),
+                        "m={m} set={set:#x} anchor={anchor}"
+                    );
+                }
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for m in 5..=6u32 {
+            for i in 0..4000u64 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                // Sparse sets too: mask down to about a quarter of the bits.
+                let set = match i % 3 {
+                    0 => state,
+                    1 => state & state >> 7,
+                    _ => state & state >> 7 & state >> 23,
+                } & (u64::MAX >> (64 - (1 << m)));
+                let anchor = (state >> 40) as u32 & ((1 << m) - 1);
+                order.clear();
+                gray_order_into(set, m, anchor, &mut order);
+                assert_eq!(
+                    order,
+                    cyclic_rank_sort(set, m, anchor),
+                    "m={m} set={set:#x} anchor={anchor}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn cycle_order_starts_at_anchor_when_present() {
-        let m = 3;
-        let pos = [0u64, 3, 6, 5];
-        let anchor = 6u64;
-        let order = sort_along_gray_cycle(&pos, m, anchor);
-        assert_eq!(order[0], 6);
-        assert_eq!(order.len(), 4);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        let mut expect = pos.to_vec();
-        expect.sort_unstable();
-        assert_eq!(sorted, expect);
+        let mut order = Vec::new();
+        gray_order_into(1 << 0 | 1 << 3 | 1 << 6 | 1 << 5, 3, 6, &mut order);
+        assert_eq!(order, [6, 5, 0, 3]);
     }
 
     #[test]
     fn cycle_order_total_walk_bounded_by_one_lap() {
         // Sum of Hamming gaps around the ordered cycle ≤ 2^m.
         for m in 2..=6u32 {
-            let all: Vec<u64> = (0..1u64 << m).step_by(3).collect();
-            let order = sort_along_gray_cycle(&all, m, 0);
+            let set = (0..1u64 << m).step_by(3).fold(0u64, |acc, p| acc | 1 << p);
+            let mut order = Vec::new();
+            gray_order_into(set, m, 0, &mut order);
             let total: u32 = (0..order.len())
                 .map(|i| {
                     let a = order[i];
@@ -138,12 +203,15 @@ mod tests {
     fn anchor_between_positions_picks_next_on_cycle() {
         // Gray order for m=3: 0,1,3,2,6,7,5,4. Anchor=1 (rank 1) with
         // positions {0, 2}: rank(2)=3, rank(0)=0 → 2 comes first.
-        let order = sort_along_gray_cycle(&[0, 2], 3, 1);
-        assert_eq!(order, vec![2, 0]);
+        let mut order = Vec::new();
+        gray_order_into(1 << 0 | 1 << 2, 3, 1, &mut order);
+        assert_eq!(order, [2, 0]);
     }
 
     #[test]
     fn empty_positions_ok() {
-        assert!(sort_along_gray_cycle(&[], 4, 7).is_empty());
+        let mut order = vec![9];
+        gray_order_into(0, 4, 7, &mut order);
+        assert_eq!(order, [9], "appends nothing");
     }
 }

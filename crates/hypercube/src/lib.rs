@@ -28,6 +28,6 @@ pub mod paths;
 pub mod routing;
 
 pub use cube::{Cube, CubeError, Node};
-pub use fan::{fan_paths, fan_paths_canonical, fan_paths_into, FanMetrics, FanScratch};
+pub use fan::{fan_paths, fan_paths_into, FanMetrics, FanScratch};
 pub use paths::disjoint_paths;
 pub use routing::shortest_path;

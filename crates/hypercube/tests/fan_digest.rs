@@ -1,12 +1,11 @@
 //! Pins the fan solver's exact answers and exact effort with one FNV-1a
-//! digest per entry point:
+//! digest per sample of [`fan::fan_paths_into`] queries:
 //!
-//! * [`fan::fan_paths_canonical`] and [`fan::fan_paths_into`]: every
-//!   source and every target set of 1..=n targets on Q_1..Q_4, each set
-//!   in ascending and in descending order, then seeded samples on Q_5
-//!   and Q_6;
-//! * [`fan::fan_paths_avoiding`]: every source, target set and forbidden
-//!   mask sparing the source on Q_1..Q_3, then seeded samples on Q_4..Q_6.
+//! * with no forbidden node: every source and every target set of 1..=n
+//!   targets on Q_1..Q_4, each set in ascending and in descending order,
+//!   then seeded samples on Q_5 and Q_6;
+//! * with forbidden nodes: every source, target set and forbidden mask
+//!   sparing the source on Q_1..Q_3, then seeded samples on Q_4..Q_6.
 //!
 //! Each query folds its result (the served count or flags, and every
 //! served path node by node) and the query's deltas of the solver's
@@ -23,12 +22,10 @@
 use hypercube::fan::{self, FanScratch};
 use hypercube::{Cube, Node};
 
-/// Digest of the [`fan::fan_paths_canonical`] sample.
+/// Digest of the sample with no forbidden node.
 const CANONICAL_DIGEST: u64 = 0x78b1_6600_1ae4_6d64;
-/// Digest of the [`fan::fan_paths_into`] sample.
-const INTO_DIGEST: u64 = 0xb478_3036_61fa_9e4f;
-/// Digest of the [`fan::fan_paths_avoiding`] sample.
-const AVOIDING_DIGEST: u64 = 0x1a6b_4c2c_7b17_b602;
+/// Digest of the sample with forbidden nodes.
+const AVOIDING_DIGEST: u64 = 0x0c9e_2853_17d7_a3bb;
 
 /// Seeded queries per dimension for the sampled cubes.
 const SAMPLES: usize = 3000;
@@ -123,9 +120,8 @@ fn fold(h: &mut Fnv, sc: &FanScratch, before: graphs::DinicStats, targets: usize
     }
 }
 
-/// The digest of one plain entry point over the exhaustive and sampled
-/// queries (see the module docs).
-fn plain_digest(solve: fn(&Cube, Node, &[Node], &mut FanScratch)) -> u64 {
+#[test]
+fn canonical_fans_are_pinned() {
     let mut h = Fnv::new();
     let mut rev = Vec::new();
     for n in 1u32..=4 {
@@ -136,7 +132,7 @@ fn plain_digest(solve: fn(&Cube, Node, &[Node], &mut FanScratch)) -> u64 {
             rev.extend(targets.iter().rev());
             for t in [targets, &rev[..]] {
                 let before = sc.solver_stats();
-                solve(&q, s, t, &mut sc);
+                fan::fan_paths_into(&q, s, t, 0, &mut sc).unwrap();
                 fold(&mut h, &sc, before, t.len());
             }
         });
@@ -149,23 +145,11 @@ fn plain_digest(solve: fn(&Cube, Node, &[Node], &mut FanScratch)) -> u64 {
         for _ in 0..SAMPLES {
             let s = sample_query(n, &mut rng, &mut targets);
             let before = sc.solver_stats();
-            solve(&q, s, &targets, &mut sc);
+            fan::fan_paths_into(&q, s, &targets, 0, &mut sc).unwrap();
             fold(&mut h, &sc, before, targets.len());
         }
     }
-    h.0
-}
-
-#[test]
-fn canonical_fans_are_pinned() {
-    let digest = plain_digest(|q, s, t, sc| fan::fan_paths_canonical(q, s, t, sc).unwrap());
-    assert_eq!(digest, CANONICAL_DIGEST, "got {digest:#018x}");
-}
-
-#[test]
-fn direct_fans_are_pinned() {
-    let digest = plain_digest(|q, s, t, sc| fan::fan_paths_into(q, s, t, sc).unwrap());
-    assert_eq!(digest, INTO_DIGEST, "got {digest:#018x}");
+    assert_eq!(h.0, CANONICAL_DIGEST, "got {:#018x}", h.0);
 }
 
 #[test]
@@ -173,7 +157,7 @@ fn avoiding_fans_are_pinned() {
     let mut h = Fnv::new();
     let query = |h: &mut Fnv, q: &Cube, s, t: &[Node], forbidden, sc: &mut FanScratch| {
         let before = sc.solver_stats();
-        let served = fan::fan_paths_avoiding(q, s, t, forbidden, sc).unwrap();
+        let served = fan::fan_paths_into(q, s, t, forbidden, sc).unwrap();
         h.u64(served as u64);
         fold(h, sc, before, t.len());
     };

@@ -124,7 +124,18 @@ struct ArenaShard {
     links: Vec<u32>,
     /// CSR offsets into `nodes`; `offsets.len() = routes + 1`.
     offsets: Vec<u32>,
-    index: HashMap<Box<[u32]>, u32>,
+    /// A route's 64-bit hash (`RouteArena::hash`) to the local id of
+    /// the first route stored under it. The nodes are kept once, in
+    /// `nodes`; a hit is confirmed against them.
+    index: HashMap<u64, u32>,
+}
+
+impl ArenaShard {
+    /// Node sequence of local route `local`.
+    #[inline]
+    fn nodes(&self, local: usize) -> &[u32] {
+        &self.nodes[self.offsets[local] as usize..self.offsets[local + 1] as usize]
+    }
 }
 
 impl Default for ArenaShard {
@@ -139,13 +150,17 @@ impl Default for ArenaShard {
 }
 
 /// Arena of interned routes. Each distinct node sequence is stored once
-/// (deduplicated via a hash index) together with its precomputed per-hop
-/// link ids; packets refer to routes by arena id. Traffic patterns
-/// repeat (src, dst) pairs constantly, so the arena stays small while
-/// packet hand-off becomes a `Copy` of 24 bytes. Storage is sharded 16
-/// ways by an endpoint hash — ids encode `(local « 4) | shard` — so a
-/// million-node run's route set spreads across sixteen independent
-/// indexes and backing vectors instead of monopolising one allocation.
+/// together with its precomputed per-hop link ids; packets refer to
+/// routes by arena id. Traffic patterns repeat (src, dst) pairs
+/// constantly, so the arena stays small while packet hand-off becomes a
+/// `Copy` of 24 bytes. Deduplication goes through an index from a
+/// route's fixed 64-bit hash to its id, checked against the stored
+/// nodes, so the index holds no copy of a route; two routes whose
+/// hashes collide are both stored, and each id reads back its own
+/// route. Storage is sharded 16 ways by an endpoint hash — ids encode
+/// `(local « 4) | shard` — so the route set grows sixteen smaller
+/// indexes and backing vectors instead of one: measured on
+/// `des_hhc4_single`, a single unsharded arena peaked higher.
 #[derive(Debug)]
 pub struct RouteArena {
     shards: Vec<ArenaShard>,
@@ -169,33 +184,52 @@ impl RouteArena {
         self.len() == 0
     }
 
+    /// FNV-1a over 32-bit words: fixed and unseeded, so ids are
+    /// reproducible run to run.
+    fn hash(words: impl IntoIterator<Item = u32>) -> u64 {
+        words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+            (h ^ w as u64).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
     fn shard_of(route: &[u32]) -> usize {
-        // FNV-1a over (src, dst, len): routes of one flow co-locate,
-        // different flows spread.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for w in [route[0], route[route.len() - 1], route.len() as u32] {
-            h ^= w as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h as usize & (ARENA_SHARDS - 1)
+        // Over (src, dst, len): routes of one flow co-locate, different
+        // flows spread.
+        let ends = [route[0], route[route.len() - 1], route.len() as u32];
+        Self::hash(ends) as usize & (ARENA_SHARDS - 1)
     }
 
     /// Interns `route` (raw node addresses, ≥ 2 nodes), returning its
     /// arena id. A sequence already present is not stored again.
     pub fn intern<N: Network + ?Sized>(&mut self, route: &[u32], table: &LinkTable<'_, N>) -> u32 {
+        self.intern_hashed(route, Self::hash(route.iter().copied()), table)
+    }
+
+    /// [`RouteArena::intern`] with the route's index hash given.
+    fn intern_hashed<N: Network + ?Sized>(
+        &mut self,
+        route: &[u32],
+        hash: u64,
+        table: &LinkTable<'_, N>,
+    ) -> u32 {
         debug_assert!(route.len() >= 2, "a route needs at least one hop");
         let si = Self::shard_of(route);
         let shard = &mut self.shards[si];
-        if let Some(&local) = shard.index.get(route) {
-            return (local << ARENA_SHARD_BITS) | si as u32;
-        }
-        let local = (shard.offsets.len() - 1) as u32;
-        shard.nodes.extend_from_slice(route);
-        for w in route.windows(2) {
-            shard.links.push(table.link_id(w[0], w[1]));
-        }
-        shard.offsets.push(shard.nodes.len() as u32);
-        shard.index.insert(route.into(), local);
+        let hit = shard.index.get(&hash).copied();
+        let local = match hit {
+            Some(local) if shard.nodes(local as usize) == route => local,
+            _ => {
+                let local = (shard.offsets.len() - 1) as u32;
+                shard.nodes.extend_from_slice(route);
+                for w in route.windows(2) {
+                    shard.links.push(table.link_id(w[0], w[1]));
+                }
+                shard.offsets.push(shard.nodes.len() as u32);
+                // A collision keeps the index on the first route.
+                shard.index.entry(hash).or_insert(local);
+                local
+            }
+        };
         let id = (local << ARENA_SHARD_BITS) | si as u32;
         debug_assert_ne!(id, GHOST_ROUTE, "route id space exhausted");
         id
@@ -211,7 +245,7 @@ impl RouteArena {
     #[inline]
     pub fn route_nodes(&self, r: u32) -> &[u32] {
         let (s, local) = self.locate(r);
-        &s.nodes[s.offsets[local] as usize..s.offsets[local + 1] as usize]
+        s.nodes(local)
     }
 
     /// Per-hop link ids of route `r` (`route_len(r) - 1` entries; entry
@@ -1144,6 +1178,57 @@ mod tests {
             for (i, w) in r.windows(2).enumerate() {
                 assert_eq!(links[i], t.link_id(w[0], w[1]));
             }
+        }
+    }
+
+    #[test]
+    fn arena_keeps_colliding_routes_apart() {
+        // Every route interned under one forced hash: each is stored,
+        // reads back node for node and link for link, and interning it
+        // again returns an id that reads back the same route, never a
+        // different one.
+        let h = Hhc::new(2).unwrap();
+        let t = LinkTable::build(&h);
+        let mut arena = RouteArena::new();
+        let routes: Vec<Vec<u32>> = (0u32..64)
+            .flat_map(|src| (0u32..64).map(move |dst| (src, dst)))
+            .filter(|(src, dst)| src != dst)
+            .step_by(7)
+            .map(|(src, dst)| {
+                h.route(NodeId::from_raw(src as u128), NodeId::from_raw(dst as u128))
+                    .unwrap()
+                    .iter()
+                    .map(|v| v.raw() as u32)
+                    .collect()
+            })
+            .collect();
+        assert!(routes.len() > 500);
+        let check = |arena: &RouteArena, id: u32, r: &[u32]| {
+            assert_eq!(arena.route_nodes(id), r);
+            assert_eq!(arena.route_len(id) as usize, r.len());
+            let links = arena.route_links(id);
+            assert_eq!(links.len(), r.len() - 1);
+            for (i, w) in r.windows(2).enumerate() {
+                assert_eq!(links[i], t.link_id(w[0], w[1]));
+            }
+        };
+        let ids: Vec<u32> = routes
+            .iter()
+            .map(|r| arena.intern_hashed(r, 0xC011_1DE5, &t))
+            .collect();
+        assert_eq!(arena.len(), routes.len(), "every colliding route is stored");
+        for (r, &id) in routes.iter().zip(&ids) {
+            check(&arena, id, r);
+        }
+        for r in &routes {
+            let id = arena.intern_hashed(r, 0xC011_1DE5, &t);
+            check(&arena, id, r);
+        }
+        // The first route of each shard holds that shard's index entry,
+        // so it deduplicates.
+        assert_eq!(arena.intern_hashed(&routes[0], 0xC011_1DE5, &t), ids[0]);
+        for (r, &id) in routes.iter().zip(&ids) {
+            check(&arena, id, r);
         }
     }
 

@@ -329,7 +329,7 @@ fn golden_static_faults_on_hhc3() {
         ),
         (
             RouteStrategy::FaultFree,
-            (2412, 2412, 30686, 29858, 14687655673621057868),
+            (2412, 2412, 30692, 29866, 9152058039903511888),
         ),
     ];
     for (strategy, pin) in pins {

@@ -75,8 +75,10 @@ fn main() {
     );
 
     // --- Gray-cycle crossing order (the length-bound trick) -----------------
-    let positions = [0u64, 5, 3, 6];
-    let ordered = gray::sort_along_gray_cycle(&positions, 3, 2);
+    let positions = [0u32, 5, 3, 6];
+    let mut ordered = Vec::new();
+    let set = positions.iter().fold(0u64, |acc, &p| acc | 1 << p);
+    gray::gray_order_into(set, 3, 2, &mut ordered);
     println!("\nGray-cycle order of crossing positions {positions:?} anchored at 2: {ordered:?}");
     println!("(consecutive crossings are cheap to reach inside a son-cube —");
     println!(" this ordering is what keeps the disjoint paths near-diameter length)");
